@@ -111,3 +111,7 @@ class UnknownCheckId(CertifyError):
 
 class InvalidPrime(CertifyError):
     pass
+
+
+class InvalidSeed(CertifyError):
+    pass

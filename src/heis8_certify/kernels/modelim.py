@@ -1,10 +1,12 @@
 """Row reduction of dense integer matrices mod p.
 
-This is the hot kernel behind graded ideal membership (the binding instance
-is a 6435x11881 augmented system).  Entries are kept *lazily* reduced: an
-update subtracts m·(pivot row) with both factors already reduced below p, so
-each entry grows by at most (p-1)² per pivot step and never needs a per-element
-modulo.  With at most `rows` pivots the magnitude bound is
+This is the kernel behind graded ideal membership, which runs it once per
+connected block of the sparse system that meets the target (two blocks of
+about 100x200 for the binding instance), never on the whole system.  Entries
+are kept *lazily* reduced: an update subtracts m·(pivot row) with both factors
+already reduced below p, so each entry grows by at most (p-1)² per pivot step
+and never needs a per-element modulo.  With at most `rows` pivots the
+magnitude bound is
 
     (p-1) + rows·(p-1)²,
 

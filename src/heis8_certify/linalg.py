@@ -493,6 +493,29 @@ def _bareiss_solve(rows, ncols):
 REFERENCE_PRIMES = (17, 41, 73, 89, 97, 113, 137, 193, 233, 241)
 
 
+@dataclass(frozen=True)
+class _Block:
+    """One connected component of a membership system, in local coordinates:
+    its nonzeros and target coefficients as integers, and the original indices
+    of its columns in ascending order."""
+
+    nrows: int
+    cols: np.ndarray
+    local_rows: np.ndarray
+    local_cols: np.ndarray
+    vals: list
+    target: list  # (local row, integer coefficient)
+
+
+def _adjacent(nodes, ptr, order, other):
+    """Distinct far endpoints of the COO entries at `nodes`, where `order`
+    groups the entries by this side and `ptr` delimits each node's group."""
+    if not nodes.size:
+        return nodes
+    entries = np.concatenate([order[ptr[v] : ptr[v + 1]] for v in nodes.tolist()])
+    return np.unique(other[entries])
+
+
 class MembershipProblem:
     """The degree-d linear system asking whether a homogeneous target lies in
     the span of (monomial multiplier)·(generator) products.
@@ -547,6 +570,7 @@ class MembershipProblem:
                 self.columns.append((gi, mult))
         self._column_index = {col: k for k, col in enumerate(self.columns)}
         self._coo = None
+        self._blocks = None
         self.target_hash = _canonical_hash([target])
         self.generators_hash = _canonical_hash(generators)
 
@@ -582,6 +606,54 @@ class MembershipProblem:
         )
         return self._coo
 
+    def _target_blocks(self):
+        """The connected components of the row–column sparsity graph of the
+        integer system that contain a target row, computed once per problem.
+
+        A target row that no product reaches is a block with no columns.
+        """
+        if self._blocks is not None:
+            return self._blocks
+        ri, ci, vals = self._build_coo()
+        nrows, ncols = self.shape
+        by_row = np.argsort(ri, kind="stable")
+        row_ptr = np.searchsorted(ri, np.arange(nrows + 1), sorter=by_row)
+        by_col = np.argsort(ci, kind="stable")
+        col_ptr = np.searchsorted(ci, np.arange(ncols + 1), sorter=by_col)
+        row_block = np.full(nrows, -1, dtype=np.int64)
+        col_block = np.full(ncols, -1, dtype=np.int64)
+        target = {self._row_index[e]: c for e, c in self._target_int.items()}
+        nblocks = 0
+        for start in sorted(target):
+            if row_block[start] >= 0:
+                continue
+            row_block[start] = nblocks
+            frontier = np.array([start], dtype=np.int64)
+            while frontier.size:
+                cols = _adjacent(frontier, row_ptr, by_row, ci)
+                cols = cols[col_block[cols] < 0]
+                col_block[cols] = nblocks
+                rows = _adjacent(cols, col_ptr, by_col, ri)
+                frontier = rows[row_block[rows] < 0]
+                row_block[frontier] = nblocks
+            nblocks += 1
+        self._blocks = []
+        for k in range(nblocks):
+            rows = np.nonzero(row_block == k)[0]
+            cols = np.nonzero(col_block == k)[0]
+            entries = np.nonzero(col_block[ci] == k)[0]
+            self._blocks.append(
+                _Block(
+                    nrows=rows.size,
+                    cols=cols,
+                    local_rows=np.searchsorted(rows, ri[entries]),
+                    local_cols=np.searchsorted(cols, ci[entries]),
+                    vals=[vals[i] for i in entries.tolist()],
+                    target=[(i, target[r]) for i, r in enumerate(rows.tolist()) if r in target],
+                )
+            )
+        return self._blocks
+
     @property
     def shape(self):
         return (len(self.row_monomials), len(self.columns))
@@ -591,7 +663,25 @@ class MembershipProblem:
         return f.p if hasattr(f, "p") else None
 
     def solve_mod(self, p: int) -> MembershipCertificate:
-        """Exact decision of membership in the degree-d slice over GF(p)."""
+        """Exact decision of membership in the degree-d slice over GF(p).
+
+        Only the connected components of the row–column sparsity graph that
+        contain a target row are solved, each as its own small dense block
+        with the columns in their original order; every other column is set
+        to zero.  This gives the same certificate as eliminating the whole
+        system with left-to-right pivoting:
+
+        * a column is a pivot exactly when it is independent of the columns
+          before it; components have disjoint rows, so that is decided inside
+          the column's own component, and the pivot columns are the same;
+        * back-substitution with the free variables set to zero then returns
+          the same unique solution on the pivot columns of each component;
+        * a component that misses the target has a zero right-hand side, so
+          its solution is zero, and the system is consistent exactly when
+          every target component is;
+        * a coefficient ≡ 0 mod p only removes edges, so the components of
+          the integer pattern stay a valid decomposition at every prime.
+        """
         own = self._field_prime()
         if own is not None and own != p:
             raise DenominatorVanishes(f"generators live over GF({own}), not GF({p})")
@@ -599,16 +689,20 @@ class MembershipProblem:
             raise DenominatorVanishes(f"a denominator vanishes mod {p}")
         if not self.target:
             return self._finish([], GF(p).name, p)
-        ri, ci, vals = self._build_coo()
-        nrows, ncols = self.shape
-        dtype = kernels.required_dtype(nrows, p)
-        aug = np.zeros((nrows, ncols + 1), dtype=dtype)
-        np.add.at(aug, (ri, ci), np.asarray([v % p for v in vals], dtype=dtype))
-        for e, c in self._target_int.items():
-            aug[self._row_index[e], ncols] = c % p
-        x, rank_, _ = kernels.solve_mod_p(aug, p)
-        if x is None:
-            raise NotInDegree(f"no representation of the target in degree {self.degree} over GF({p})")
+        x = np.zeros(self.shape[1], dtype=np.int64)
+        for block in self._target_blocks():
+            dtype = kernels.required_dtype(block.nrows, p)
+            aug = np.zeros((block.nrows, block.cols.size + 1), dtype=dtype)
+            block_vals = np.asarray([v % p for v in block.vals], dtype=dtype)
+            np.add.at(aug, (block.local_rows, block.local_cols), block_vals)
+            for i, c in block.target:
+                aug[i, -1] = c % p
+            xb, _, _ = kernels.solve_mod_p(aug, p)
+            if xb is None:
+                raise NotInDegree(
+                    f"no representation of the target in degree {self.degree} over GF({p})"
+                )
+            x[block.cols] = xb
         sts = int(pow(self._target_scale, -1, p))
         entries = []
         for col in np.nonzero(x)[0]:

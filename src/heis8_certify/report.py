@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import InvalidPrime, UnknownCheckId, ZeroPoint
+from .errors import InvalidPrime, InvalidSeed, UnknownCheckId, ZeroPoint
 from .exactmath import is_prime
 
 VERSION = "0.1.0"
@@ -74,7 +74,7 @@ def validate_config(config: RunConfig, known_ids) -> None:
         if p <= 2 or not is_prime(p) or p % 8 != 1:
             raise InvalidPrime(f"prime {p} must be an odd prime congruent to 1 mod 8")
     if not (0 <= config.seed < 2**64):
-        raise InvalidPrime(f"seed {config.seed} is not a 64-bit integer")
+        raise InvalidSeed(f"seed {config.seed} is not a 64-bit integer")
     if config.checks != ("all",):
         for cid in config.checks:
             if cid not in known_ids:

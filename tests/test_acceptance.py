@@ -3,6 +3,7 @@
 Each test prints one PASS line (visible with -s; pytest -v shows the same
 verdict per test either way).  Budgets are wall-clock seconds.
 """
+import hashlib
 import json
 import random
 import subprocess
@@ -21,6 +22,7 @@ from heis8_certify.heisenberg import (
     enumerate_group,
 )
 from heis8_certify.linalg import (
+    REFERENCE_PRIMES,
     Matrix,
     MembershipProblem,
     exterior_power,
@@ -73,11 +75,39 @@ def test_acceptance_01_pfaffian_identity():
         assert data.pfaffian == reference * data.sign
 
 
+# sha256 of the ψ-instance certificate triples, one per line, as the report's
+# gf<p>_triples_sha256 / qq_triples_sha256 fields print them
+PSI_GF_TRIPLES_SHA256 = {
+    17: "03c7a581d41499126b48667cc9cd352a7d1339e708ce51d0effdb7b86ee71339",
+    41: "cbb363fc8e2377c51e09f218dd3edd03a3a58b280d6d0650f07f2a5829729de6",
+    73: "eba32c3238d013042f234f0c47221b8a8d3f2fd0aa2a4c44c66da0fc5271912a",
+    89: "e3c54f25c99936a7f20b6e775724c5ffd8e709a71984387d642d79f5a5687114",
+    97: "7ae8e7fb940a90fc87f10e1df256596dbc396bb651f91ae3e7eb7f11a4652afa",
+    113: "e73ab0b4d1ec768ad06b35043b4d336ba7f0cc74e9774a67a95b8bb025d4b918",
+    137: "ab425adf1aa81b9fb48e698e8674cd7d21ea55618e882b682f9365ccd73cf828",
+    193: "c5646777619fb71f71a3da08345755bffbb9ad55a7ac6ce89095551a32b0ee6f",
+    233: "d42531b29f78a1fe73251c9e7ff99220a192b520d6d005395e4183954a6ac3f8",
+    241: "7f0ea4454a745366bd925c752201d959a2b18cbe618cd497c4336e6dd468171c",
+}
+PSI_QQ_TRIPLES_SHA256 = "6fd50fb1123f324573b09d87d1b2257e2fa438f066f20218ad9e37bc7e245655"
+
+
+def triples_sha256(cert, names):
+    digest = hashlib.sha256()
+    for triple in cert.triples_text(names):
+        digest.update(triple.encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
 def test_acceptance_02_ideal_membership():
     problem = geo.psi_membership_problem()
+    assert problem.shape == (6435, 11880)
+    names = problem.ring.names
     gens = list(geo.moore_minor_generators())
     target = geo.psi_quartic_target()
-    for p in (17, 41, 73):
+    assert sorted(PSI_GF_TRIPLES_SHA256) == sorted(REFERENCE_PRIMES)
+    for p in REFERENCE_PRIMES:
         with budget(f"2 membership-GF({p})", 60.0):
             cert = problem.solve_mod(p)
             field = GF(p)
@@ -85,9 +115,13 @@ def test_acceptance_02_ideal_membership():
             gens_p = [g.map_coefficients(field.coerce, ring_p) for g in gens]
             target_p = target.map_coefficients(field.coerce, ring_p)
             assert replay_certificate(cert, gens_p) == target_p
+            assert cert.support() == 82
+            assert triples_sha256(cert, names) == PSI_GF_TRIPLES_SHA256[p]
     with budget("2 membership-QQ", 600.0):
         cert = problem.solve_rational()
         assert replay_certificate(cert, gens) == target
+        assert cert.support() == 82
+        assert triples_sha256(cert, names) == PSI_QQ_TRIPLES_SHA256
 
 
 def test_acceptance_03_singular_orbit():
@@ -274,3 +308,8 @@ def test_acceptance_10_end_to_end(tmp_path):
         data = json.loads(paths[0].read_text())
         assert data["status"] == "pass"
         assert len(data["results"]) == 18
+        psi = next(r["payload"] for r in data["results"] if r["id"] == "psi-quartic-membership")
+        assert (psi["system_rows"], psi["system_cols"]) == ("6435", "11880")
+        for p in (17, 41, 73):
+            assert psi[f"gf{p}_triples_sha256"] == PSI_GF_TRIPLES_SHA256[p]
+        assert psi["qq_triples_sha256"] == PSI_QQ_TRIPLES_SHA256

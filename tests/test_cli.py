@@ -45,6 +45,12 @@ def test_invalid_prime_exits_2():
     assert out.returncode == 2
 
 
+def test_invalid_seed_exits_2():
+    out = run_cli("verify", "--checks", "wedge-lemma", "--seed", "-1")
+    assert out.returncode == 2
+    assert "InvalidSeed" in out.stderr
+
+
 def test_zero_base_point_exits_2():
     out = run_cli("verify", "--y", "0,0,0")
     assert out.returncode == 2

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heis8_certify.errors import (
     DimensionMismatch,
@@ -13,6 +15,7 @@ from heis8_certify.errors import (
     NotUnipotent,
 )
 from heis8_certify.exactmath import GF, QQ
+from heis8_certify.kernels import solve_mod_p
 from heis8_certify.linalg import (
     Matrix,
     MembershipProblem,
@@ -300,6 +303,98 @@ def test_membership_zero_generator_keeps_indices():
     cert = graded_membership(gens, a * a)
     assert cert.entries == ((1, (1, 0), Fraction(1)),)
     assert replay_certificate(cert, gens) == a * a
+
+
+PARITY_PRIME = 41
+PARITY_RING = PolyRing(GF(PARITY_PRIME), ("a", "b", "c", "d"))
+
+
+def _poly(draw, monomials):
+    coeffs = st.integers(1, PARITY_PRIME - 1)
+    out = PARITY_RING.zero()
+    for e in draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=3, unique=True)):
+        out = out + PARITY_RING.monomial(e, draw(coeffs))
+    return out
+
+
+def _combination(draw, gens):
+    out = PARITY_RING.zero()
+    for g in gens:
+        out = out + g * draw(st.integers(0, PARITY_PRIME - 1))
+    return out
+
+
+@st.composite
+def blocked_systems(draw):
+    """Quadrics whose supports lie in three or more disjoint groups of degree-2
+    monomials, with a degree-2 target, so each group is a union of components
+    of the system.  The first group holds a generator and a multiple of it (a
+    rank-deficient component) and the target misses it; the next group may
+    have no generator at all while the target reaches into it, and the target
+    may be perturbed off the span of the last group's generators."""
+    mons = draw(st.permutations(monomials_of_degree(4, 2)))
+    cuts = sorted(draw(st.sets(st.integers(1, len(mons) - 1), min_size=2, max_size=4)))
+    groups = [mons[a:b] for a, b in zip([0, *cuts], [*cuts, len(mons)])]
+    g = _poly(draw, groups[0])
+    gens = [g, g * draw(st.integers(1, PARITY_PRIME - 1))]
+    target = PARITY_RING.zero()
+    unreached = draw(st.booleans())
+    for k, group in enumerate(groups[1:]):
+        if unreached and k == 0:
+            target = target + _poly(draw, group)
+            continue
+        group_gens = [_poly(draw, group) for _ in range(draw(st.integers(1, 3)))]
+        gens += group_gens
+        target = target + _combination(draw, group_gens)
+    if draw(st.booleans()):
+        target = target + _poly(draw, groups[-1])
+    return gens, target
+
+
+@st.composite
+def multiplier_systems(draw):
+    """Generators of degree 1 or 2 and a target up to two degrees higher, so
+    the columns are multiplier·generator products."""
+    gdeg, mdeg = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    gens = [_poly(draw, monomials_of_degree(4, gdeg)) for _ in range(draw(st.integers(1, 3)))]
+    mults = monomials_of_degree(4, mdeg)
+    target = PARITY_RING.zero()
+    for g in gens:
+        target = target + g * _poly(draw, mults)
+    if draw(st.booleans()):
+        target = target + _poly(draw, monomials_of_degree(4, gdeg + mdeg))
+    return gens, target
+
+
+def _dense_solve(problem, gens, target):
+    """The whole system as one dense augmented matrix, solved by the kernel."""
+    row_index = {e: i for i, e in enumerate(problem.row_monomials)}
+    nrows, ncols = problem.shape
+    aug = np.zeros((nrows, ncols + 1), dtype=np.int64)
+    for k, (gi, mult) in enumerate(problem.columns):
+        for e, c in (gens[gi] * PARITY_RING.monomial(mult)).terms.items():
+            aug[row_index[e], k] = c.value
+    for e, c in target.terms.items():
+        aug[row_index[e], ncols] = c.value
+    x, _, _ = solve_mod_p(aug, PARITY_PRIME)
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(blocked_systems(), multiplier_systems()))
+def test_membership_blocks_match_dense_solve(system):
+    gens, target = system
+    if not target:
+        return
+    problem = MembershipProblem(gens, target)
+    x = _dense_solve(problem, gens, target)
+    if x is None:
+        with pytest.raises(NotInDegree):
+            problem.solve_mod(PARITY_PRIME)
+        return
+    cert = problem.solve_mod(PARITY_PRIME)
+    dense = {problem.columns[k]: int(x[k]) for k in np.nonzero(x)[0]}
+    assert {(gi, mult): c.value for gi, mult, c in cert.entries} == dense
 
 
 # --- kernel backends --------------------------------------------------------
