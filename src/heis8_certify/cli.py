@@ -1,7 +1,7 @@
 """Command-line certificate runner.
 
     heis8-certify verify [--checks id,id,...] [--primes p,p,...] [--seed N]
-                         [--y a,b,c] [--json PATH] [--fast] [--jobs N]
+                         [--y a,b,c] [--json PATH] [--fast]
     heis8-certify list
 
 Exit codes: 0 when every selected certificate passes, 1 on a certificate
@@ -38,7 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--y", default="1,2,3", help="rational base point of the minus plane, as a,b,c")
     verify.add_argument("--json", dest="json_path", default=None, help="also write the JSON report here")
     verify.add_argument("--fast", action="store_true", help="skip the rational membership solve")
-    verify.add_argument("--jobs", type=int, default=None, help="worker pool size (default: cpu count)")
 
     sub.add_parser("list", help="list every claim id in the registry")
     return parser
@@ -64,7 +63,6 @@ def main(argv=None) -> int:
             base_point=tuple(_parse_int_list(args.y)),
             json_path=args.json_path,
             fast=args.fast,
-            jobs=args.jobs,
         )
         validate_config(config, known_ids())
     except CertifyError as exc:

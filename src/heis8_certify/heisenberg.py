@@ -19,7 +19,6 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ZeroPoint
-from .exactmath import QI8
 from .linalg import smith_normal_form
 from .multipoly import SparsePoly, apply_variable_map
 
@@ -207,8 +206,3 @@ def orbit(v: ProjPoint):
             out.append(w)
     return out
 
-
-def orbit_over_cyclotomics(v: ProjPoint) -> list:
-    """Orbit of a rational point taken over QQ(zeta8), where the full twist action exists."""
-    lifted = ProjPoint(QI8, [QI8.coerce(c) for c in v.coords])
-    return orbit(lifted)

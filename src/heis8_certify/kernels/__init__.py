@@ -1,23 +1,9 @@
-from ._backend import ENV_FLAG, HAVE_NUMBA, USE_NUMBA, backend_name
-from .modelim import (
-    back_substitute,
-    eliminate_mod_p,
-    eliminate_mod_p_numpy,
-    required_dtype,
-    solve_mod_p,
-)
-from .sampling import sample_quadric_points, sample_quadric_points_numpy
+from .modelim import eliminate_mod_p, required_dtype, solve_mod_p
+from .sampling import sample_quadric_points
 
 __all__ = [
-    "ENV_FLAG",
-    "HAVE_NUMBA",
-    "USE_NUMBA",
-    "backend_name",
-    "back_substitute",
     "eliminate_mod_p",
-    "eliminate_mod_p_numpy",
     "required_dtype",
     "solve_mod_p",
     "sample_quadric_points",
-    "sample_quadric_points_numpy",
 ]

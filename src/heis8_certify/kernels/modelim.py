@@ -12,14 +12,8 @@ magnitude bound is
 
 which the caller must keep inside the dtype (``required_dtype`` below).  Only
 pivot rows and multipliers are reduced eagerly.
-
-Both implementations perform the same pivot choices (first row with a nonzero
-residue, columns scanned left to right), so rank, pivot columns and the
-back-substituted solution are identical between the numba and numpy paths.
 """
 import numpy as np
-
-from ._backend import USE_NUMBA, njit
 
 
 def required_dtype(nrows: int, p: int):
@@ -32,52 +26,12 @@ def required_dtype(nrows: int, p: int):
     raise OverflowError(f"modulus {p} too large for a {nrows}-row lazy elimination")
 
 
-def _eliminate_loops(a, p):
-    """Forward elimination in place; returns (rank, pivot column array)."""
-    m, n = a.shape
-    npiv = 0
-    pivots = np.empty(min(m, n - 1), dtype=np.int64)
-    for col in range(n - 1):
-        sel = -1
-        for r in range(npiv, m):
-            if a[r, col] % p != 0:
-                sel = r
-                break
-        if sel < 0:
-            continue
-        if sel != npiv:
-            for j in range(col, n):
-                t = a[sel, j]
-                a[sel, j] = a[npiv, j]
-                a[npiv, j] = t
-        pv = a[npiv, col] % p
-        inv = 1
-        base = pv
-        e = p - 2
-        while e:
-            if e & 1:
-                inv = inv * base % p
-            base = base * base % p
-            e >>= 1
-        for j in range(col, n):
-            a[npiv, j] = (a[npiv, j] % p) * inv % p
-        for r in range(npiv + 1, m):
-            mv = a[r, col] % p
-            if mv != 0:
-                for j in range(col, n):
-                    a[r, j] -= mv * a[npiv, j]
-        pivots[npiv] = col
-        npiv += 1
-        if npiv == m:
-            break
-    return npiv, pivots[:npiv]
+def eliminate_mod_p(a, p):
+    """Forward elimination in place; returns (rank, pivot column array).
 
-
-_eliminate_numba = njit(cache=True)(_eliminate_loops) if njit is not None else None
-
-
-def eliminate_mod_p_numpy(a, p):
-    """Vectorized elimination; same pivot choices and contract as the loop kernel."""
+    Pivot choice: the first row with a nonzero residue, columns scanned left
+    to right over all but the last (right-hand side) column.
+    """
     m, n = a.shape
     npiv = 0
     pivots = []
@@ -102,12 +56,6 @@ def eliminate_mod_p_numpy(a, p):
         if npiv == m:
             break
     return npiv, np.asarray(pivots, dtype=np.int64)
-
-
-def eliminate_mod_p(a, p):
-    if USE_NUMBA:
-        return _eliminate_numba(a, p)
-    return eliminate_mod_p_numpy(a, p)
 
 
 def back_substitute(a, rank: int, pivots, p):

@@ -1,14 +1,12 @@
 """Mass rejection sampling of GF(p) points on an intersection of quadrics.
 
 Coordinates are drawn from a counter-based SplitMix64 stream, so the sample
-sequence depends only on (seed, trial index) and is identical between the
-numba and numpy implementations (and across runs and platforms).  The tiny
-modulo bias of reducing a 64-bit word mod p (~p·2⁻⁶⁴) is irrelevant here: the
-sampler only corroborates point counts at Poisson scale.
+sequence depends only on (seed, trial index) and is identical across runs,
+batch sizes and platforms.  The tiny modulo bias of reducing a 64-bit word
+mod p (~p·2⁻⁶⁴) is irrelevant here: the sampler only corroborates point
+counts at Poisson scale.
 """
 import numpy as np
-
-from ._backend import USE_NUMBA, njit
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -18,44 +16,9 @@ _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _ONE = np.uint64(1)
 
-
-def _sample_loops(ti, tj, tc, offsets, p, n_trials, seed, cap):
-    """Trial loop; returns (count, out) with accepted coordinate rows in trial order."""
-    out = np.empty((cap, 8), dtype=np.int64)
-    v = np.empty(8, dtype=np.int64)
-    count = 0
-    nq = offsets.shape[0] - 1
-    useed = np.uint64(seed)
-    up = np.uint64(p)
-    for k in range(n_trials):
-        base = np.uint64(k) * np.uint64(8)
-        allzero = True
-        for j in range(8):
-            z = (base + np.uint64(j) + _ONE) * _GOLDEN + useed
-            z = (z ^ (z >> _S30)) * _MIX1
-            z = (z ^ (z >> _S27)) * _MIX2
-            z = z ^ (z >> _S31)
-            v[j] = np.int64(z % up)
-            if v[j] != 0:
-                allzero = False
-        if allzero:
-            continue
-        ok = True
-        for q in range(nq):
-            acc = 0
-            for t in range(offsets[q], offsets[q + 1]):
-                acc += tc[t] * v[ti[t]] * v[tj[t]]
-            if acc % p != 0:
-                ok = False
-                break
-        if ok:
-            if count < cap:
-                out[count] = v
-            count += 1
-    return count, out
-
-
-_sample_numba = njit(cache=True)(_sample_loops) if njit is not None else None
+# Trials per vectorized batch.  The batch arrays are most of the sampler's
+# memory; at 2¹³ they take a few megabytes, and the hits do not depend on it.
+BATCH = 1 << 13
 
 
 def _splitmix_block(seed, start, n):
@@ -66,14 +29,24 @@ def _splitmix_block(seed, start, n):
     return z ^ (z >> _S31)
 
 
-def sample_quadric_points_numpy(ti, tj, tc, offsets, p, n_trials, seed, cap, batch=1 << 18):
-    """Batched vectorized variant; bit-identical acceptance sequence."""
+def sample_quadric_points(ti, tj, tc, offsets, p, n_trials, seed, cap=4096):
+    """Draw ``n_trials`` coordinate vectors in GF(p)^8 and keep those on all quadrics.
+
+    Trial k takes SplitMix64 words 8k..8k+7 of ``seed``, each reduced mod p;
+    the all-zero vector is rejected.  Returns (hit_count, rows) where rows is
+    an array of at most ``cap`` accepted coordinate vectors in draw order.
+    hit_count may exceed rows when cap is hit.
+    """
+    ti = np.ascontiguousarray(ti, dtype=np.int64)
+    tj = np.ascontiguousarray(tj, dtype=np.int64)
+    tc = np.ascontiguousarray(tc, dtype=np.int64) % p
+    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     hits = []
     count = 0
     nq = offsets.shape[0] - 1
     done = 0
     while done < n_trials:
-        b = min(batch, n_trials - done)
+        b = min(BATCH, n_trials - done)
         words = _splitmix_block(seed, 8 * done, 8 * b)
         coords = (words % np.uint64(p)).astype(np.int64).reshape(b, 8)
         mask = coords.any(axis=1)
@@ -92,19 +65,3 @@ def sample_quadric_points_numpy(ti, tj, tc, offsets, p, n_trials, seed, cap, bat
     else:
         rows = np.empty((0, 8), dtype=np.int64)
     return count, rows[:cap]
-
-
-def sample_quadric_points(ti, tj, tc, offsets, p, n_trials, seed, cap=4096):
-    """Draw ``n_trials`` coordinate vectors in GF(p)^8 and keep those on all quadrics.
-
-    Returns (hit_count, rows) where rows is an array of at most ``cap`` accepted
-    coordinate vectors in draw order.  hit_count may exceed rows when cap is hit.
-    """
-    ti = np.ascontiguousarray(ti, dtype=np.int64)
-    tj = np.ascontiguousarray(tj, dtype=np.int64)
-    tc = np.ascontiguousarray(tc, dtype=np.int64) % p
-    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    if USE_NUMBA:
-        count, out = _sample_numba(ti, tj, tc, offsets, p, n_trials, np.uint64(seed), cap)
-        return count, out[: min(count, cap)]
-    return sample_quadric_points_numpy(ti, tj, tc, offsets, p, n_trials, seed, cap)

@@ -123,9 +123,6 @@ class Matrix:
     def rank(self) -> int:
         return self.rref()[2]
 
-    def nullity(self) -> int:
-        return self.shape[1] - self.rank()
-
     def kernel_basis(self):
         """Basis vectors (as lists) of the right kernel."""
         red, pivots, rank = self.rref()
@@ -140,9 +137,6 @@ class Matrix:
                 vec[pc] = -red.rows[i][j]
             basis.append(vec)
         return basis
-
-    def left_kernel_basis(self):
-        return self.transpose().kernel_basis()
 
     def solve(self, b):
         """One exact solution of self·x = b, or None if the system is inconsistent."""
@@ -196,10 +190,6 @@ class Matrix:
 
 def rank(m: Matrix) -> int:
     return m.rank()
-
-
-def solve_linear(a: Matrix, b):
-    return a.solve(b)
 
 
 # ---------------------------------------------------------------------------

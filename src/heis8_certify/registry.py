@@ -1,19 +1,17 @@
 """The claim registry: one check per certified claim, executed by the CLI.
 
 Every check is a pure function RunConfig → CertificateResult, deterministic
-given (primes, seed, base point).  The runner dispatches checks to a worker
-pool and always reports them in registry order.
+given (primes, seed, base point).  The runner executes the selected checks
+one after another, in registry order.
 """
 from __future__ import annotations
 
 import hashlib
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from . import geometry, kernels
+from . import geometry
 from .errors import CertifyError, UnknownCheckId, UnluckyPrime
 from .exactmath import GF, QI8, QQ
 from .heisenberg import CENTRAL, SHIFT, TWIST, center_and_quotient, enumerate_group
@@ -300,7 +298,6 @@ def check_psi_membership(cfg: RunConfig) -> CertificateResult:
         "target_degree": problem.degree,
         "target_sha256": problem.target_hash,
         "generators_sha256": problem.generators_hash,
-        "kernel_backend": kernels.backend_name(),
     }
     ok = True
     for p in cfg.primes:
@@ -483,7 +480,6 @@ def selected_specs(config: RunConfig):
 
 def run_checks(config: RunConfig) -> Report:
     specs = selected_specs(config)
-    jobs = config.jobs or os.cpu_count() or 1
 
     def run_one(spec: CheckSpec) -> CertificateResult:
         t0 = time.perf_counter()
@@ -502,12 +498,7 @@ def run_checks(config: RunConfig) -> Report:
         return result
 
     t0 = time.perf_counter()
-    if jobs == 1:
-        results = [run_one(spec) for spec in specs]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_one, spec) for spec in specs]
-            results = [f.result() for f in futures]
+    results = [run_one(spec) for spec in specs]
     report = Report(version=VERSION, config=config, results=results)
     report.total_elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report

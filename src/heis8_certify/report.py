@@ -56,7 +56,6 @@ class RunConfig:
     base_point: tuple = (1, 2, 3)
     json_path: str | None = None
     fast: bool = False
-    jobs: int | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -65,7 +64,6 @@ class RunConfig:
             "seed": self.seed,
             "y": list(self.base_point),
             "fast": self.fast,
-            "jobs": self.jobs,
         }
 
 

@@ -96,6 +96,6 @@ def test_verify_text_report_shape():
     assert "overall: PASS" in out.stdout
 
 
-def test_jobs_flag_accepted():
+def test_jobs_flag_rejected():
     out = run_cli("verify", "--checks", "wedge-lemma", "--jobs", "2")
-    assert out.returncode == 0
+    assert out.returncode == 2
