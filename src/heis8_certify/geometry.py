@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -144,6 +144,7 @@ class VarietySystem:
     def to_field(self, field) -> "VarietySystem":
         return build_system(self.point.to_field(field))
 
+    @cached_property
     def hessians(self):
         """Constant 8×8 second-derivative matrices of the four quadrics."""
         out = []
@@ -218,6 +219,10 @@ def odp_normal_hessian_rank(system: VarietySystem, v: ProjPoint) -> int:
     combination L with dL(v) = 0; restricting the constant Hessian of L to
     the tangent space of the three transverse equations gives the quadratic
     cone of the singularity.  Rank 4 is the ordinary-double-point condition.
+
+    Rank 3 on the 7 columns other than k (where v_k = 1) is the rank of the
+    full 4×8 Jacobian: by the Euler relation J(v)·v = 2·q(v) = 0 on the
+    variety, column k is a combination of the others.
     """
     if not point_on_variety(system, v):
         raise PointNotOnVariety(f"{v} is not on the quadric system")
@@ -230,17 +235,12 @@ def odp_normal_hessian_rank(system: VarietySystem, v: ProjPoint) -> int:
 
     jac_full = system.jacobian.eval(coords)
     jac = Matrix(field, [[row[j] for j in cols] for row in jac_full])
-    if jac.rank() != 3:
-        raise DegeneratePoint(f"Jacobian rank {jac.rank()} != 3 at {v}")
-    left = jac.transpose().kernel_basis()
-    if len(left) != 1:
-        raise DegeneratePoint("left kernel of the Jacobian is not a line")
-    lam = left[0]
     tangent = jac.kernel_basis()
     if len(tangent) != 4:
-        raise DegeneratePoint("normal slice is not 4-dimensional")
+        raise DegeneratePoint(f"Jacobian rank {7 - len(tangent)} != 3 at {v}")
+    (lam,) = jac.transpose().kernel_basis()  # rank 3 with 4 rows: a line
 
-    hessians = system.hessians()
+    hessians = system.hessians
     h = [
         [
             sum((lam[q] * hessians[q][cols[i]][cols[j]] for q in range(4)), field.zero)
@@ -359,35 +359,27 @@ def off_orbit_sampling_check(y: MinusPlanePoint, p: int, n: int, seed: int) -> d
 
 
 def orbit_singularity_data(y: MinusPlanePoint) -> dict:
-    """Orbit size 64, all points on the variety, all of Jacobian rank 3, and
-    the nondegenerate quadratic cone at the embedded base point.
+    """Orbit size 64, all points on the variety, all of Jacobian rank 3, the
+    rank-4 cone at the base point, and the rank-4 cone count: one sweep.
 
-    Raises DegeneratePoint on any anomaly (callers redraw the base point).
+    Raises on any anomaly but a non-base cone of rank < 4 (callers redraw).
     """
-    system = build_system(y)
-    orb = orbit_of_base_point(y)
-    if len(orb) != 64:
-        raise DegeneratePoint(f"orbit of {y} has {len(orb)} points")
-    sys_c = system.to_field(QI8)
-    for pt in orb:
-        if not point_on_variety(sys_c, pt):
-            raise DegeneratePoint(f"orbit point {pt} is off the variety")
-        if jacobian_rank_at(sys_c, pt) != 3:
-            raise DegeneratePoint(f"orbit point {pt} has Jacobian rank != 3")
-    cone_rank = odp_normal_hessian_rank(system, y.embed())
-    if cone_rank != 4:
-        raise DegeneratePoint(f"quadratic cone rank {cone_rank} != 4 at the base point")
-    return {"orbit_size": "64", "rank3_points": "64", "base_cone_rank": "4"}
+    good = odp_proxy_sweep(y)
+    return {"orbit_size": "64", "rank3_points": "64", "base_cone_rank": "4", "cone_rank4": good}
 
 
 def odp_proxy_sweep(y: MinusPlanePoint) -> int:
-    """Nondegenerate-cone check at every orbit point; returns how many passed."""
-    sys_c = build_system(y).to_field(QI8)
-    count = 0
-    for pt in orbit_of_base_point(y):
-        if odp_normal_hessian_rank(sys_c, pt) == 4:
-            count += 1
-    return count
+    """The one pass over the orbit: 64 points, each on the variety with
+    Jacobian rank 3 and a rank-4 cone at the base point, or it raises;
+    returns how many orbit points have a rank-4 cone."""
+    system = build_system(y.to_field(QI8))
+    orb = orbit_of_base_point(y)
+    if len(orb) != 64:
+        raise DegeneratePoint(f"orbit of {y} has {len(orb)} points")
+    ranks = [odp_normal_hessian_rank(system, pt) for pt in orb]
+    if ranks[0] != 4:
+        raise DegeneratePoint(f"quadratic cone rank {ranks[0]} != 4 at the base point")
+    return ranks.count(4)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,12 @@ import hashlib
 import random
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import geometry
 from .errors import CertifyError, UnknownCheckId, UnluckyPrime
 from .exactmath import GF, QI8, QQ
-from .heisenberg import CENTRAL, SHIFT, TWIST, center_and_quotient, enumerate_group
+from .heisenberg import CENTRAL, SHIFT, TWIST, HeisenbergElement, center_and_quotient, enumerate_group
 from .linalg import (
     Matrix,
     exterior_power,
@@ -57,16 +58,19 @@ def _sha(parts) -> str:
 
 
 def check_group_order(cfg: RunConfig) -> CertificateResult:
+    """Closing {1} under right multiplication by shift and twist gives the group they generate."""
     elements = enumerate_group()
-    universe = set(elements)
-    distinct = len(universe) == 512
-    closed = all(g * h in universe for g in elements for h in elements)
+    generated = frontier = {HeisenbergElement.identity()}
+    while frontier:
+        frontier = {g * s for g in frontier for s in (SHIFT, TWIST)} - generated
+        generated |= frontier
+    closed = generated == set(elements)
     lagrange = all((g**512).is_identity() for g in elements)
     return _result(
         "group-order-512",
-        distinct and closed and lagrange,
+        len(generated) == 512 and closed and lagrange,
         "ZZ/8",
-        {"order": len(universe), "closed": closed, "lagrange_512": lagrange},
+        {"order": len(generated), "closed": closed, "lagrange_512": lagrange},
     )
 
 
@@ -157,24 +161,25 @@ def check_base_point(cfg: RunConfig) -> CertificateResult:
     )
 
 
-def _candidate_base_points(cfg: RunConfig):
+def _candidate_base_points(base_point, seed):
     """The configured point, a fixed second witness, then seeded redraws."""
-    yield cfg.base_point
+    yield base_point
     for fixed in ((3, 1, 4), (2, 5, 1)):
-        if fixed != cfg.base_point:
+        if fixed != base_point:
             yield fixed
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     for _ in range(16):
         cand = tuple(rng.randint(-10, 10) for _ in range(3))
         if any(cand):
             yield cand
 
 
-def _two_generic_points(cfg: RunConfig):
-    """First two candidate base points that pass the orbit-singularity gauntlet."""
+@lru_cache(maxsize=1)
+def _two_generic_points(base_point, seed):
+    """First two candidate base points that pass the orbit gauntlet, and the redraw count (memoized)."""
     chosen = []
     rejected = []
-    for cand in _candidate_base_points(cfg):
+    for cand in _candidate_base_points(base_point, seed):
         y = geometry.MinusPlanePoint.rational(*cand)
         try:
             data = geometry.orbit_singularity_data(y)
@@ -183,35 +188,37 @@ def _two_generic_points(cfg: RunConfig):
             continue
         chosen.append((y, data))
         if len(chosen) == 2:
-            return chosen, rejected
+            return tuple(chosen), len(rejected)
     raise CertifyError(f"could not find two generic base points; rejected: {rejected}")
 
 
 def check_orbit_singular(cfg: RunConfig) -> CertificateResult:
-    chosen, rejected = _two_generic_points(cfg)
-    payload = {"redraws": len(rejected)}
+    evidence = {"orbit_size": "64", "rank3_points": "64", "base_cone_rank": "4"}
+    chosen, redraws = _two_generic_points(cfg.base_point, cfg.seed)
+    payload = {"redraws": redraws}
     for idx, (y, data) in enumerate(chosen):
         tag = f"y{idx}"
         payload[f"{tag}_point"] = ",".join(str(c) for c in y.coords)
-        for k, v in data.items():
-            payload[f"{tag}_{k}"] = v
+        for k in evidence:
+            payload[f"{tag}_{k}"] = data[k]
     sample_payload, prime = _with_prime_ladder(
         cfg,
         lambda p: geometry.off_orbit_sampling_check(chosen[0][0], p, SAMPLE_TRIALS, cfg.seed),
     )
     payload.update(sample_payload)
-    return _result("orbit-64-singular", True, QI8.name, payload, prime=prime, seed=cfg.seed)
+    ok = sample_payload["sample_rank3_off_orbit"] == "0" and all(
+        data[k] == v for _y, data in chosen for k, v in evidence.items()
+    )
+    return _result("orbit-64-singular", ok, QI8.name, payload, prime=prime, seed=cfg.seed)
 
 
 def check_odp_proxy(cfg: RunConfig) -> CertificateResult:
-    chosen, _ = _two_generic_points(cfg)
-    total = 0
+    chosen, _ = _two_generic_points(cfg.base_point, cfg.seed)
     payload = {}
-    for idx, (y, _data) in enumerate(chosen):
-        good = geometry.odp_proxy_sweep(y)
-        payload[f"y{idx}_cone_rank4"] = f"{good}/64"
-        total += good
-    return _result("odp-proxy", total == 128, QI8.name, payload, seed=cfg.seed)
+    for idx, (_y, data) in enumerate(chosen):
+        payload[f"y{idx}_cone_rank4"] = f"{data['cone_rank4']}/64"
+    ok = all(data["cone_rank4"] == 64 for _y, data in chosen)
+    return _result("odp-proxy", ok, QI8.name, payload, seed=cfg.seed)
 
 
 def _with_prime_ladder(cfg: RunConfig, fn):

@@ -1,0 +1,101 @@
+"""Check verdicts come from recorded evidence: the group-order closure uses the
+generators, and the two orbit checks share one sweep per base point and FAIL
+(exit code 1, no crash) when that sweep reports a defect."""
+import json
+
+import pytest
+
+from heis8_certify import cli, geometry, registry
+from heis8_certify.heisenberg import SHIFT
+from heis8_certify.report import FAIL, PASS, RunConfig
+
+ORBIT_CHECKS = ("orbit-64-singular", "odp-proxy")
+GOOD_ORBIT_DATA = {"orbit_size": "64", "rank3_points": "64", "base_cone_rank": "4", "cone_rank4": 64}
+
+
+@pytest.fixture(autouse=True)
+def fresh_orbit_memo():
+    registry._two_generic_points.cache_clear()
+    yield
+    registry._two_generic_points.cache_clear()
+
+
+def test_group_order_passes_with_the_generators():
+    result = registry.check_group_order(RunConfig())
+    assert result.status == PASS
+    assert result.payload == {"order": "512", "closed": "True", "lagrange_512": "True"}
+
+
+def test_group_order_fails_when_the_generators_span_a_subgroup(monkeypatch):
+    # shift² and twist generate a subgroup of order 4·8·4 = 128
+    monkeypatch.setattr(registry, "SHIFT", SHIFT**2)
+    result = registry.check_group_order(RunConfig())
+    assert result.status == FAIL
+    assert result.payload["order"] == "128"
+    assert result.payload["closed"] == "False"
+
+
+def test_orbit_sweep_runs_once_per_point_and_payload_is_unchanged(monkeypatch):
+    calls = []
+    real = geometry.orbit_singularity_data
+
+    def counted(y):
+        calls.append(y.coords)
+        return real(y)
+
+    monkeypatch.setattr(geometry, "orbit_singularity_data", counted)
+    report = registry.run_checks(RunConfig(checks=ORBIT_CHECKS))
+    assert len(calls) == 2
+    orbit, odp = report.results
+    assert (orbit.status, odp.status) == (PASS, PASS)
+    assert orbit.payload == {
+        "redraws": "0",
+        "y0_point": "1,2,3",
+        "y0_orbit_size": "64",
+        "y0_rank3_points": "64",
+        "y0_base_cone_rank": "4",
+        "y1_point": "3,1,4",
+        "y1_orbit_size": "64",
+        "y1_rank3_points": "64",
+        "y1_base_cone_rank": "4",
+        "sample_prime": "17",
+        "sample_trials": "1000000",
+        "sample_hits": "19",
+        "sample_distinct": "19",
+        "sample_rank3": "0",
+        "sample_rank3_off_orbit": "0",
+    }
+    assert odp.payload == {"y0_cone_rank4": "64/64", "y1_cone_rank4": "64/64"}
+
+
+def _fake_sampling(y, p, n, seed):
+    return {"sample_prime": str(p), "sample_rank3_off_orbit": "1"}
+
+
+@pytest.mark.parametrize(
+    "attr, fake, expected",
+    [
+        (
+            "orbit_singularity_data",
+            lambda y: {**GOOD_ORBIT_DATA, "rank3_points": "63"},
+            {"orbit-64-singular": FAIL, "odp-proxy": PASS},
+        ),
+        ("odp_proxy_sweep", lambda y: 63, {"orbit-64-singular": PASS, "odp-proxy": FAIL}),
+        (
+            "off_orbit_sampling_check",
+            _fake_sampling,
+            {"orbit-64-singular": FAIL, "odp-proxy": PASS},
+        ),
+    ],
+    ids=["63-rank3-points", "63-rank4-cones", "rank3-sample-off-orbit"],
+)
+def test_orbit_defect_fails_and_exits_1(monkeypatch, tmp_path, capsys, attr, fake, expected):
+    monkeypatch.setattr(geometry, attr, fake)
+    out = tmp_path / "report.json"
+    code = cli.main(["verify", "--checks", ",".join(ORBIT_CHECKS), "--json", str(out)])
+    assert code == 1
+    results = json.loads(out.read_text())["results"]
+    assert {r["id"]: r["status"] for r in results} == expected
+    for r in results:
+        assert "error" not in r["payload"]
+    assert "FAIL" in capsys.readouterr().out
