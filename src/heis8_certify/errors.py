@@ -100,10 +100,6 @@ class UnluckyPrime(CertifyError):
     pass
 
 
-class SmoothnessUndetermined(CertifyError):
-    pass
-
-
 # cli
 class UnknownCheckId(CertifyError):
     pass

@@ -419,8 +419,3 @@ QI8 = CyclotomicField()
 @lru_cache(maxsize=None)
 def GF(p: int) -> PrimeField:
     return PrimeField(p)
-
-
-# Fixed prime list for randomized corroboration; all ≡ 1 mod 8, all odd, so the
-# 1/2 appearing in the conic pullbacks stays invertible.
-REPORT_PRIMES = (17, 41, 73, 89, 97)

@@ -113,10 +113,6 @@ TWIST = HeisenbergElement(0, 1, 0)
 CENTRAL = HeisenbergElement(0, 0, 1)
 
 
-def compose(g: HeisenbergElement, h: HeisenbergElement) -> HeisenbergElement:
-    return g.compose(h)
-
-
 def enumerate_group():
     """All 512 normal forms."""
     return [
@@ -188,10 +184,6 @@ class ProjPoint:
 
     def __repr__(self):
         return "(" + " : ".join(repr(v) for v in self.coords) + ")"
-
-
-def act_on_point(g: HeisenbergElement, v: ProjPoint) -> ProjPoint:
-    return g.act_on_point(v)
 
 
 def orbit(v: ProjPoint):

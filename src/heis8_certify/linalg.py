@@ -74,19 +74,6 @@ class Matrix:
             out.append([sum((a * b for a, b in zip(row, col)), zero) for col in cols])
         return Matrix(self.field, out)
 
-    def __pow__(self, e: int):
-        m, n = self.shape
-        if m != n:
-            raise BadSize("power of a non-square matrix")
-        acc = Matrix.identity(self.field, n)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
     def transpose(self):
         return Matrix(self.field, list(zip(*self.rows)) if self.rows else [])
 
@@ -186,10 +173,6 @@ class Matrix:
 
     def __repr__(self):
         return "\n".join("[" + ", ".join(repr(v) for v in row) + "]" for row in self.rows)
-
-
-def rank(m: Matrix) -> int:
-    return m.rank()
 
 
 # ---------------------------------------------------------------------------
@@ -773,11 +756,12 @@ class MembershipProblem:
             target_hash=self.target_hash,
             generators_hash=self.generators_hash,
         )
-        self._assert_replay(cert)
+        if not self.replays(cert):
+            raise AssertionError("certificate replay failed to reproduce the target")
         return cert
 
-    def _assert_replay(self, cert: MembershipCertificate):
-        """Replaying the certificate must reproduce the target exactly."""
+    def replays(self, cert: MembershipCertificate) -> bool:
+        """Whether replaying the certificate reproduces the target exactly."""
         if cert.prime is None:
             gens, target = self.generators, self.target
         else:
@@ -786,8 +770,7 @@ class MembershipProblem:
             ring = PolyRing(field, self.ring.names)
             gens = [g.map_coefficients(field.coerce, ring) for g in self.generators]
             target = self.target.map_coefficients(field.coerce, ring)
-        if replay_certificate(cert, gens) != target:
-            raise AssertionError("certificate replay failed to reproduce the target")
+        return replay_certificate(cert, gens) == target
 
 
 def graded_membership(generators, target: SparsePoly) -> MembershipCertificate:

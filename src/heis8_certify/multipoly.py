@@ -66,14 +66,6 @@ class PolyRing:
         c = self.field.coerce(coeff)
         return SparsePoly(self, {exps: c} if c else {})
 
-    def from_terms(self, terms) -> "SparsePoly":
-        clean = {}
-        for exps, c in dict(terms).items():
-            c = self.field.coerce(c)
-            if c:
-                clean[tuple(exps)] = c
-        return SparsePoly(self, clean)
-
     def __eq__(self, other):
         return isinstance(other, PolyRing) and self.field == other.field and self.names == other.names
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import geometry
-from .errors import CertifyError, UnknownCheckId, UnluckyPrime
+from .errors import CertifyError, NotInDegree, UnknownCheckId, UnluckyPrime
 from .exactmath import GF, QI8, QQ
 from .heisenberg import CENTRAL, SHIFT, TWIST, HeisenbergElement, center_and_quotient, enumerate_group
 from .linalg import (
@@ -309,12 +309,14 @@ def check_psi_membership(cfg: RunConfig) -> CertificateResult:
     ok = True
     for p in cfg.primes:
         cert = problem.solve_mod(p)
+        ok = ok and problem.replays(cert)
         payload[f"gf{p}_support"] = cert.support()
         payload[f"gf{p}_triples_sha256"] = _sha(cert.triples_text(problem.ring.names))
     if cfg.fast:
         payload["rational_solve"] = "skipped (fast mode)"
     else:
         cert = problem.solve_rational()
+        ok = ok and problem.replays(cert)
         triples = cert.triples_text(problem.ring.names)
         payload["qq_support"] = cert.support()
         payload["qq_triples"] = "; ".join(triples)
@@ -330,12 +332,16 @@ def check_quartic(cfg: RunConfig) -> CertificateResult:
         payload[f"gf{p}_sweep_points"] = p * p + p + 1
         payload[f"gf{p}_no_common_zero"] = good
         sweep_ok = sweep_ok and good
-    exact = geometry.quartic_smooth_over_Q()
-    payload["smooth_over_QQ"] = exact
-    certs = geometry.quartic_nullstellensatz_certificates()
+    try:
+        certs = geometry.quartic_nullstellensatz_certificates()
+    except NotInDegree:  # no degree-7 certificates: the quartic is singular
+        certs = []
+    smooth = len(certs) == 3
+    payload["smooth_over_QQ"] = smooth
     payload["nullstellensatz_certificates"] = len(certs)
-    payload["genus"] = geometry.quartic_genus()
-    ok = sweep_ok and exact and len(certs) == 3 and payload["genus"] == 3
+    genus = geometry.quartic_genus()
+    payload["genus"] = genus
+    ok = sweep_ok and smooth and genus == 3
     return _result("quartic-smooth-genus3", ok, QQ.name, payload, seed=cfg.seed)
 
 

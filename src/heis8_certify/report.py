@@ -18,7 +18,6 @@ VERSION = "0.1.0"
 
 PASS = "pass"
 FAIL = "fail"
-SKIPPED = "skipped"
 
 
 @dataclass

@@ -9,8 +9,8 @@ from heis8_certify import geometry as geo
 from heis8_certify.errors import (
     BadPrime,
     DegeneratePoint,
+    NotInDegree,
     PointNotOnVariety,
-    SmoothnessUndetermined,
     ZeroPoint,
 )
 from heis8_certify.exactmath import GF, QQ
@@ -275,26 +275,23 @@ def test_quartic_sweeps(p):
     assert geo.quartic_smooth_mod_p(p)
 
 
-def test_quartic_smooth_over_Q_and_genus():
-    assert geo.quartic_smooth_over_Q() is True
-    assert geo.quartic_genus() == 3
-
-
 def test_quartic_nullstellensatz():
     certs = geo.quartic_nullstellensatz_certificates()
     assert len(certs) == 3
     parts = list(geo.quartic_partials())
     ring = geo.conic_ring()
     for i, cert in enumerate(certs):
+        assert cert.field_name == "QQ"
         assert replay_certificate(cert, parts) == ring.var(i) ** 7
+    assert geo.quartic_genus() == 3
 
 
-def test_smoothness_cascade_raises_on_degenerate_input(monkeypatch):
-    ring = geo.conic_ring()
-    w0 = ring.gens()[0]
-    monkeypatch.setattr(geo, "quartic_curve_poly", lambda: w0**4)
-    with pytest.raises(SmoothnessUndetermined):
-        geo.quartic_smooth_over_Q()
+def test_nullstellensatz_certificates_raise_on_singular_quartic(monkeypatch):
+    # w1⁴ − 8·w0³·w2 is singular at (0:0:1): no w2⁷ certificate in degree 7
+    w0, w1, w2 = geo.conic_ring().gens()
+    monkeypatch.setattr(geo, "quartic_curve_poly", lambda: w1**4 - w0**3 * w2 * 8)
+    with pytest.raises(NotInDegree):
+        geo.quartic_nullstellensatz_certificates()
 
 
 def test_topology_numbers():

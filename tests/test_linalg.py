@@ -22,7 +22,6 @@ from heis8_certify.linalg import (
     exterior_power,
     graded_membership,
     monomials_of_degree,
-    rank,
     replay_certificate,
     smith_normal_form,
     unipotent_log,
@@ -33,8 +32,8 @@ from heis8_certify.registry import MONODROMY_MATRIX
 
 
 def test_rank_examples():
-    assert rank(Matrix.identity(QQ, 4)) == 4
-    assert rank(Matrix(QQ, [[0] * 3 for _ in range(3)])) == 0
+    assert Matrix.identity(QQ, 4).rank() == 4
+    assert Matrix(QQ, [[0] * 3 for _ in range(3)]).rank() == 0
     m = Matrix(QQ, MONODROMY_MATRIX) - Matrix.identity(QQ, 4)
     assert m.rank() == 1
 

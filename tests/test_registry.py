@@ -1,12 +1,15 @@
 """Check verdicts come from recorded evidence: the group-order closure uses the
-generators, and the two orbit checks share one sweep per base point and FAIL
-(exit code 1, no crash) when that sweep reports a defect."""
+generators, the two orbit checks share one sweep per base point, and a defect
+(in an orbit sweep, a ψ certificate or the quartic) gives FAIL with exit code
+1 and no crash."""
+import dataclasses
 import json
 
 import pytest
 
 from heis8_certify import cli, geometry, registry
 from heis8_certify.heisenberg import SHIFT
+from heis8_certify.linalg import MembershipProblem
 from heis8_certify.report import FAIL, PASS, RunConfig
 
 ORBIT_CHECKS = ("orbit-64-singular", "odp-proxy")
@@ -99,3 +102,36 @@ def test_orbit_defect_fails_and_exits_1(monkeypatch, tmp_path, capsys, attr, fak
     for r in results:
         assert "error" not in r["payload"]
     assert "FAIL" in capsys.readouterr().out
+
+
+def _verify_fails(tmp_path, capsys, check_id, *flags):
+    """Run one check through the CLI; it must FAIL with exit code 1, not crash."""
+    out = tmp_path / "report.json"
+    code = cli.main(["verify", "--checks", check_id, *flags, "--json", str(out)])
+    assert code == 1
+    (result,) = json.loads(out.read_text())["results"]
+    assert result["status"] == FAIL
+    assert "error" not in result["payload"]
+    assert "FAIL" in capsys.readouterr().out
+    return result["payload"]
+
+
+def test_psi_membership_fails_on_a_corrupted_certificate(monkeypatch, tmp_path, capsys):
+    real = MembershipProblem.solve_mod
+
+    def corrupted(self, p):
+        cert = real(self, p)
+        (gi, mult, coeff), *rest = cert.entries
+        return dataclasses.replace(cert, entries=((gi, mult, coeff + 1), *rest))
+
+    monkeypatch.setattr(MembershipProblem, "solve_mod", corrupted)
+    _verify_fails(tmp_path, capsys, "psi-quartic-membership", "--fast")
+
+
+def test_quartic_check_fails_on_a_singular_quartic(monkeypatch, tmp_path, capsys):
+    # w1⁴ − 8·w0³·w2 is singular at (0:0:1)
+    w0, w1, w2 = geometry.conic_ring().gens()
+    monkeypatch.setattr(geometry, "quartic_curve_poly", lambda: w1**4 - w0**3 * w2 * 8)
+    payload = _verify_fails(tmp_path, capsys, "quartic-smooth-genus3")
+    assert payload["smooth_over_QQ"] == "False"
+    assert payload["nullstellensatz_certificates"] == "0"
