@@ -275,15 +275,20 @@ def test_quartic_sweeps(p):
     assert geo.quartic_smooth_mod_p(p)
 
 
+def test_quartic_smooth_over_Q_and_genus():
+    # the quartic is smooth over Q exactly when all three QQ certificates exist
+    certs = geo.quartic_nullstellensatz_certificates()
+    assert [cert.field_name for cert in certs] == ["QQ"] * 3
+    assert geo.quartic_genus() == 3
+
+
 def test_quartic_nullstellensatz():
     certs = geo.quartic_nullstellensatz_certificates()
     assert len(certs) == 3
     parts = list(geo.quartic_partials())
     ring = geo.conic_ring()
     for i, cert in enumerate(certs):
-        assert cert.field_name == "QQ"
         assert replay_certificate(cert, parts) == ring.var(i) ** 7
-    assert geo.quartic_genus() == 3
 
 
 def test_nullstellensatz_certificates_raise_on_singular_quartic(monkeypatch):
