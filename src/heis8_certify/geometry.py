@@ -42,6 +42,7 @@ from .multipoly import (
     TruncatedSeries,
     apply_variable_map,
     ci_invariants,
+    grevlex_key,
     pfaffian4,
 )
 
@@ -356,28 +357,86 @@ def off_orbit_sampling_check(y: MinusPlanePoint, p: int, n: int, seed: int) -> d
     }
 
 
-def orbit_singularity_data(y: MinusPlanePoint) -> dict:
-    """Orbit size 64, all points on the variety, all of Jacobian rank 3, the
-    rank-4 cone at the base point, and the rank-4 cone count: one sweep.
+@lru_cache(maxsize=None)
+def quadric_span_images(y: MinusPlanePoint) -> tuple:
+    """Where shift and twist send the four quadrics at y, over QQ(zeta8).
 
-    Raises on any anomaly but a non-base cone of rank < 4 (callers redraw).
+    Returns (label, coefficients) pairs labelled shift_q0 … shift_q3,
+    twist_q0 … twist_q3: the coefficients c solve g·q_i = Σ_j c_j·q_j, and
+    are None when g·q_i lies outside the span.  Memoized per point.
     """
-    good = odp_proxy_sweep(y)
-    return {"orbit_size": "64", "rank3_points": "64", "base_cone_rank": "4", "cone_rank4": good}
+    quadrics = build_system(y.to_field(QI8)).quadrics
+    out = []
+    for gname, g in (("shift", SHIFT), ("twist", TWIST)):
+        for qi, q in enumerate(quadrics):
+            image = g.act_on_poly(q)
+            monomials = sorted(
+                {e for poly in (*quadrics, image) for e in poly.terms}, key=grevlex_key
+            )
+            a = Matrix(
+                QI8,
+                [[poly.terms.get(e, QI8.zero) for poly in quadrics] for e in monomials],
+            )
+            sol = a.solve([image.terms.get(e, QI8.zero) for e in monomials])
+            out.append((f"{gname}_q{qi}", None if sol is None else tuple(sol)))
+    return tuple(out)
+
+
+def orbit_singularity_data(y: MinusPlanePoint) -> dict:
+    """Orbit size 64, the base cone rank 4, and how many orbit points are
+    certified with Jacobian rank 3 and with a rank-4 cone (odp_proxy_sweep).
+
+    Raises on a degenerate base point (callers redraw).
+    """
+    carried = odp_proxy_sweep(y)
+    return {"orbit_size": "64", "rank3_points": str(carried), "base_cone_rank": "4", "cone_rank4": carried}
 
 
 def odp_proxy_sweep(y: MinusPlanePoint) -> int:
-    """The one pass over the orbit: 64 points, each on the variety with
-    Jacobian rank 3 and a rank-4 cone at the base point, or it raises;
-    returns how many orbit points have a rank-4 cone."""
-    system = build_system(y.to_field(QI8))
+    """How many orbit points have Jacobian rank 3 and a rank-4 cone, from
+    evidence at the rational base point v = y.embed() alone:
+
+    (a) the orbit of v has 64 distinct points;
+    (b) shift and twist map the span of the four quadrics at y into itself
+        (quadric_span_images);
+    (c) over QQ, the Jacobian at v has rank 3 and the cone at v has rank 4
+        (odp_normal_hessian_rank).
+
+    Raises DegeneratePoint when (a) or (c) fails (callers redraw).  Returns
+    64 when (b) holds; without it only the base point itself is certified,
+    and it returns 1.
+
+    Why (a)–(c) certify all 64 points.  Let A be the matrix by which a group
+    element acts on points, so the orbit is {A·v}, and q the column of the
+    four quadrics.
+    * A substitution that maps a finite-dimensional span into itself is
+      injective on it, so it maps the span onto itself, and so does its
+      inverse: the direction of the action does not matter, and (b) holds
+      for the whole group that shift and twist generate.  So q∘A = C·q with
+      C an invertible 4×4 matrix.
+    * Then q(A·v) = C·q(v) = 0, and by the chain rule J(A·v)·A = C·J(v), so
+      the Jacobian rank is the same at v and A·v.
+    * The multiplier λ with λ·J(v) = 0 goes to λ·C⁻¹, and Aᵀ·H_i·A = Σ_j
+      C_ij·H_j for the constant Hessians H_i, so Aᵀ·Hess(λ·C⁻¹·q)·A =
+      Hess(λ·q).  The tangent space ker J(A·v) is A·ker J(v), so the two
+      restricted Hessians are congruent by A, and the cone rank is also
+      the same.
+    * Hess(λ·q)·v = (λ·J(v))ᵀ = 0, so v lies in the radical of Hess(λ·q):
+      its rank on ker J(v) is its rank on any complement of v there, and
+      dropping the chart column k (where v_k ≠ 0) does not change that
+      rank.  The charts at v and at A·v therefore measure the same cone.
+    Rank does not change under the field extension QQ ⊂ QQ(zeta8), where
+    the orbit points live.
+    """
     orb = orbit_of_base_point(y)
     if len(orb) != 64:
         raise DegeneratePoint(f"orbit of {y} has {len(orb)} points")
-    ranks = [odp_normal_hessian_rank(system, pt) for pt in orb]
-    if ranks[0] != 4:
-        raise DegeneratePoint(f"quadratic cone rank {ranks[0]} != 4 at the base point")
-    return ranks.count(4)
+    cone = odp_normal_hessian_rank(build_system(y), y.embed())
+    if cone != 4:
+        raise DegeneratePoint(f"quadratic cone rank {cone} != 4 at the base point")
+    if all(sol is not None for _label, sol in quadric_span_images(y)):
+        return len(orb)
+    return 1
 
 
 # ---------------------------------------------------------------------------

@@ -95,8 +95,8 @@ class Matrix:
             if sel is None:
                 continue
             rows[piv], rows[sel] = rows[sel], rows[piv]
-            inv_src = rows[piv][col]
-            rows[piv] = [v / inv_src for v in rows[piv]]
+            inv = self.field.one / rows[piv][col]  # one inversion per pivot
+            rows[piv] = [v * inv for v in rows[piv]]
             for r in range(m):
                 if r != piv and rows[r][col]:
                     f = rows[r][col]
@@ -496,6 +496,10 @@ class MembershipProblem:
     Rows are the degree-d monomials (descending grevlex), columns the products
     in canonical order.  Coefficients are cleared to integers per generator;
     the resulting sparse triple list is shared by every modular solve.
+
+    The solves return certificates without replaying them; replays(cert)
+    decides whether one reproduces the target, and graded_membership replays
+    for its callers.
     """
 
     def __init__(self, generators, target: SparsePoly):
@@ -544,6 +548,7 @@ class MembershipProblem:
         self._column_index = {col: k for k, col in enumerate(self.columns)}
         self._coo = None
         self._blocks = None
+        self._mod_certs = {}  # prime -> the certificate solve_mod built there
         self.target_hash = _canonical_hash([target])
         self.generators_hash = _canonical_hash(generators)
 
@@ -683,14 +688,16 @@ class MembershipProblem:
             coeff = ModInt(int(x[col]) * self._gen_scale[gi] * sts, p)
             if coeff:
                 entries.append((gi, mult, coeff))
-        return self._finish(entries, GF(p).name, p)
+        cert = self._mod_certs[p] = self._finish(entries, GF(p).name, p)
+        return cert
 
     def solve_rational(self, reference_primes=REFERENCE_PRIMES) -> MembershipCertificate:
         """Binding certificate over QQ.
 
-        A reference-prime elimination proposes a column support; the support-
-        restricted integer system is then solved by fraction-free elimination
-        and the result replayed symbolically over QQ.  The replay equality is
+        A reference-prime elimination proposes a column support (the
+        certificate solve_mod already built at that prime, when there is
+        one); the support-restricted integer system is then solved by
+        fraction-free elimination.  Replaying the result over QQ (replays) is
         what makes the certificate binding; reference primes only propose.
         """
         if self._field_prime() is not None:
@@ -700,7 +707,7 @@ class MembershipProblem:
         evidence = []
         for p in reference_primes:
             try:
-                cert_p = self.solve_mod(p)
+                cert_p = self._mod_certs.get(p) or self.solve_mod(p)
             except (NotInDegree, DenominatorVanishes) as exc:
                 evidence.append(f"GF({p}): {exc}")
                 continue
@@ -748,7 +755,7 @@ class MembershipProblem:
 
     def _finish(self, entries, field_name, prime):
         entries.sort(key=lambda t: (t[0], grevlex_key(t[1])))
-        cert = MembershipCertificate(
+        return MembershipCertificate(
             field_name=field_name,
             prime=prime,
             degree=self.degree,
@@ -756,9 +763,6 @@ class MembershipProblem:
             target_hash=self.target_hash,
             generators_hash=self.generators_hash,
         )
-        if not self.replays(cert):
-            raise AssertionError("certificate replay failed to reproduce the target")
-        return cert
 
     def replays(self, cert: MembershipCertificate) -> bool:
         """Whether replaying the certificate reproduces the target exactly."""
@@ -782,6 +786,7 @@ def graded_membership(generators, target: SparsePoly) -> MembershipCertificate:
     """
     problem = MembershipProblem(generators, target)
     p = problem._field_prime()
-    if p is not None:
-        return problem.solve_mod(p)
-    return problem.solve_rational()
+    cert = problem.solve_mod(p) if p is not None else problem.solve_rational()
+    if not problem.replays(cert):
+        raise AssertionError("certificate replay failed to reproduce the target")
+    return cert

@@ -23,7 +23,6 @@ from .linalg import (
     unipotent_log,
     wedge_lemma_exhaustive,
 )
-from .multipoly import grevlex_key
 from .report import FAIL, PASS, VERSION, CertificateResult, Report, RunConfig
 
 MONODROMY_MATRIX = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
@@ -118,27 +117,12 @@ def check_commutator(cfg: RunConfig) -> CertificateResult:
 
 def check_ideal_invariance(cfg: RunConfig) -> CertificateResult:
     y = geometry.MinusPlanePoint.rational(*cfg.base_point)
-    system = geometry.build_system(y).to_field(QI8)
-    quadrics = system.quadrics
-    payload = {}
-    ok = True
-    for gname, g in (("shift", SHIFT), ("twist", TWIST)):
-        for qi, q in enumerate(quadrics):
-            image = g.act_on_poly(q)
-            monomials = sorted(
-                {e for poly in (*quadrics, image) for e in poly.terms}, key=grevlex_key
-            )
-            a = Matrix(
-                QI8,
-                [[poly.terms.get(e, QI8.zero) for poly in quadrics] for e in monomials],
-            )
-            b = [image.terms.get(e, QI8.zero) for e in monomials]
-            sol = a.solve(b)
-            if sol is None:
-                ok = False
-                payload[f"{gname}_q{qi}"] = "not in span"
-            else:
-                payload[f"{gname}_q{qi}"] = "[" + ", ".join(repr(c) for c in sol) + "]"
+    images = geometry.quadric_span_images(y)
+    payload = {
+        label: "not in span" if sol is None else "[" + ", ".join(repr(c) for c in sol) + "]"
+        for label, sol in images
+    }
+    ok = all(sol is not None for _label, sol in images)
     return _result("ideal-invariance", ok, QI8.name, payload, seed=cfg.seed)
 
 

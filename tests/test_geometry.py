@@ -13,7 +13,7 @@ from heis8_certify.errors import (
     PointNotOnVariety,
     ZeroPoint,
 )
-from heis8_certify.exactmath import GF, QQ
+from heis8_certify.exactmath import GF, QI8, QQ
 from heis8_certify.heisenberg import ProjPoint
 from heis8_certify.linalg import replay_certificate
 from heis8_certify.multipoly import PolyRing
@@ -92,6 +92,26 @@ def test_degenerate_base_point_is_rejected():
 
 def test_odp_proxy_full_sweep():
     assert geo.odp_proxy_sweep(Y123) == 64
+
+
+def test_group_transport_matches_the_explicit_orbit_loop():
+    # the per-point sweep that the base-point evidence replaces: every orbit
+    # point, over QQ(zeta8), has Jacobian rank 3 (else the call raises) and a
+    # rank-4 cone, as carried from the base point by the group
+    system = geo.build_system(Y123.to_field(QI8))
+    orbit = geo.orbit_of_base_point(Y123)
+    ranks = [geo.odp_normal_hessian_rank(system, pt) for pt in orbit]
+    assert len(orbit) == 64
+    assert ranks.count(4) == 64 == geo.odp_proxy_sweep(Y123)
+
+
+def test_quadric_span_images_shift_and_twist():
+    images = dict(geo.quadric_span_images(Y123))
+    assert list(images) == [f"{g}_q{i}" for g in ("shift", "twist") for i in range(4)]
+    assert all(sol is not None for sol in images.values())
+    # shift permutes the quadrics cyclically: q_i -> q_{i+1}
+    for i in range(4):
+        assert images[f"shift_q{i}"] == tuple(QI8.one if j == (i + 1) % 4 else QI8.zero for j in range(4))
 
 
 def test_named_points_on_restricted_system_exactly():

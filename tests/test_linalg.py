@@ -294,6 +294,29 @@ def test_membership_rational_retries_when_reference_prime_drops_a_term():
     assert replay_certificate(cert, gens) == target
 
 
+def test_rational_solve_reuses_the_reference_prime_certificate(monkeypatch):
+    ring = PolyRing(QQ, ("a", "b"))
+    a, b = ring.gens()
+    gens = [a * a + b * b, a * b]
+    problem = MembershipProblem(gens, gens[0] * a + gens[1] * (b * 3))
+    cert17 = problem.solve_mod(17)
+
+    def solve_again(self, p):
+        pytest.fail(f"GF({p}) solved a second time")
+
+    monkeypatch.setattr(MembershipProblem, "solve_mod", solve_again)
+    cert = problem.solve_rational()
+    assert problem.replays(cert17) and problem.replays(cert)
+
+
+def test_graded_membership_raises_when_the_replay_fails(monkeypatch):
+    ring = PolyRing(QQ, ("a", "b"))
+    a, b = ring.gens()
+    monkeypatch.setattr(MembershipProblem, "replays", lambda self, cert: False)
+    with pytest.raises(AssertionError):
+        graded_membership([a, b], a * b)
+
+
 def test_membership_zero_generator_keeps_indices():
     ring = PolyRing(QQ, ("a", "b"))
     a, b = ring.gens()

@@ -1,26 +1,27 @@
 """Check verdicts come from recorded evidence: the group-order closure uses the
-generators, the two orbit checks share one sweep per base point, and a defect
-(in an orbit sweep, a ψ certificate or the quartic) gives FAIL with exit code
-1 and no crash."""
+generators, the two orbit checks share one base-point certificate per point,
+and a defect (in the orbit evidence, a ψ certificate or the quartic) gives
+FAIL with exit code 1 and no crash."""
 import dataclasses
 import json
 
 import pytest
 
 from heis8_certify import cli, geometry, registry
-from heis8_certify.heisenberg import SHIFT
+from heis8_certify.heisenberg import SHIFT, HeisenbergElement
 from heis8_certify.linalg import MembershipProblem
 from heis8_certify.report import FAIL, PASS, RunConfig
 
 ORBIT_CHECKS = ("orbit-64-singular", "odp-proxy")
-GOOD_ORBIT_DATA = {"orbit_size": "64", "rank3_points": "64", "base_cone_rank": "4", "cone_rank4": 64}
 
 
 @pytest.fixture(autouse=True)
 def fresh_orbit_memo():
     registry._two_generic_points.cache_clear()
+    geometry.quadric_span_images.cache_clear()
     yield
     registry._two_generic_points.cache_clear()
+    geometry.quadric_span_images.cache_clear()
 
 
 def test_group_order_passes_with_the_generators():
@@ -71,29 +72,57 @@ def test_orbit_sweep_runs_once_per_point_and_payload_is_unchanged(monkeypatch):
     assert odp.payload == {"y0_cone_rank4": "64/64", "y1_cone_rank4": "64/64"}
 
 
-def _fake_sampling(y, p, n, seed):
-    return {"sample_prime": str(p), "sample_rank3_off_orbit": "1"}
+def test_degenerate_base_points_redraw_to_the_fixed_witnesses():
+    # y2 = 0 halves the orbit to 32 points: the configured point is redrawn
+    for base_point in ((1, 0, 2), (-3, 0, -2)):
+        chosen, redraws = registry._two_generic_points(base_point, 42)
+        assert [y.coords for y, _data in chosen] == [(3, 1, 4), (2, 5, 1)]
+        assert redraws == 1
+        for _y, data in chosen:
+            assert data == {"orbit_size": "64", "rank3_points": "64", "base_cone_rank": "4", "cone_rank4": 64}
+
+
+def _image_off_the_span(monkeypatch):
+    real = HeisenbergElement.act_on_poly
+
+    def off_span(self, poly):
+        x = poly.ring.gens()
+        return real(self, poly) + x[0] * x[1]  # x0·x1 occurs in no quadric
+
+    monkeypatch.setattr(HeisenbergElement, "act_on_poly", off_span)
+
+
+def _orbit_data_with(**defect):
+    def mutate(monkeypatch):
+        real = geometry.orbit_singularity_data
+        monkeypatch.setattr(geometry, "orbit_singularity_data", lambda y: {**real(y), **defect})
+
+    return mutate
+
+
+def _sample_off_orbit(monkeypatch):
+    fake = lambda y, p, n, seed: {"sample_prime": str(p), "sample_rank3_off_orbit": "1"}
+    monkeypatch.setattr(geometry, "off_orbit_sampling_check", fake)
 
 
 @pytest.mark.parametrize(
-    "attr, fake, expected",
+    "mutate, expected",
     [
+        (_image_off_the_span, {"orbit-64-singular": FAIL, "odp-proxy": FAIL}),
         (
-            "orbit_singularity_data",
-            lambda y: {**GOOD_ORBIT_DATA, "rank3_points": "63"},
-            {"orbit-64-singular": FAIL, "odp-proxy": PASS},
+            _orbit_data_with(base_cone_rank="3", cone_rank4=0),
+            {"orbit-64-singular": FAIL, "odp-proxy": FAIL},
         ),
-        ("odp_proxy_sweep", lambda y: 63, {"orbit-64-singular": PASS, "odp-proxy": FAIL}),
         (
-            "off_orbit_sampling_check",
-            _fake_sampling,
-            {"orbit-64-singular": FAIL, "odp-proxy": PASS},
+            _orbit_data_with(orbit_size="63", rank3_points="63", cone_rank4=63),
+            {"orbit-64-singular": FAIL, "odp-proxy": FAIL},
         ),
+        (_sample_off_orbit, {"orbit-64-singular": FAIL, "odp-proxy": PASS}),
     ],
-    ids=["63-rank3-points", "63-rank4-cones", "rank3-sample-off-orbit"],
+    ids=["image-not-in-span", "base-cone-rank-3", "63-point-orbit", "rank3-sample-off-orbit"],
 )
-def test_orbit_defect_fails_and_exits_1(monkeypatch, tmp_path, capsys, attr, fake, expected):
-    monkeypatch.setattr(geometry, attr, fake)
+def test_orbit_defect_fails_and_exits_1(monkeypatch, tmp_path, capsys, mutate, expected):
+    mutate(monkeypatch)
     out = tmp_path / "report.json"
     code = cli.main(["verify", "--checks", ",".join(ORBIT_CHECKS), "--json", str(out)])
     assert code == 1
