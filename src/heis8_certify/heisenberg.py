@@ -129,10 +129,16 @@ class CenterAndQuotient:
 
 
 def center_and_quotient() -> CenterAndQuotient:
-    """Center by exhaustive commutation over all pairs; quotient structure from
-    the kernel lattice of Z² → H/Z, (m, n) ↦ shift^m twist^n · Z."""
-    elements = enumerate_group()
-    center = tuple(g for g in elements if all(g.commutes_with(h) for h in elements))
+    """Center as the elements commuting with shift and twist; quotient
+    structure from the kernel lattice of Z² → H/Z, (m, n) ↦ shift^m twist^n · Z.
+
+    Testing the two generators is enough: an element commuting with each
+    generator commutes with every product of them, and shift and twist
+    generate the whole group (the closure of group-order-512 certifies it).
+    """
+    center = tuple(
+        g for g in enumerate_group() if g.commutes_with(SHIFT) and g.commutes_with(TWIST)
+    )
     central = set(center)
     relations = [(8, 0), (0, 8)]
     for m, n in itertools.product(range(8), repeat=2):
@@ -188,13 +194,17 @@ class ProjPoint:
 
 def orbit(v: ProjPoint):
     """Distinct projective points of the group orbit (the center acts by
-    scalars, so representatives shift^a twist^b suffice).  First-seen order."""
+    scalars, so representatives shift^a twist^b suffice).  First-seen order.
+
+    Points are told apart by their canonical representatives, one per image
+    (over Q(zeta8) each costs a field inversion)."""
     seen = set()
     out = []
     for a, b in itertools.product(range(8), repeat=2):
         w = HeisenbergElement(a, b, 0).act_on_point(v)
-        if w not in seen:
-            seen.add(w)
+        key = w.canonical()
+        if key not in seen:
+            seen.add(key)
             out.append(w)
     return out
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -466,27 +467,26 @@ def _bareiss_solve(rows, ncols):
 REFERENCE_PRIMES = (17, 41, 73, 89, 97, 113, 137, 193, 233, 241)
 
 
+def _monomial_count(nvars: int, degree: int) -> int:
+    """How many monomials of the given degree there are in nvars variables."""
+    if nvars == 0:
+        return int(degree == 0)
+    return math.comb(nvars + degree - 1, degree)
+
+
 @dataclass(frozen=True)
 class _Block:
-    """One connected component of a membership system, in local coordinates:
-    its nonzeros and target coefficients as integers, and the original indices
-    of its columns in ascending order."""
+    """One connected component of a membership system that meets the target,
+    in local coordinates: its rows (descending grevlex) and columns
+    ((generator index, multiplier), canonical order), its nonzeros as
+    integers, and its target coefficients."""
 
-    nrows: int
-    cols: np.ndarray
+    rows: tuple
+    cols: tuple
     local_rows: np.ndarray
     local_cols: np.ndarray
     vals: list
     target: list  # (local row, integer coefficient)
-
-
-def _adjacent(nodes, ptr, order, other):
-    """Distinct far endpoints of the COO entries at `nodes`, where `order`
-    groups the entries by this side and `ptr` delimits each node's group."""
-    if not nodes.size:
-        return nodes
-    entries = np.concatenate([order[ptr[v] : ptr[v + 1]] for v in nodes.tolist()])
-    return np.unique(other[entries])
 
 
 class MembershipProblem:
@@ -494,8 +494,12 @@ class MembershipProblem:
     the span of (monomial multiplier)·(generator) products.
 
     Rows are the degree-d monomials (descending grevlex), columns the products
-    in canonical order.  Coefficients are cleared to integers per generator;
-    the resulting sparse triple list is shared by every modular solve.
+    in canonical order; `shape` counts them all.  Only the connected
+    components of the row–column sparsity graph that contain a target
+    monomial are ever built, searched outward from the target: a row m
+    reaches the product (gi, m − e) for every term e of generator gi dividing
+    m, and a product reaches the rows of its terms.  Coefficients are cleared
+    to integers per generator and shared by every modular solve.
 
     The solves return certificates without replaying them; replays(cert)
     decides whether one reproduces the target, and graded_membership replays
@@ -535,18 +539,21 @@ class MembershipProblem:
         self._target_scale = math.lcm(*tdens) if tdens else 1
         self._target_int = {e: self._as_int(c, self._target_scale) for e, c in target.terms.items()}
 
-        d = self.degree
-        self.row_monomials = monomials_of_degree(ring.nvars, d) if target else []
-        self._row_index = {e: i for i, e in enumerate(self.row_monomials)}
-        self.columns = []  # (generator index, multiplier exponents)
-        for gi in range(len(generators)):
-            gd = self._gen_degrees[gi]
-            if gd > d:
-                continue  # cannot contribute in this degree
-            for mult in monomials_of_degree(ring.nvars, d - gd):
-                self.columns.append((gi, mult))
-        self._column_index = {col: k for k, col in enumerate(self.columns)}
-        self._coo = None
+        d, n = self.degree, ring.nvars
+        self.shape = (
+            _monomial_count(n, d) if target else 0,
+            sum(_monomial_count(n, d - gd) for gd in self._gen_degrees if gd <= d),
+        )
+        # A zero generator gives zero columns, and one that is ±1 times an
+        # earlier generator gives ± copies of earlier columns; neither kind is
+        # ever a pivot (solve_mod), so the blocks leave both out.
+        self._block_generators = []
+        seen = set()
+        for gi, g in enumerate(generators):
+            key = frozenset(g.terms.items())
+            if g and self._gen_degrees[gi] <= d and key not in seen:
+                self._block_generators.append(gi)
+                seen.update((key, frozenset((-g).terms.items())))
         self._blocks = None
         self._mod_certs = {}  # prime -> the certificate solve_mod built there
         self.target_hash = _canonical_hash([target])
@@ -567,74 +574,66 @@ class MembershipProblem:
             return v.numerator
         return int(c.value) * scale
 
-    def _build_coo(self):
-        if self._coo is not None:
-            return self._coo
-        rows, cols, vals = [], [], []
-        for col, (gi, mult) in enumerate(self.columns):
-            for e, c in self._gen_int_terms[gi]:
-                prod = tuple(a + b for a, b in zip(e, mult))
-                rows.append(self._row_index[prod])
-                cols.append(col)
-                vals.append(c)
-        self._coo = (
-            np.asarray(rows, dtype=np.int64),
-            np.asarray(cols, dtype=np.int64),
-            [int(v) for v in vals],
-        )
-        return self._coo
-
     def _target_blocks(self):
         """The connected components of the row–column sparsity graph of the
-        integer system that contain a target row, computed once per problem.
+        integer system that contain a target row, built once per problem by a
+        breadth-first search from the target's monomials.
 
         A target row that no product reaches is a block with no columns.
         """
         if self._blocks is not None:
             return self._blocks
-        ri, ci, vals = self._build_coo()
-        nrows, ncols = self.shape
-        by_row = np.argsort(ri, kind="stable")
-        row_ptr = np.searchsorted(ri, np.arange(nrows + 1), sorter=by_row)
-        by_col = np.argsort(ci, kind="stable")
-        col_ptr = np.searchsorted(ci, np.arange(ncols + 1), sorter=by_col)
-        row_block = np.full(nrows, -1, dtype=np.int64)
-        col_block = np.full(ncols, -1, dtype=np.int64)
-        target = {self._row_index[e]: c for e, c in self._target_int.items()}
-        nblocks = 0
-        for start in sorted(target):
-            if row_block[start] >= 0:
-                continue
-            row_block[start] = nblocks
-            frontier = np.array([start], dtype=np.int64)
-            while frontier.size:
-                cols = _adjacent(frontier, row_ptr, by_row, ci)
-                cols = cols[col_block[cols] < 0]
-                col_block[cols] = nblocks
-                rows = _adjacent(cols, col_ptr, by_col, ri)
-                frontier = rows[row_block[rows] < 0]
-                row_block[frontier] = nblocks
-            nblocks += 1
+        terms = [(gi, e) for gi in self._block_generators for e, _ in self._gen_int_terms[gi]]
+        term_exps = np.asarray([e for _, e in terms], dtype=np.int64).reshape(len(terms), -1)
+        seen_rows, seen_cols = set(), set()
         self._blocks = []
-        for k in range(nblocks):
-            rows = np.nonzero(row_block == k)[0]
-            cols = np.nonzero(col_block == k)[0]
-            entries = np.nonzero(col_block[ci] == k)[0]
-            self._blocks.append(
-                _Block(
-                    nrows=rows.size,
-                    cols=cols,
-                    local_rows=np.searchsorted(rows, ri[entries]),
-                    local_cols=np.searchsorted(cols, ci[entries]),
-                    vals=[vals[i] for i in entries.tolist()],
-                    target=[(i, target[r]) for i, r in enumerate(rows.tolist()) if r in target],
-                )
-            )
+        for start in sorted(self._target_int, key=grevlex_key):
+            if start in seen_rows:
+                continue
+            seen_rows.add(start)
+            rows, cols, frontier = [start], [], [start]
+            while frontier:
+                reached = []
+                for m in frontier:
+                    # the terms e dividing m, each giving the column (gi, m − e)
+                    for t in np.nonzero((term_exps <= m).all(axis=1))[0].tolist():
+                        gi, e = terms[t]
+                        col = (gi, tuple(map(operator.sub, m, e)))
+                        if col not in seen_cols:
+                            seen_cols.add(col)
+                            reached.append(col)
+                frontier = []
+                for gi, mult in reached:
+                    for e, _ in self._gen_int_terms[gi]:
+                        r = tuple(map(operator.add, mult, e))
+                        if r not in seen_rows:
+                            seen_rows.add(r)
+                            frontier.append(r)
+                rows += frontier
+                cols += reached
+            self._blocks.append(self._local_block(rows, cols))
         return self._blocks
 
-    @property
-    def shape(self):
-        return (len(self.row_monomials), len(self.columns))
+    def _local_block(self, rows, cols):
+        """A component's rows and columns in the global order, with its
+        nonzeros and target coefficients in local coordinates."""
+        rows = tuple(sorted(rows, key=grevlex_key))
+        cols = tuple(sorted(cols, key=lambda col: (col[0], grevlex_key(col[1]))))
+        row_pos = {r: i for i, r in enumerate(rows)}
+        local_rows, local_cols, vals = [], [], []
+        for j, (gi, mult) in enumerate(cols):
+            for e, c in self._gen_int_terms[gi]:
+                local_rows.append(row_pos[tuple(map(operator.add, mult, e))])
+                local_cols.append(j)
+                vals.append(c)
+        return _Block(
+            rows=rows,
+            cols=cols,
+            local_rows=np.asarray(local_rows, dtype=np.int64),
+            local_cols=np.asarray(local_cols, dtype=np.int64),
+            vals=vals,
+            target=[(i, self._target_int[r]) for i, r in enumerate(rows) if r in self._target_int],
+        )
 
     def _field_prime(self):
         f = self.ring.field
@@ -644,14 +643,20 @@ class MembershipProblem:
         """Exact decision of membership in the degree-d slice over GF(p).
 
         Only the connected components of the row–column sparsity graph that
-        contain a target row are solved, each as its own small dense block
-        with the columns in their original order; every other column is set
-        to zero.  This gives the same certificate as eliminating the whole
-        system with left-to-right pivoting:
+        contain a target row are built and solved, each as its own small
+        dense block; every other column is set to zero.  Inside a block the
+        rows keep descending grevlex and the columns the canonical (generator
+        index, grevlex multiplier) order of the whole system.  This gives the
+        same certificate as eliminating the whole system with left-to-right
+        pivoting:
 
         * a column is a pivot exactly when it is independent of the columns
           before it; components have disjoint rows, so that is decided inside
-          the column's own component, and the pivot columns are the same;
+          the column's own component, in the same column order, and the pivot
+          columns are the same;
+        * the columns of a zero generator are zero, and those of a generator
+          equal to ±1 times an earlier one repeat earlier columns up to sign,
+          so neither is ever a pivot and leaving them out changes nothing;
         * back-substitution with the free variables set to zero then returns
           the same unique solution on the pivot columns of each component;
         * a component that misses the target has a zero right-hand side, so
@@ -667,12 +672,12 @@ class MembershipProblem:
             raise DenominatorVanishes(f"a denominator vanishes mod {p}")
         if not self.target:
             return self._finish([], GF(p).name, p)
-        x = np.zeros(self.shape[1], dtype=np.int64)
+        sts = int(pow(self._target_scale, -1, p))
+        entries = []
         for block in self._target_blocks():
-            dtype = kernels.required_dtype(block.nrows, p)
-            aug = np.zeros((block.nrows, block.cols.size + 1), dtype=dtype)
-            block_vals = np.asarray([v % p for v in block.vals], dtype=dtype)
-            np.add.at(aug, (block.local_rows, block.local_cols), block_vals)
+            dtype = kernels.required_dtype(len(block.rows), p)
+            aug = np.zeros((len(block.rows), len(block.cols) + 1), dtype=dtype)
+            aug[block.local_rows, block.local_cols] = [v % p for v in block.vals]
             for i, c in block.target:
                 aug[i, -1] = c % p
             xb, _, _ = kernels.solve_mod_p(aug, p)
@@ -680,14 +685,11 @@ class MembershipProblem:
                 raise NotInDegree(
                     f"no representation of the target in degree {self.degree} over GF({p})"
                 )
-            x[block.cols] = xb
-        sts = int(pow(self._target_scale, -1, p))
-        entries = []
-        for col in np.nonzero(x)[0]:
-            gi, mult = self.columns[col]
-            coeff = ModInt(int(x[col]) * self._gen_scale[gi] * sts, p)
-            if coeff:
-                entries.append((gi, mult, coeff))
+            for j in np.nonzero(xb)[0].tolist():
+                gi, mult = block.cols[j]
+                coeff = ModInt(int(xb[j]) * self._gen_scale[gi] * sts, p)
+                if coeff:
+                    entries.append((gi, mult, coeff))
         cert = self._mod_certs[p] = self._finish(entries, GF(p).name, p)
         return cert
 
@@ -696,9 +698,13 @@ class MembershipProblem:
 
         A reference-prime elimination proposes a column support (the
         certificate solve_mod already built at that prime, when there is
-        one); the support-restricted integer system is then solved by
-        fraction-free elimination.  Replaying the result over QQ (replays) is
-        what makes the certificate binding; reference primes only propose.
+        one); each target block, restricted to its slice of that support, is
+        then solved by fraction-free elimination.  The support lies on pivot
+        columns mod p, so it is independent mod p and hence over QQ: the
+        solution on it is unique, and solving the blocks one at a time gives
+        the same one as solving the whole support at once.  Replaying the
+        result over QQ (replays) is what makes the certificate binding;
+        reference primes only propose.
         """
         if self._field_prime() is not None:
             raise InhomogeneousInput("rational solve needs generators over QQ")
@@ -711,47 +717,39 @@ class MembershipProblem:
             except (NotInDegree, DenominatorVanishes) as exc:
                 evidence.append(f"GF({p}): {exc}")
                 continue
-            support = [self._column_index[(gi, mult)] for gi, mult, _ in cert_p.entries]
-            x = self._solve_restricted_exact(sorted(support))
-            if x is None:
+            entries = self._lift_support({(gi, mult) for gi, mult, _ in cert_p.entries})
+            if entries is None:
                 evidence.append(f"GF({p}): support not liftable to QQ")
                 continue
-            entries = []
-            for col, val in x:
-                gi, mult = self.columns[col]
-                coeff = val * self._gen_scale[gi] / self._target_scale
-                if coeff:
-                    entries.append((gi, mult, coeff))
             return self._finish(entries, QQ.name, None)
         raise NotInDegree(
             "no representation over QQ found in degree "
             f"{self.degree}; evidence: {'; '.join(evidence)}"
         )
 
-    def _solve_restricted_exact(self, support):
-        """Fraction-free solve of the system restricted to the given columns."""
-        ri, ci, vals = self._build_coo()
-        colpos = {c: k for k, c in enumerate(support)}
-        used_rows = {}
+    def _lift_support(self, support):
+        """Rational entries on a proposed support: each block, restricted to
+        its support columns and to the rows they or the target touch, solved
+        by fraction-free elimination; None if some block is inconsistent."""
         entries = []
-        for r, c, v in zip(ri.tolist(), ci.tolist(), vals):
-            if c in colpos:
-                entries.append((r, colpos[c], v))
-                used_rows.setdefault(r, None)
-        for e in self._target_int:
-            used_rows.setdefault(self._row_index[e], None)
-        row_list = sorted(used_rows)
-        row_pos = {r: i for i, r in enumerate(row_list)}
-        ncols = len(support)
-        dense = [[0] * (ncols + 1) for _ in row_list]
-        for r, k, v in entries:
-            dense[row_pos[r]][k] += v
-        for e, c in self._target_int.items():
-            dense[row_pos[self._row_index[e]]][ncols] = c
-        x = _bareiss_solve(dense, ncols)
-        if x is None:
-            return None
-        return [(support[k], x[k]) for k in range(ncols) if x[k]]
+        for block in self._target_blocks():
+            cols = [j for j, col in enumerate(block.cols) if col in support]
+            colpos = {j: k for k, j in enumerate(cols)}
+            dense = {}
+            for r, j, v in zip(block.local_rows.tolist(), block.local_cols.tolist(), block.vals):
+                if j in colpos:
+                    dense.setdefault(r, [0] * (len(cols) + 1))[colpos[j]] = v
+            for r, c in block.target:
+                dense.setdefault(r, [0] * (len(cols) + 1))[-1] = c
+            x = _bareiss_solve([dense[r] for r in sorted(dense)], len(cols))
+            if x is None:
+                return None
+            for j, val in zip(cols, x):
+                gi, mult = block.cols[j]
+                coeff = val * self._gen_scale[gi] / self._target_scale
+                if coeff:
+                    entries.append((gi, mult, coeff))
+        return entries
 
     def _finish(self, entries, field_name, prime):
         entries.sort(key=lambda t: (t[0], grevlex_key(t[1])))

@@ -292,19 +292,29 @@ def check_psi_membership(cfg: RunConfig) -> CertificateResult:
     }
     ok = True
     for p in cfg.primes:
-        cert = problem.solve_mod(p)
+        try:
+            cert = problem.solve_mod(p)
+        except NotInDegree as exc:  # the target is not in the ideal: a FAIL, not a crash
+            payload[f"gf{p}_not_in_degree"] = str(exc)
+            ok = False
+            continue
         ok = ok and problem.replays(cert)
         payload[f"gf{p}_support"] = cert.support()
         payload[f"gf{p}_triples_sha256"] = _sha(cert.triples_text(problem.ring.names))
     if cfg.fast:
         payload["rational_solve"] = "skipped (fast mode)"
     else:
-        cert = problem.solve_rational()
-        ok = ok and problem.replays(cert)
-        triples = cert.triples_text(problem.ring.names)
-        payload["qq_support"] = cert.support()
-        payload["qq_triples"] = "; ".join(triples)
-        payload["qq_triples_sha256"] = _sha(triples)
+        try:
+            cert = problem.solve_rational()
+        except NotInDegree as exc:
+            payload["qq_not_in_degree"] = str(exc)
+            ok = False
+        else:
+            ok = ok and problem.replays(cert)
+            triples = cert.triples_text(problem.ring.names)
+            payload["qq_support"] = cert.support()
+            payload["qq_triples"] = "; ".join(triples)
+            payload["qq_triples_sha256"] = _sha(triples)
     return _result("psi-quartic-membership", ok, QQ.name, payload, seed=cfg.seed)
 
 

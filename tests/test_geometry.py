@@ -1,5 +1,6 @@
 """The quadric system, Moore pipeline, minus-plane intersection, sampling,
 membership instance, plane quartic, and topology numbers."""
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,8 +14,8 @@ from heis8_certify.errors import (
     PointNotOnVariety,
     ZeroPoint,
 )
-from heis8_certify.exactmath import GF, QI8, QQ
-from heis8_certify.heisenberg import ProjPoint
+from heis8_certify.exactmath import GF, QI8, QQ, Cyclo
+from heis8_certify.heisenberg import HeisenbergElement, ProjPoint
 from heis8_certify.linalg import replay_certificate
 from heis8_certify.multipoly import PolyRing
 
@@ -103,6 +104,29 @@ def test_group_transport_matches_the_explicit_orbit_loop():
     ranks = [geo.odp_normal_hessian_rank(system, pt) for pt in orbit]
     assert len(orbit) == 64
     assert ranks.count(4) == 64 == geo.odp_proxy_sweep(Y123)
+
+
+def test_orbit_inverts_once_per_group_image_in_first_seen_order(monkeypatch):
+    y = geo.MinusPlanePoint.rational(3, 1, 4)
+    calls = []
+    real = Cyclo.inverse
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Cyclo, "inverse", counted)
+    orbit = geo.orbit_of_base_point(y)
+    assert len(calls) == 64
+    monkeypatch.undo()
+    # the oracle: projective equality, images of shift^a twist^b in (a, b) order
+    v = y.to_field(QI8).embed()
+    expect = []
+    for a, b in itertools.product(range(8), repeat=2):
+        w = HeisenbergElement(a, b, 0).act_on_point(v)
+        if all(w != u for u in expect):
+            expect.append(w)
+    assert [w.coords for w in orbit] == [w.coords for w in expect]
 
 
 def test_quadric_span_images_shift_and_twist():
@@ -269,6 +293,14 @@ def test_psi_membership_full_instance_mod_17():
     gens17 = [g.map_coefficients(GF(17).coerce, ring17) for g in geo.moore_minor_generators()]
     target17 = geo.psi_quartic_target().map_coefficients(GF(17).coerce, ring17)
     assert replay_certificate(cert, gens17) == target17
+
+
+def test_psi_membership_blocks_skip_zero_and_repeated_minors():
+    problem = geo.psi_membership_problem()
+    # of the 36 minors, 6 are zero and 12 are ±1 times an earlier minor
+    assert len(problem._block_generators) == 18
+    blocks = problem._target_blocks()
+    assert [(len(b.rows), len(b.cols)) for b in blocks] == [(103, 113), (104, 116)]
 
 
 def test_psi_membership_rational_binding():

@@ -85,6 +85,13 @@ def test_center_and_quotient_deterministic():
     assert center_and_quotient() == center_and_quotient()
 
 
+def test_center_matches_all_pairs_commutation():
+    # the oracle: an element is central when it commutes with all 512 elements
+    elements = enumerate_group()
+    center = tuple(g for g in elements if all(g.commutes_with(h) for h in elements))
+    assert center_and_quotient().center == center
+
+
 def embedded(field, y1, y2, y3):
     c = [field.coerce(v) for v in (0, y1, y2, y3, 0, -y3, -y2, -y1)]
     return ProjPoint(field, c)

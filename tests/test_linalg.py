@@ -17,6 +17,7 @@ from heis8_certify.errors import (
 from heis8_certify.exactmath import GF, QQ
 from heis8_certify.kernels import solve_mod_p
 from heis8_certify.linalg import (
+    REFERENCE_PRIMES,
     Matrix,
     MembershipProblem,
     exterior_power,
@@ -25,9 +26,10 @@ from heis8_certify.linalg import (
     replay_certificate,
     smith_normal_form,
     unipotent_log,
+    _bareiss_solve,
     wedge_lemma_exhaustive,
 )
-from heis8_certify.multipoly import PolyRing
+from heis8_certify.multipoly import PolyRing, grevlex_key
 from heis8_certify.registry import MONODROMY_MATRIX
 
 
@@ -328,25 +330,26 @@ def test_membership_zero_generator_keeps_indices():
 
 PARITY_PRIME = 41
 PARITY_RING = PolyRing(GF(PARITY_PRIME), ("a", "b", "c", "d"))
+RATIONAL_RING = PolyRing(QQ, PARITY_RING.names)
 
 
-def _poly(draw, monomials):
+def _poly(draw, monomials, ring):
     coeffs = st.integers(1, PARITY_PRIME - 1)
-    out = PARITY_RING.zero()
+    out = ring.zero()
     for e in draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=3, unique=True)):
-        out = out + PARITY_RING.monomial(e, draw(coeffs))
+        out = out + ring.monomial(e, draw(coeffs))
     return out
 
 
-def _combination(draw, gens):
-    out = PARITY_RING.zero()
+def _combination(draw, gens, ring):
+    out = ring.zero()
     for g in gens:
         out = out + g * draw(st.integers(0, PARITY_PRIME - 1))
     return out
 
 
 @st.composite
-def blocked_systems(draw):
+def blocked_systems(draw, ring=PARITY_RING):
     """Quadrics whose supports lie in three or more disjoint groups of degree-2
     monomials, with a degree-2 target, so each group is a union of components
     of the system.  The first group holds a generator and a multiple of it (a
@@ -356,19 +359,19 @@ def blocked_systems(draw):
     mons = draw(st.permutations(monomials_of_degree(4, 2)))
     cuts = sorted(draw(st.sets(st.integers(1, len(mons) - 1), min_size=2, max_size=4)))
     groups = [mons[a:b] for a, b in zip([0, *cuts], [*cuts, len(mons)])]
-    g = _poly(draw, groups[0])
+    g = _poly(draw, groups[0], ring)
     gens = [g, g * draw(st.integers(1, PARITY_PRIME - 1))]
-    target = PARITY_RING.zero()
+    target = ring.zero()
     unreached = draw(st.booleans())
     for k, group in enumerate(groups[1:]):
         if unreached and k == 0:
-            target = target + _poly(draw, group)
+            target = target + _poly(draw, group, ring)
             continue
-        group_gens = [_poly(draw, group) for _ in range(draw(st.integers(1, 3)))]
+        group_gens = [_poly(draw, group, ring) for _ in range(draw(st.integers(1, 3)))]
         gens += group_gens
-        target = target + _combination(draw, group_gens)
+        target = target + _combination(draw, group_gens, ring)
     if draw(st.booleans()):
-        target = target + _poly(draw, groups[-1])
+        target = target + _poly(draw, groups[-1], ring)
     return gens, target
 
 
@@ -377,28 +380,38 @@ def multiplier_systems(draw):
     """Generators of degree 1 or 2 and a target up to two degrees higher, so
     the columns are multiplier·generator products."""
     gdeg, mdeg = draw(st.integers(1, 2)), draw(st.integers(0, 2))
-    gens = [_poly(draw, monomials_of_degree(4, gdeg)) for _ in range(draw(st.integers(1, 3)))]
+    gens = [_poly(draw, monomials_of_degree(4, gdeg), PARITY_RING) for _ in range(draw(st.integers(1, 3)))]
     mults = monomials_of_degree(4, mdeg)
     target = PARITY_RING.zero()
     for g in gens:
-        target = target + g * _poly(draw, mults)
+        target = target + g * _poly(draw, mults, PARITY_RING)
     if draw(st.booleans()):
-        target = target + _poly(draw, monomials_of_degree(4, gdeg + mdeg))
+        target = target + _poly(draw, monomials_of_degree(4, gdeg + mdeg), PARITY_RING)
     return gens, target
 
 
-def _dense_solve(problem, gens, target):
-    """The whole system as one dense augmented matrix, solved by the kernel."""
-    row_index = {e: i for i, e in enumerate(problem.row_monomials)}
-    nrows, ncols = problem.shape
-    aug = np.zeros((nrows, ncols + 1), dtype=np.int64)
-    for k, (gi, mult) in enumerate(problem.columns):
+def _dense_solve(gens, target):
+    """The whole system, rows and columns enumerated here, as one dense
+    augmented matrix solved by the kernel.  Returns the shape of the system
+    and the nonzero entries of its solution by column, or None."""
+    d = target.homogeneous_degree()
+    rows = monomials_of_degree(4, d)
+    row_index = {e: i for i, e in enumerate(rows)}
+    columns = [
+        (gi, mult)
+        for gi, g in enumerate(gens)
+        if g.homogeneous_degree() <= d
+        for mult in monomials_of_degree(4, d - g.homogeneous_degree())
+    ]
+    aug = np.zeros((len(rows), len(columns) + 1), dtype=np.int64)
+    for k, (gi, mult) in enumerate(columns):
         for e, c in (gens[gi] * PARITY_RING.monomial(mult)).terms.items():
             aug[row_index[e], k] = c.value
     for e, c in target.terms.items():
-        aug[row_index[e], ncols] = c.value
+        aug[row_index[e], -1] = c.value
     x, _, _ = solve_mod_p(aug, PARITY_PRIME)
-    return x
+    solution = None if x is None else {columns[k]: int(x[k]) for k in np.nonzero(x)[0]}
+    return (len(rows), len(columns)), solution
 
 
 @settings(max_examples=150, deadline=None)
@@ -408,14 +421,52 @@ def test_membership_blocks_match_dense_solve(system):
     if not target:
         return
     problem = MembershipProblem(gens, target)
-    x = _dense_solve(problem, gens, target)
-    if x is None:
+    shape, dense = _dense_solve(gens, target)
+    assert problem.shape == shape
+    if dense is None:
         with pytest.raises(NotInDegree):
             problem.solve_mod(PARITY_PRIME)
         return
     cert = problem.solve_mod(PARITY_PRIME)
-    dense = {problem.columns[k]: int(x[k]) for k in np.nonzero(x)[0]}
     assert {(gi, mult): c.value for gi, mult, c in cert.entries} == dense
+
+
+def _whole_support_solve(problem, gens, target):
+    """solve_rational's search with one Bareiss solve over the whole proposed
+    support, products multiplied out here: the nonzero entries by column for
+    the first reference prime whose support lifts, or None."""
+    for p in REFERENCE_PRIMES:
+        try:
+            cert_p = problem.solve_mod(p)
+        except NotInDegree:
+            continue
+        support = [(gi, mult) for gi, mult, _ in cert_p.entries]
+        products = [(gens[gi] * RATIONAL_RING.monomial(mult)).terms for gi, mult in support]
+        rows = {e for terms in products for e in terms} | set(target.terms)
+        aug = [
+            [int(terms.get(e, 0)) for terms in products] + [int(target.terms.get(e, 0))]
+            for e in sorted(rows, key=grevlex_key)
+        ]
+        x = _bareiss_solve(aug, len(support))
+        if x is not None:
+            return {col: v for col, v in zip(support, x) if v}
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocked_systems(RATIONAL_RING))
+def test_rational_blocks_match_one_whole_support_solve(system):
+    gens, target = system  # integer coefficients, so no denominators to clear
+    if not target:
+        return
+    problem = MembershipProblem(gens, target)
+    whole = _whole_support_solve(problem, gens, target)
+    if whole is None:
+        with pytest.raises(NotInDegree):
+            problem.solve_rational()
+        return
+    cert = problem.solve_rational()
+    assert {(gi, mult): c for gi, mult, c in cert.entries} == whole
 
 
 # --- array kernels ----------------------------------------------------------

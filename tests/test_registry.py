@@ -10,6 +10,7 @@ import pytest
 from heis8_certify import cli, geometry, registry
 from heis8_certify.heisenberg import SHIFT, HeisenbergElement
 from heis8_certify.linalg import MembershipProblem
+from heis8_certify.multipoly import grevlex_key
 from heis8_certify.report import FAIL, PASS, RunConfig
 
 ORBIT_CHECKS = ("orbit-64-singular", "odp-proxy")
@@ -155,6 +156,26 @@ def test_psi_membership_fails_on_a_corrupted_certificate(monkeypatch, tmp_path, 
 
     monkeypatch.setattr(MembershipProblem, "solve_mod", corrupted)
     _verify_fails(tmp_path, capsys, "psi-quartic-membership", "--fast")
+
+
+@pytest.mark.parametrize("flags", [("--fast",), ()], ids=["fast", "rational"])
+def test_psi_membership_fails_on_a_wrong_target(monkeypatch, tmp_path, capsys, flags):
+    # one coefficient changed: the target plus its first monomial
+    real = geometry.psi_quartic_target()
+    first = min(real.terms, key=grevlex_key)
+    monkeypatch.setattr(geometry, "psi_quartic_target", lambda: real + real.ring.monomial(first, 1))
+    geometry.psi_membership_problem.cache_clear()
+    try:
+        payload = _verify_fails(tmp_path, capsys, "psi-quartic-membership", *flags)
+    finally:
+        geometry.psi_membership_problem.cache_clear()
+    for p in (17, 41, 73):
+        assert payload[f"gf{p}_not_in_degree"].startswith("no representation")
+        assert f"gf{p}_support" not in payload
+    if flags:
+        assert "qq_not_in_degree" not in payload
+    else:
+        assert payload["qq_not_in_degree"].startswith("no representation over QQ")
 
 
 def test_quartic_check_fails_on_a_singular_quartic(monkeypatch, tmp_path, capsys):
