@@ -7,6 +7,6 @@ package is wall-clock timing.
 """
 from .report import VERSION as __version__  # noqa: F401
 
-from . import exactmath, geometry, heisenberg, kernels, linalg, multipoly  # noqa: F401
+from . import exactmath, geometry, heisenberg, linalg, multipoly  # noqa: F401
 from .exactmath import GF, QI8, QQ, Cyclo, ModInt  # noqa: F401
 from .report import CertificateResult, Report, RunConfig  # noqa: F401

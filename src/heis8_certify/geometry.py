@@ -18,13 +18,11 @@ Conventions fixed here once and regression-tested:
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-import numpy as np
-
-from . import kernels
 from .errors import (
     BadPrime,
     DegeneratePoint,
@@ -257,10 +255,12 @@ def odp_normal_hessian_rank(system: VarietySystem, v: ProjPoint) -> int:
 # orbits and the singular locus
 
 
-def orbit_of_base_point(y: MinusPlanePoint):
-    """The group orbit of the embedded base point, over QQ(zeta8)."""
+@lru_cache(maxsize=None)
+def orbit_of_base_point(y: MinusPlanePoint) -> tuple:
+    """The group orbit of the embedded base point, over QQ(zeta8).  Memoized
+    per point."""
     lifted = y.to_field(QI8)
-    return orbit(lifted.embed())
+    return tuple(orbit(lifted.embed()))
 
 
 def named_intersection_points(y: MinusPlanePoint):
@@ -287,7 +287,14 @@ def sample_points(system: VarietySystem, p: int, n: int, seed: int):
     """Rejection-sample projective GF(p) points on all four quadrics.
 
     Returns (distinct projective points in draw order, raw hit count).
+    The array kernel, and numpy with it, is imported here, by the one
+    caller that needs it.  The kernel makes no BLAS call, so OpenBLAS is
+    asked for no worker threads (unless the caller chose a number): the
+    idle workers numpy starts otherwise cost CPU time while the run goes on.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from . import kernels
+
     if not is_prime(p) or p % 8 != 1:
         raise BadPrime(f"p={p} is not a prime congruent to 1 mod 8")
     field = GF(p)
@@ -300,9 +307,7 @@ def sample_points(system: VarietySystem, p: int, n: int, seed: int):
             tj.append(idx[1])
             tc.append(c.value)
         offsets.append(len(ti))
-    hits, rows = kernels.sample_quadric_points(
-        np.asarray(ti), np.asarray(tj), np.asarray(tc), np.asarray(offsets), p, n, seed
-    )
+    hits, rows = kernels.sample_quadric_points(ti, tj, tc, offsets, p, n, seed)
     seen = set()
     points = []
     for row in rows:
@@ -452,30 +457,75 @@ def restrict_to_minus_plane(q: SparsePoly) -> SparsePoly:
     return q.substitute([zero, t1, t2, t3, zero, -t3, -t2, -t1], ring)
 
 
-def projective_plane_points(p: int) -> np.ndarray:
-    """All p²+p+1 points of P²(GF(p)) as canonical coordinate rows."""
-    a = np.arange(p, dtype=np.int64)
-    g1, g2 = np.meshgrid(a, a, indexing="ij")
-    block1 = np.stack(
-        [np.ones(p * p, dtype=np.int64), g1.ravel(), g2.ravel()], axis=1
-    )
-    block2 = np.stack(
-        [np.zeros(p, dtype=np.int64), np.ones(p, dtype=np.int64), a], axis=1
-    )
-    block3 = np.array([[0, 0, 1]], dtype=np.int64)
-    return np.concatenate([block1, block2, block3], axis=0)
+def _trim(f: list) -> list:
+    while f and not f[-1]:
+        f.pop()
+    return f
 
 
-def eval_plane_poly_mod_p(q: SparsePoly, pts: np.ndarray, p: int) -> np.ndarray:
-    """Evaluate a GF(p) polynomial in 3 variables on an array of points."""
-    acc = np.zeros(len(pts), dtype=np.int64)
-    for e, c in q.sorted_terms():
-        term = np.full(len(pts), int(c.value), dtype=np.int64)
-        for i, ei in enumerate(e):
-            for _ in range(ei):
-                term = term * pts[:, i] % p
-        acc = (acc + term) % p
-    return acc
+def _gcd_mod_p(f: list, g: list, p: int) -> list:
+    """gcd of two univariate polynomials mod p, as coefficient lists (the
+    t^k coefficient at index k, no trailing zeros), up to a unit; [] is 0."""
+    while g:
+        f = f[:]
+        inv = pow(g[-1], -1, p)
+        while len(f) >= len(g):
+            q = f[-1] * inv % p
+            shift = len(f) - len(g)
+            for i, c in enumerate(g):
+                f[shift + i] = (f[shift + i] - q * c) % p
+            _trim(f)
+        f, g = g, f
+    return f
+
+
+def plane_zeros_mod_p(polys, p: int) -> list:
+    """All common zeros in P²(GF(p)) of plane polynomials over GF(p), found
+    line by line through the pencil at (0:0:1).
+
+    Every other point lies on exactly one line of the pencil, as (1:a:t)
+    for one a in GF(p) or as (0:1:t).  On each line the polynomials restrict
+    to univariate polynomials in t, and their common zeros there are the
+    roots in GF(p) of the gcd of the restrictions: a line is evaluated point
+    by point only when that gcd is nonconstant, and lies wholly in the zero
+    set when every restriction vanishes.  (0:0:1) is checked by itself.
+
+    Returns the zeros as coordinate triples with first nonzero coordinate 1:
+    (1:a:t) by increasing (a, t), then (0:1:t) by t, then (0:0:1).
+    """
+    terms = [[(e, c.value) for e, c in f.sorted_terms()] for f in polys]
+    lengths = [1 + max((e[2] for e, _ in f), default=0) for f in terms]
+
+    def line_zeros(restrictions):
+        g = []
+        for r in restrictions:
+            g = _gcd_mod_p(g, _trim(r), p)
+            if len(g) == 1:
+                return []
+        roots = []
+        for t in range(p):
+            acc = 0
+            for c in reversed(g):
+                acc = (acc * t + c) % p
+            if not acc:
+                roots.append(t)
+        return roots
+
+    def restrict(x0, x1):
+        """Each polynomial at (x0 : x1 : t), as a coefficient list in t."""
+        out = []
+        for f, n in zip(terms, lengths):
+            r = [0] * n
+            for (e0, e1, e2), c in f:
+                r[e2] = (r[e2] + c * pow(x0, e0, p) * pow(x1, e1, p)) % p
+            out.append(r)
+        return out
+
+    zeros = [(1, a, t) for a in range(p) for t in line_zeros(restrict(1, a))]
+    zeros += [(0, 1, t) for t in line_zeros(restrict(0, 1))]
+    if not any(sum(r) % p for r in restrict(0, 0)):  # each polynomial at (0:0:1)
+        zeros.append((0, 0, 1))
+    return zeros
 
 
 def minus_plane_solutions_mod_p(y: MinusPlanePoint, p: int):
@@ -489,13 +539,7 @@ def minus_plane_solutions_mod_p(y: MinusPlanePoint, p: int):
     ring_p = plane_ring(field)
     conics_p = [c.map_coefficients(field.coerce, ring_p) for c in conics]
 
-    pts = projective_plane_points(p)
-    mask = np.ones(len(pts), dtype=bool)
-    for c in conics_p:
-        mask &= eval_plane_poly_mod_p(c, pts, p) == 0
-    solutions = {
-        ProjPoint(field, [field.coerce(int(v)) for v in row]) for row in pts[mask]
-    }
+    solutions = {ProjPoint(field, pt) for pt in plane_zeros_mod_p(conics_p, p)}
 
     named = set()
     for pt in named_intersection_points(y):
@@ -682,11 +726,7 @@ def quartic_smooth_mod_p(p: int) -> bool:
     field = GF(p)
     ring_p = PolyRing(field, CONIC_NAMES)
     parts = [g.map_coefficients(field.coerce, ring_p) for g in quartic_partials()]
-    pts = projective_plane_points(p)
-    mask = np.ones(len(pts), dtype=bool)
-    for g in parts:
-        mask &= eval_plane_poly_mod_p(g, pts, p) == 0
-    return not mask.any()
+    return not plane_zeros_mod_p(parts, p)
 
 
 def quartic_nullstellensatz_certificates():

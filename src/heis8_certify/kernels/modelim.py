@@ -1,12 +1,15 @@
-"""Row reduction of dense integer matrices mod p.
+"""Row reduction of dense integer matrices mod p, with numpy.
 
-This is the kernel behind graded ideal membership, which runs it once per
-connected block of the sparse system that meets the target (two blocks of
-about 100x200 for the binding instance), never on the whole system.  Entries
-are kept *lazily* reduced: an update subtracts m·(pivot row) with both factors
-already reduced below p, so each entry grows by at most (p-1)² per pivot step
-and never needs a per-element modulo.  With at most `rows` pivots the
-magnitude bound is
+No module of the package calls it.  Graded ideal membership solves its
+blocks with the pure-integer linalg.sparse_solve_mod_p, so that numpy stays
+out of every run that does not sample.  solve_mod_p remains as the dense
+reference that solver is tested against, and perfbench/trace_child.py still
+wraps it by name.
+
+Entries are kept *lazily* reduced: an update subtracts m·(pivot row) with
+both factors already reduced below p, so each entry grows by at most (p-1)²
+per pivot step and never needs a per-element modulo.  With at most `rows`
+pivots the magnitude bound is
 
     (p-1) + rows·(p-1)²,
 

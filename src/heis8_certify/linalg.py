@@ -6,12 +6,10 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import kernels
 from .errors import (
     BadSize,
     DenominatorVanishes,
@@ -462,6 +460,67 @@ def _bareiss_solve(rows, ncols):
     return x
 
 
+def sparse_solve_mod_p(rows, ncols: int, p: int):
+    """Solve A·x ≡ b (mod p) for a sparse augmented system [A | b].
+
+    rows are dicts {column: integer}, with the columns of A numbered
+    0..ncols-1 and b at key ncols.  Columns are eliminated left to right,
+    so the pivot columns are exactly the columns independent of the ones
+    before them, whichever rows carry them; each is eliminated on the
+    remaining row with the fewest nonzeros that is nonzero there (the
+    lowest-numbered on a tie), which keeps the fill-in small.
+
+    Returns (x, pivots): x maps each column to its value, nonzero ones only,
+    in the solution with every free variable zero (the one solution
+    supported on the pivot columns), or is None when the system is
+    inconsistent; pivots are the pivot columns in increasing order.
+    """
+    active = {}
+    by_col = defaultdict(set)  # column -> the remaining rows nonzero there
+    for i, row in enumerate(rows):
+        reduced = {c: v % p for c, v in row.items() if v % p}
+        active[i] = reduced
+        for c in reduced:
+            by_col[c].add(i)
+    pivots = []  # (column, its row scaled to 1 there)
+    for col in range(ncols):
+        hits = by_col.get(col)
+        if not hits:
+            continue
+        i = min(hits, key=lambda k: (len(active[k]), k))
+        prow = active.pop(i)
+        for c in prow:
+            by_col[c].discard(i)
+        inv = pow(prow[col], -1, p)
+        prow = {c: v * inv % p for c, v in prow.items()}
+        for k in list(hits):
+            row = active[k]
+            f = row[col]
+            for c, v in prow.items():
+                nv = (row.get(c, 0) - f * v) % p
+                if nv:
+                    if c not in row:
+                        by_col[c].add(k)
+                    row[c] = nv
+                else:  # f·v ≢ 0, so row had a term at c
+                    del row[c]
+                    by_col[c].discard(k)
+        pivots.append((col, prow))
+    cols = tuple(col for col, _ in pivots)
+    if by_col.get(ncols):
+        return None, cols
+    x = {}
+    for col, prow in reversed(pivots):
+        acc = prow.get(ncols, 0)
+        for c, v in prow.items():
+            if c in x:  # a later pivot column; free columns are zero
+                acc -= v * x[c]
+        acc %= p
+        if acc:
+            x[col] = acc
+    return x, cols
+
+
 # reference primes for the rational membership path; denominators occurring in
 # practice are powers of 2, so any odd prime here is usable
 REFERENCE_PRIMES = (17, 41, 73, 89, 97, 113, 137, 193, 233, 241)
@@ -483,8 +542,8 @@ class _Block:
 
     rows: tuple
     cols: tuple
-    local_rows: np.ndarray
-    local_cols: np.ndarray
+    local_rows: list
+    local_cols: list
     vals: list
     target: list  # (local row, integer coefficient)
 
@@ -556,6 +615,7 @@ class MembershipProblem:
                 seen.update((key, frozenset((-g).terms.items())))
         self._blocks = None
         self._mod_certs = {}  # prime -> the certificate solve_mod built there
+        self._mod_failures = {}  # prime -> the NotInDegree solve_mod raised there
         self.target_hash = _canonical_hash([target])
         self.generators_hash = _canonical_hash(generators)
 
@@ -580,11 +640,31 @@ class MembershipProblem:
         breadth-first search from the target's monomials.
 
         A target row that no product reaches is a block with no columns.
+
+        Which terms divide a row is decided for all terms at once, on one
+        packed integer.  Each exponent gets a field of `width` bits whose top
+        (guard) bit is clear, since no exponent exceeds the degree, and each
+        term a slot of such fields plus one flag bit on top.  Subtracting
+        the packed terms from copies of the row with every guard bit set
+        borrows from the guard of exactly the fields where a term's exponent
+        is larger, and never across fields or slots; adding slot-size − 1 to
+        the borrowed guard bits then sets the flag of exactly the slots of
+        the terms that do not divide the row.
         """
         if self._blocks is not None:
             return self._blocks
+        width = self.degree.bit_length() + 1
+        shifts = range(0, width * self.ring.nvars, width)
+        slot = width * self.ring.nvars + 1
+
+        def pack(e):
+            return sum(v << s for v, s in zip(e, shifts))
+
         terms = [(gi, e) for gi in self._block_generators for e, _ in self._gen_int_terms[gi]]
-        term_exps = np.asarray([e for _, e in terms], dtype=np.int64).reshape(len(terms), -1)
+        ones = sum(1 << (slot * t) for t in range(len(terms)))  # 1 in every slot
+        packed_terms = sum(pack(e) << (slot * t) for t, (_, e) in enumerate(terms))
+        guards = pack((1 << (width - 1),) * self.ring.nvars) * ones
+        flags = (1 << (slot - 1)) * ones
         seen_rows, seen_cols = set(), set()
         self._blocks = []
         for start in sorted(self._target_int, key=grevlex_key):
@@ -596,8 +676,12 @@ class MembershipProblem:
                 reached = []
                 for m in frontier:
                     # the terms e dividing m, each giving the column (gi, m − e)
-                    for t in np.nonzero((term_exps <= m).all(axis=1))[0].tolist():
-                        gi, e = terms[t]
+                    borrowed = ((pack(m) * ones | guards) - packed_terms) & guards ^ guards
+                    divides = ~(borrowed + flags - ones) & flags
+                    while divides:
+                        flag = divides & -divides
+                        divides ^= flag
+                        gi, e = terms[flag.bit_length() // slot - 1]
                         col = (gi, tuple(map(operator.sub, m, e)))
                         if col not in seen_cols:
                             seen_cols.add(col)
@@ -629,8 +713,8 @@ class MembershipProblem:
         return _Block(
             rows=rows,
             cols=cols,
-            local_rows=np.asarray(local_rows, dtype=np.int64),
-            local_cols=np.asarray(local_cols, dtype=np.int64),
+            local_rows=local_rows,
+            local_cols=local_cols,
             vals=vals,
             target=[(i, self._target_int[r]) for i, r in enumerate(rows) if r in self._target_int],
         )
@@ -644,9 +728,10 @@ class MembershipProblem:
 
         Only the connected components of the row–column sparsity graph that
         contain a target row are built and solved, each as its own small
-        dense block; every other column is set to zero.  Inside a block the
-        rows keep descending grevlex and the columns the canonical (generator
-        index, grevlex multiplier) order of the whole system.  This gives the
+        sparse block (sparse_solve_mod_p); every other column is set to
+        zero.  Inside a block the rows keep descending grevlex and the
+        columns the canonical (generator index, grevlex multiplier) order of
+        the whole system.  This gives the
         same certificate as eliminating the whole system with left-to-right
         pivoting:
 
@@ -675,19 +760,21 @@ class MembershipProblem:
         sts = int(pow(self._target_scale, -1, p))
         entries = []
         for block in self._target_blocks():
-            dtype = kernels.required_dtype(len(block.rows), p)
-            aug = np.zeros((len(block.rows), len(block.cols) + 1), dtype=dtype)
-            aug[block.local_rows, block.local_cols] = [v % p for v in block.vals]
+            ncols = len(block.cols)
+            aug = [{} for _ in block.rows]
+            for i, j, v in zip(block.local_rows, block.local_cols, block.vals):
+                aug[i][j] = v
             for i, c in block.target:
-                aug[i, -1] = c % p
-            xb, _, _ = kernels.solve_mod_p(aug, p)
+                aug[i][ncols] = c
+            xb, _ = sparse_solve_mod_p(aug, ncols, p)
             if xb is None:
-                raise NotInDegree(
+                exc = self._mod_failures[p] = NotInDegree(
                     f"no representation of the target in degree {self.degree} over GF({p})"
                 )
-            for j in np.nonzero(xb)[0].tolist():
+                raise exc
+            for j, v in xb.items():
                 gi, mult = block.cols[j]
-                coeff = ModInt(int(xb[j]) * self._gen_scale[gi] * sts, p)
+                coeff = ModInt(v * self._gen_scale[gi] * sts, p)
                 if coeff:
                     entries.append((gi, mult, coeff))
         cert = self._mod_certs[p] = self._finish(entries, GF(p).name, p)
@@ -698,13 +785,14 @@ class MembershipProblem:
 
         A reference-prime elimination proposes a column support (the
         certificate solve_mod already built at that prime, when there is
-        one); each target block, restricted to its slice of that support, is
-        then solved by fraction-free elimination.  The support lies on pivot
-        columns mod p, so it is independent mod p and hence over QQ: the
-        solution on it is unique, and solving the blocks one at a time gives
-        the same one as solving the whole support at once.  Replaying the
-        result over QQ (replays) is what makes the certificate binding;
-        reference primes only propose.
+        one; a prime where solve_mod already found no representation is not
+        eliminated again); each target block, restricted to its slice of
+        that support, is then solved by fraction-free elimination.  The
+        support lies on pivot columns mod p, so it is independent mod p and
+        hence over QQ: the solution on it is unique, and solving the blocks
+        one at a time gives the same one as solving the whole support at
+        once.  Replaying the result over QQ (replays) is what makes the
+        certificate binding; reference primes only propose.
         """
         if self._field_prime() is not None:
             raise InhomogeneousInput("rational solve needs generators over QQ")
@@ -712,6 +800,9 @@ class MembershipProblem:
             return self._finish([], QQ.name, None)
         evidence = []
         for p in reference_primes:
+            if p in self._mod_failures:
+                evidence.append(f"GF({p}): {self._mod_failures[p]}")
+                continue
             try:
                 cert_p = self._mod_certs.get(p) or self.solve_mod(p)
             except (NotInDegree, DenominatorVanishes) as exc:
@@ -736,7 +827,7 @@ class MembershipProblem:
             cols = [j for j, col in enumerate(block.cols) if col in support]
             colpos = {j: k for k, j in enumerate(cols)}
             dense = {}
-            for r, j, v in zip(block.local_rows.tolist(), block.local_cols.tolist(), block.vals):
+            for r, j, v in zip(block.local_rows, block.local_cols, block.vals):
                 if j in colpos:
                     dense.setdefault(r, [0] * (len(cols) + 1))[colpos[j]] = v
             for r, c in block.target:

@@ -1,9 +1,13 @@
 """CLI contract: list output, exit codes, JSON schema, determinism."""
 import json
+import os
 import subprocess
 import sys
 
+import pytest
+
 FAST_CHECKS = "topology-numbers,wedge-lemma,monodromy-nilpotent,commutator-xi"
+MODULAR_CHECKS = "psi-quartic-membership,quartic-smooth-genus3,minus-plane-4points"
 
 
 def run_cli(*args, timeout=600):
@@ -99,3 +103,28 @@ def test_verify_text_report_shape():
 def test_jobs_flag_rejected():
     out = run_cli("verify", "--checks", "wedge-lemma", "--jobs", "2")
     assert out.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "args, imports_numpy",
+    [
+        (("list",), False),
+        (("verify", "--fast", "--checks", MODULAR_CHECKS), False),
+        (("verify", "--checks", "orbit-64-singular"), True),  # the sampler's run
+    ],
+    ids=["list", "verify-fast-modular", "verify-sampler"],
+)
+def test_numpy_is_imported_only_by_runs_that_sample(args, imports_numpy):
+    # the sampler imports numpy with a single-threaded OpenBLAS
+    probe = (
+        "import os, sys\n"
+        "from heis8_certify import cli\n"
+        f"status = cli.main({list(args)!r})\n"
+        "print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'), status)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=600, env=env
+    )
+    threads = "1" if imports_numpy else "None"
+    assert out.stdout.splitlines()[-1] == f"{imports_numpy} {threads} 0"

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heis8_certify import geometry as geo
 from heis8_certify.errors import (
@@ -16,7 +18,7 @@ from heis8_certify.errors import (
 )
 from heis8_certify.exactmath import GF, QI8, QQ, Cyclo
 from heis8_certify.heisenberg import HeisenbergElement, ProjPoint
-from heis8_certify.linalg import replay_certificate
+from heis8_certify.linalg import monomials_of_degree, replay_certificate
 from heis8_certify.multipoly import PolyRing
 
 
@@ -116,7 +118,10 @@ def test_orbit_inverts_once_per_group_image_in_first_seen_order(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(Cyclo, "inverse", counted)
+    geo.orbit_of_base_point.cache_clear()
     orbit = geo.orbit_of_base_point(y)
+    assert len(calls) == 64
+    assert geo.orbit_of_base_point(y) is orbit  # memoized: no further inversions
     assert len(calls) == 64
     monkeypatch.undo()
     # the oracle: projective equality, images of shift^a twist^b in (a, b) order
@@ -151,11 +156,106 @@ def test_named_points_on_restricted_system_exactly():
     assert plane_pts == expect
 
 
+def _brute_force_zeros(polys, p):
+    """The oracle: every one of the p²+p+1 points of P²(GF(p)), first
+    nonzero coordinate 1, evaluated in every polynomial.  Returns the
+    number of points and the set of common zeros."""
+    points = [(1, a, t) for a in range(p) for t in range(p)]
+    points += [(0, 1, t) for t in range(p)] + [(0, 0, 1)]
+    terms = [[(e, c.value) for e, c in f.sorted_terms()] for f in polys]
+    zeros = {
+        pt
+        for pt in points
+        if all(
+            sum(c * pt[0] ** e[0] * pt[1] ** e[1] * pt[2] ** e[2] for e, c in f) % p == 0
+            for f in terms
+        )
+    }
+    return len(points), zeros
+
+
+def _restricted_conics(y, p):
+    field = GF(p)
+    ring = geo.plane_ring(field)
+    return [
+        geo.restrict_to_minus_plane(q).map_coefficients(field.coerce, ring)
+        for q in geo.build_system(y).quadrics
+    ]
+
+
 @pytest.mark.parametrize("p,total", [(17, 307), (41, 1723)])
 def test_minus_plane_enumeration(p, total):
-    assert len(geo.projective_plane_points(p)) == total
+    count, zeros = _brute_force_zeros(_restricted_conics(Y123, p), p)
+    assert count == total
+    solutions, named = geo.minus_plane_solutions_mod_p(Y123, p)
+    assert solutions == named == {ProjPoint(GF(p), pt) for pt in zeros}
     payload = geo.minus_plane_intersection(Y123, p)
     assert payload[f"solutions_mod_{p}"] == "4"
+
+
+SWEEP_PRIMES = (17, 41, 97)
+
+
+@st.composite
+def plane_systems(draw):
+    """One to three conics or cubics over GF(p), often sparse, sometimes
+    sharing a linear factor (a whole line of common zeros)."""
+    p = draw(st.sampled_from(SWEEP_PRIMES))
+    ring = geo.plane_ring(GF(p))
+    coeff = st.one_of(st.sampled_from([0, 0, 0, 1, -1]), st.integers(0, p - 1))
+    factor = None
+    if draw(st.booleans()):
+        factor = sum(
+            (ring.monomial(e, draw(coeff)) for e in monomials_of_degree(3, 1)), ring.zero()
+        )
+    polys = []
+    for _ in range(draw(st.integers(1, 3))):
+        degree = draw(st.sampled_from([2, 3]))
+        if factor:
+            degree -= 1
+        monomials = monomials_of_degree(3, degree)
+        f = sum((ring.monomial(e, draw(coeff)) for e in monomials), ring.zero())
+        polys.append(f * factor if factor else f)
+    return p, polys
+
+
+def _plane_system(p, *rows):
+    """Polynomials over GF(p) from (coefficient, exponent triple) rows."""
+    ring = geo.plane_ring(GF(p))
+    return p, [sum((ring.monomial(e, c) for c, e in row), ring.zero()) for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(plane_systems())
+# every restriction vanishes on the pencil line (1:3:t): a common factor x1 − 3·x0
+@example(_plane_system(
+    17,
+    [(1, (0, 1, 1)), (-3, (1, 0, 1))],
+    [(1, (1, 1, 0)), (-3, (2, 0, 0)), (1, (0, 1, 1)), (-3, (1, 0, 1))],
+))
+# a common zero at (0:0:1): no pure power of the last coordinate
+@example(_plane_system(41, [(1, (1, 0, 1)), (1, (0, 2, 0))], [(1, (0, 1, 1)), (5, (2, 0, 0))]))
+# common zeros on the line (0:1:t): x0 divides one, the other vanishes at (0:1:±5)
+@example(_plane_system(
+    97,
+    [(1, (1, 1, 0)), (2, (1, 0, 1))],
+    [(1, (0, 0, 2)), (-25, (0, 2, 0)), (1, (2, 0, 0))],
+))
+def test_sweep_matches_brute_force_enumeration(system):
+    p, polys = system
+    _count, zeros = _brute_force_zeros(polys, p)
+    swept = geo.plane_zeros_mod_p(polys, p)
+    assert len(swept) == len(set(swept))
+    assert set(swept) == zeros
+
+
+@pytest.mark.parametrize("point", [(1, 0, 2), (2, 1, 2)])
+@pytest.mark.parametrize("p", SWEEP_PRIMES)
+def test_sweep_matches_brute_force_at_degenerate_base_points(point, p):
+    # two named points collide here, so minus_plane_intersection is unlucky
+    conics = _restricted_conics(geo.MinusPlanePoint.rational(*point), p)
+    _count, zeros = _brute_force_zeros(conics, p)
+    assert set(geo.plane_zeros_mod_p(conics, p)) == zeros
 
 
 def test_minus_plane_rejects_bad_prime():

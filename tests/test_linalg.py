@@ -25,6 +25,7 @@ from heis8_certify.linalg import (
     monomials_of_degree,
     replay_certificate,
     smith_normal_form,
+    sparse_solve_mod_p,
     unipotent_log,
     _bareiss_solve,
     wedge_lemma_exhaustive,
@@ -467,6 +468,62 @@ def test_rational_blocks_match_one_whole_support_solve(system):
         return
     cert = problem.solve_rational()
     assert {(gi, mult): c for gi, mult, c in cert.entries} == whole
+
+
+# --- the sparse block solver ------------------------------------------------
+
+
+@st.composite
+def augmented_systems(draw):
+    """A small augmented system [A | b] mod p, as integer rows, sometimes
+    with a row that repeats a combination of two others (rank deficient,
+    and inconsistent when its right-hand side is bumped) and a zero column."""
+    p = draw(st.sampled_from([17, 41, 241]))
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    entry = st.one_of(st.just(0), st.integers(-p, 2 * p))
+    a = [[draw(entry) for _ in range(n + 1)] for _ in range(m)]
+    if m >= 2 and draw(st.booleans()):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        c = draw(st.integers(1, p - 1))
+        a.append([x + c * y for x, y in zip(a[i], a[j])])
+        if draw(st.booleans()):
+            a[-1][n] += draw(st.integers(1, p - 1))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        for row in a:
+            row[k] = 0
+    return p, a
+
+
+@settings(max_examples=200, deadline=None)
+@given(augmented_systems())
+def test_sparse_block_solver_matches_the_dense_references(system):
+    p, a = system
+    n = len(a[0]) - 1
+    rows = [{j: v for j, v in enumerate(row) if v} for row in a]
+    x, pivots = sparse_solve_mod_p(rows, n, p)
+    field = GF(p)
+    exact = Matrix(field, [row[:n] for row in a]).solve([row[n] for row in a])
+    dense, rank, dense_pivots = solve_mod_p(np.asarray(a, dtype=np.int64) % p, p)
+    assert pivots == Matrix(field, [row[:n] for row in a]).rref()[1]
+    assert (x is None) == (exact is None) == (dense is None)
+    if x is None:
+        return
+    assert rank == len(pivots) and tuple(dense_pivots.tolist()) == pivots
+    assert all(0 < v < p for v in x.values()) and set(x) <= set(pivots)
+    solution = [x.get(j, 0) for j in range(n)]
+    assert solution == [v.value for v in exact] == dense.tolist()
+
+
+def test_sparse_block_solver_edge_cases():
+    # inconsistent: 0 = 1
+    assert sparse_solve_mod_p([{1: 1}], 1, 17) == (None, ())
+    # an empty system and a zero right-hand side
+    assert sparse_solve_mod_p([], 3, 17) == ({}, ())
+    assert sparse_solve_mod_p([{0: 17, 2: 0}], 2, 17) == ({}, ())
+    # a zero column is free; the dependent column 2 = 2·column 0 is free too
+    x, pivots = sparse_solve_mod_p([{0: 1, 2: 2, 3: 5}, {1: 3, 3: 6}], 3, 241)
+    assert pivots == (0, 1) and x == {0: 5, 1: 2}
 
 
 # --- array kernels ----------------------------------------------------------

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from heis8_certify import cli, geometry, registry
+from heis8_certify import cli, geometry, linalg, registry
 from heis8_certify.heisenberg import SHIFT, HeisenbergElement
 from heis8_certify.linalg import MembershipProblem
 from heis8_certify.multipoly import grevlex_key
@@ -18,11 +18,12 @@ ORBIT_CHECKS = ("orbit-64-singular", "odp-proxy")
 
 @pytest.fixture(autouse=True)
 def fresh_orbit_memo():
-    registry._two_generic_points.cache_clear()
-    geometry.quadric_span_images.cache_clear()
+    memos = (registry._two_generic_points, geometry.quadric_span_images, geometry.orbit_of_base_point)
+    for memo in memos:
+        memo.cache_clear()
     yield
-    registry._two_generic_points.cache_clear()
-    geometry.quadric_span_images.cache_clear()
+    for memo in memos:
+        memo.cache_clear()
 
 
 def test_group_order_passes_with_the_generators():
@@ -164,11 +165,24 @@ def test_psi_membership_fails_on_a_wrong_target(monkeypatch, tmp_path, capsys, f
     real = geometry.psi_quartic_target()
     first = min(real.terms, key=grevlex_key)
     monkeypatch.setattr(geometry, "psi_quartic_target", lambda: real + real.ring.monomial(first, 1))
+    solves = []
+    solve = linalg.sparse_solve_mod_p
+
+    def counted(rows, ncols, p):
+        solves.append((p, len(rows), ncols))  # (prime, block shape)
+        return solve(rows, ncols, p)
+
+    monkeypatch.setattr(linalg, "sparse_solve_mod_p", counted)
     geometry.psi_membership_problem.cache_clear()
     try:
         payload = _verify_fails(tmp_path, capsys, "psi-quartic-membership", *flags)
     finally:
         geometry.psi_membership_problem.cache_clear()
+    # each (prime, block) is eliminated once: the rational search does not
+    # eliminate again at a prime where the GF(p) solve already failed
+    assert len(solves) == len(set(solves))
+    primes = (17, 41, 73) if flags else linalg.REFERENCE_PRIMES
+    assert sorted({p for p, _rows, _cols in solves}) == sorted(primes)
     for p in (17, 41, 73):
         assert payload[f"gf{p}_not_in_degree"].startswith("no representation")
         assert f"gf{p}_support" not in payload
