@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .errors import CertifyError
-from .registry import known_ids, public_checks, run_checks
+from .registry import REGISTRY, known_ids, run_checks
 from .report import PASS, RunConfig, validate_config
 
 
@@ -47,8 +47,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "list":
-        width = max(len(spec.id) for spec in public_checks())
-        for spec in public_checks():
+        width = max(len(spec.id) for spec in REGISTRY)
+        for spec in REGISTRY:
             print(f"{spec.id:<{width}s}  {spec.claim}")
         return 0
 

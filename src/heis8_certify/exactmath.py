@@ -41,6 +41,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def is_prime_1_mod_8(p: int) -> bool:
+    """Whether p is a prime ≡ 1 mod 8, the primes whose GF(p) contains the
+    primitive 8th roots of unity (every such prime is odd)."""
+    return is_prime(p) and p % 8 == 1
+
+
 class ModInt:
     """An element of GF(p), reduced to [0, p)."""
 
@@ -219,22 +225,15 @@ class Cyclo:
         return acc
 
     def inverse(self) -> "Cyclo":
-        """Solve (self)·x = 1 in the 4×4 multiplication matrix on the power basis."""
+        """1/a = σ3(a)·σ5(a)·σ7(a) / N(a), σk being ξ ↦ ξ^k.  b = a·σ5(a) is
+        fixed by σ5, so lies in ℚ(ξ²); σ3(a)·σ7(a) = σ3(b) and N(a) = b·σ3(b)."""
         if not self:
             raise DivisionByZero("inverse of 0 in Q(zeta8)")
-        # column j of the matrix is self * xi^j
-        cols = [(self * Cyclo.zeta(j)).coeffs for j in range(4)]
-        aug = [[cols[j][i] for j in range(4)] + [_FRAC_ONE if i == 0 else _FRAC_ZERO] for i in range(4)]
-        for c in range(4):
-            sel = next(r for r in range(c, 4) if aug[r][c])
-            aug[c], aug[sel] = aug[sel], aug[c]
-            pv = aug[c][c]
-            aug[c] = [v / pv for v in aug[c]]
-            for r in range(4):
-                if r != c and aug[r][c]:
-                    f = aug[r][c]
-                    aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
-        return Cyclo._raw(row[4] for row in aug)
+        c0, c1, c2, c3 = self.coeffs
+        s5 = Cyclo._raw((c0, -c1, c2, -c3))
+        b0, _, b2, _ = (self * s5).coeffs
+        norm = b0 * b0 + b2 * b2
+        return s5 * Cyclo._raw((b0 / norm, _FRAC_ZERO, -b2 / norm, _FRAC_ZERO))
 
     def __bool__(self):
         return any(self.coeffs)
@@ -265,7 +264,7 @@ class Cyclo:
 
 def find_order8_root(p: int) -> int:
     """Smallest residue of exact multiplicative order 8 in GF(p). Needs p ≡ 1 (mod 8)."""
-    if not is_prime(p) or p % 8 != 1:
+    if not is_prime_1_mod_8(p):
         raise BadPrime(f"p={p} is not a prime congruent to 1 mod 8")
     for r in range(2, p):
         if pow(r, 8, p) == 1 and pow(r, 4, p) != 1:
@@ -286,7 +285,7 @@ def multiplicative_order(a: int, p: int) -> int:
 
 def embed_cyclo_mod_p(c: Cyclo, p: int, root) -> ModInt:
     """Ring homomorphism ℚ(ξ) → GF(p) sending ξ to ``root`` (order-8 residue)."""
-    if not is_prime(p) or p % 8 != 1:
+    if not is_prime_1_mod_8(p):
         raise BadPrime(f"p={p} is not a prime congruent to 1 mod 8")
     r = root.value if isinstance(root, ModInt) else root % p
     if multiplicative_order(r, p) != 8:
@@ -367,7 +366,7 @@ class PrimeField(FieldBase):
 
     def root_of_unity(self, k: int):
         k %= 8
-        if self.p % 8 == 1:
+        if is_prime_1_mod_8(self.p):
             return ModInt(pow(find_order8_root(self.p), k, self.p), self.p)
         if k == 0:
             return self.one

@@ -3,10 +3,14 @@ point of the minus plane, its singular orbit, the Moore-matrix/Pfaffian
 pipeline, the plane-quartic image of the conic map, and the topology numbers
 of a (2,2,2,2) complete intersection in P⁷.
 
-Conventions fixed here once and regression-tested:
+Each convention has one definition, which every use goes through, and is
+regression-tested:
 
 * the minus plane P²₋ ⊂ P⁷ is x0 = x1+x7 = x2+x6 = x3+x5 = x4 = 0, and the
-  plane point (a : b : c) embeds as (0 : a : b : c : 0 : -c : -b : -a);
+  plane point (a : b : c) embeds as (0 : a : b : c : 0 : -c : -b : -a)
+  (minus_plane_coords);
+* the system of a base point is its quadric f (base_quadric) and the three
+  coordinate shifts of f (shifted_quadrics);
 * the 4×4 Moore matrix has entries x_{i+j}·y_{i-j} + x_{i+j+4}·y_{i-j+4},
   indices mod 8; its restriction to the minus plane substitutes into the
   x-slot; interchanging rows 1 and 3 (0-based) of the restriction makes it
@@ -14,7 +18,10 @@ Conventions fixed here once and regression-tested:
 * with the Pfaffian convention m01·m23 − m02·m13 + m03·m12, the restricted
   skew matrix has Pfaffian exactly  w0·A + w1·B + w2·C  (recorded sign +1),
   where w0 = 2·x1·x3, w1 = −x2², w2 = x1²+x3² and A, B, C are the conic-plane
-  pullbacks A = (y1²−y3²+y5²−y7²)/2, B = (y0−y4)(y2−y6), C = y3·y7−y1·y5.
+  pullbacks A = (y1²−y3²+y5²−y7²)/2, B = (y0−y4)(y2−y6), C = y3·y7−y1·y5;
+* the ψ target is the plane quartic (quartic_curve_poly) under w ↦ (A, B, C);
+* the prime ladder is linalg.REFERENCE_PRIMES, and the prime rule
+  (p prime, p ≡ 1 mod 8) is exactmath.is_prime_1_mod_8.
 """
 from __future__ import annotations
 
@@ -30,7 +37,7 @@ from .errors import (
     UnluckyPrime,
     ZeroPoint,
 )
-from .exactmath import GF, QI8, QQ, embed_cyclo_mod_p, find_order8_root, is_prime
+from .exactmath import GF, QI8, QQ, embed_cyclo_mod_p, find_order8_root, is_prime_1_mod_8
 from .heisenberg import SHIFT, TWIST, HeisenbergElement, ProjPoint, orbit
 from .linalg import Matrix, MembershipProblem, graded_membership
 from .multipoly import (
@@ -81,6 +88,11 @@ def conic_ring() -> PolyRing:
 # the quadric system of a base point
 
 
+def minus_plane_coords(zero, a, b, c) -> tuple:
+    """(a : b : c) ↦ (0 : a : b : c : 0 : −c : −b : −a), zero being the ring's zero."""
+    return (zero, a, b, c, zero, -c, -b, -a)
+
+
 @dataclass(frozen=True)
 class MinusPlanePoint:
     """A point (y1 : y2 : y3) of the minus plane, over any coefficient field."""
@@ -105,8 +117,7 @@ class MinusPlanePoint:
         return (self.y1, self.y2, self.y3)
 
     def embed(self) -> ProjPoint:
-        y1, y2, y3 = self.coords
-        return ProjPoint(self.field, (self.field.zero, y1, y2, y3, self.field.zero, -y3, -y2, -y1))
+        return ProjPoint(self.field, minus_plane_coords(self.field.zero, *self.coords))
 
     def to_field(self, field) -> "MinusPlanePoint":
         return MinusPlanePoint(field, *(field.coerce(c) for c in self.coords))
@@ -116,16 +127,29 @@ class MinusPlanePoint:
         return ProjPoint(f, [f.coerce(c) for c in self.coords])
 
 
-def standard_quadrics(field):
-    """The three base quadrics x0²+x4², x1·x7+x3·x5, x2·x6."""
-    ring = x_ring(field)
-    x = ring.gens()
+def standard_quadrics(x):
+    """The three base quadrics x0²+x4², x1·x7+x3·x5, x2·x6 in the coordinates x."""
     return (x[0] ** 2 + x[4] ** 2, x[1] * x[7] + x[3] * x[5], x[2] * x[6])
 
 
-def shift_substitution(k: int):
-    """Permutation data of the k-fold coordinate shift x_i ↦ x_{i-k}."""
-    return tuple((i - k) % 8 for i in range(8))
+def base_quadric(x, y1, y2, y3):
+    """f = y1·y3·(x0²+x4²) − y2²·(x1·x7+x3·x5) + (y1²+y3²)·x2·x6, for scalar
+    or symbolic (y1 : y2 : y3)."""
+    f0, f1, f2 = standard_quadrics(x)
+    return f0 * (y1 * y3) - f1 * (y2 * y2) + f2 * (y1 * y1 + y3 * y3)
+
+
+def shifted_quadrics(f) -> tuple:
+    """f, shift(f), shift²(f), shift³(f), shifting x0 … x7 and fixing later
+    variables.  The permutation is applied directly, not by act_on_poly, so
+    the action that ideal-invariance certifies plays no part in the system."""
+    ring = f.ring
+    perm = SHIFT.substitution()[0] + tuple(range(8, ring.nvars))
+    ones = [ring.field.one] * ring.nvars
+    out = [f]
+    for _ in range(3):
+        out.append(apply_variable_map(perm, ones, out[-1]))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -156,15 +180,8 @@ class VarietySystem:
 
 
 def build_system(y: MinusPlanePoint) -> VarietySystem:
-    field = y.field
-    ring = x_ring(field)
-    f0, f1, f2 = standard_quadrics(field)
-    y1, y2, y3 = y.coords
-    f = f0 * (y1 * y3) - f1 * (y2 * y2) + f2 * (y1 * y1 + y3 * y3)
-    ones = [field.one] * 8
-    quadrics = tuple(
-        apply_variable_map(shift_substitution(k), ones, f) for k in range(4)
-    )
+    ring = x_ring(y.field)
+    quadrics = shifted_quadrics(base_quadric(ring.gens(), *y.coords))
     embedded = y.embed().coords
     for q in quadrics:
         if q.homogeneous_degree() != 2:
@@ -180,20 +197,9 @@ def symbolic_base_identities() -> list:
     vanishes identically on the embedded point; returns the four residues."""
     ring = PolyRing(QQ, X_NAMES + ("u1", "u2", "u3"))
     g = ring.gens()
-    x, (u1, u2, u3) = g[:8], g[8:]
-    f0 = x[0] ** 2 + x[4] ** 2
-    f1 = x[1] * x[7] + x[3] * x[5]
-    f2 = x[2] * x[6]
-    f = f0 * (u1 * u3) - f1 * (u2 * u2) + f2 * (u1 * u1 + u3 * u3)
-    zero = ring.zero()
-    images = [zero, u1, u2, u3, zero, -u3, -u2, -u1] + [u1, u2, u3]
-    residues = []
-    perm11 = tuple((i - 1) % 8 for i in range(8)) + (8, 9, 10)
-    ones = [QQ.one] * 11
-    for _ in range(4):
-        residues.append(f.substitute(images, ring))
-        f = apply_variable_map(perm11, ones, f)
-    return residues
+    u = g[8:]
+    images = (*minus_plane_coords(ring.zero(), *u), *u)
+    return [f.substitute(images, ring) for f in shifted_quadrics(base_quadric(g, *u))]
 
 
 def point_on_variety(system: VarietySystem, v: ProjPoint) -> bool:
@@ -276,10 +282,9 @@ def named_intersection_points(y: MinusPlanePoint):
         (SHIFT**4) * (TWIST**4),
     ):
         w = g.act_on_point(embedded).coords
-        zero = y.field.zero
-        if w[0] != zero or w[4] != zero or w[1] + w[7] != zero or w[2] + w[6] != zero or w[3] + w[5] != zero:
+        if w != minus_plane_coords(y.field.zero, *w[1:4]):
             raise DegeneratePoint("group image left the minus plane")
-        out.append(MinusPlanePoint(y.field, w[1], w[2], w[3]))
+        out.append(MinusPlanePoint(y.field, *w[1:4]))
     return out
 
 
@@ -295,7 +300,7 @@ def sample_points(system: VarietySystem, p: int, n: int, seed: int):
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import kernels
 
-    if not is_prime(p) or p % 8 != 1:
+    if not is_prime_1_mod_8(p):
         raise BadPrime(f"p={p} is not a prime congruent to 1 mod 8")
     field = GF(p)
     sys_p = system if system.ring.field == field else system.to_field(field)
@@ -450,11 +455,9 @@ def odp_proxy_sweep(y: MinusPlanePoint) -> int:
 
 def restrict_to_minus_plane(q: SparsePoly) -> SparsePoly:
     """Restrict an 8-variable polynomial to the minus plane, in coordinates
-    (y1, y2, y3) via the embedding (0, y1, y2, y3, 0, -y3, -y2, -y1)."""
+    (y1, y2, y3) via minus_plane_coords."""
     ring = plane_ring(q.ring.field)
-    t1, t2, t3 = ring.gens()
-    zero = ring.zero()
-    return q.substitute([zero, t1, t2, t3, zero, -t3, -t2, -t1], ring)
+    return q.substitute(minus_plane_coords(ring.zero(), *ring.gens()), ring)
 
 
 def _trim(f: list) -> list:
@@ -531,7 +534,7 @@ def plane_zeros_mod_p(polys, p: int) -> list:
 def minus_plane_solutions_mod_p(y: MinusPlanePoint, p: int):
     """Exhaustively solve the restricted system on P²(GF(p)); returns the
     solution points and the reductions of the four named points."""
-    if not is_prime(p) or p % 8 != 1:
+    if not is_prime_1_mod_8(p):
         raise BadPrime(f"p={p} is not a prime congruent to 1 mod 8")
     field = GF(p)
     system = build_system(y)
@@ -607,9 +610,7 @@ def restrict_moore_to_minus_plane(m: PolyMatrix) -> PolyMatrix:
     """Substitute the minus-plane relations into the x-slot (y untouched)."""
     ring = m.ring
     g = ring.gens()
-    x, yv = g[:8], g[8:]
-    zero = ring.zero()
-    images = [zero, x[1], x[2], x[3], zero, -x[3], -x[2], -x[1]] + list(yv)
+    images = (*minus_plane_coords(ring.zero(), *g[1:4]), *g[8:])
     return m.map_entries(lambda q: q.substitute(images, ring))
 
 
@@ -697,9 +698,10 @@ def moore_minor_generators() -> tuple:
 
 
 def psi_quartic_target() -> SparsePoly:
-    """B⁴ − 8·A³·C − 8·A·C³ under the conic pullbacks: homogeneous of degree 8."""
-    a, b, c = conic_pullbacks(y_ring(), 0)
-    return b**4 - a**3 * c * 8 - a * c**3 * 8
+    """The plane quartic under the conic pullbacks (w0, w1, w2) ↦ (A, B, C),
+    B⁴ − 8·A³·C − 8·A·C³: homogeneous of degree 8."""
+    ring = y_ring()
+    return quartic_curve_poly().substitute(conic_pullbacks(ring, 0), ring)
 
 
 @lru_cache(maxsize=1)

@@ -92,16 +92,13 @@ class HeisenbergElement:
         """The inverse-substitution action on points of P⁷ (see module docstring)."""
         if len(v.coords) != 8:
             raise ZeroPoint("the group acts on points of P^7 (8 coordinates)")
-        inv = self.inverse()
+        perm, exps = self.inverse().substitution()
         field = v.field
-        coords = []
-        for i in range(8):
-            src = v.coords[(i - inv.a) % 8]
-            if not src:
-                coords.append(field.zero)
-                continue
-            k = (inv.c - i * inv.b) % 8
-            coords.append(src if k == 0 else field.root_of_unity(k) * src)
+        # a zero coordinate asks for no root of unity: QQ points rely on this
+        coords = [
+            src if k == 0 or not src else field.root_of_unity(k) * src
+            for src, k in zip((v.coords[j] for j in perm), exps)
+        ]
         return ProjPoint(field, coords)
 
     def __repr__(self):
@@ -196,15 +193,21 @@ def orbit(v: ProjPoint):
     """Distinct projective points of the group orbit (the center acts by
     scalars, so representatives shift^a twist^b suffice).  First-seen order.
 
-    Points are told apart by their canonical representatives, one per image
-    (over Q(zeta8) each costs a field inversion)."""
+    Points are told apart by their canonical representatives.  An image's
+    lead coordinate is ξ^k·v_j with v_j ≠ 0, so one inversion per nonzero
+    coordinate of v serves all 64 images."""
+    field = v.field
+    inverses = {j: field.one / c for j, c in enumerate(v.coords) if c}
     seen = set()
     out = []
     for a, b in itertools.product(range(8), repeat=2):
-        w = HeisenbergElement(a, b, 0).act_on_point(v)
-        key = w.canonical()
+        g = HeisenbergElement(a, b, 0)
+        w = g.act_on_point(v)
+        perm, exps = g.inverse().substitution()
+        i = next(i for i, c in enumerate(w.coords) if c)
+        inv = field.root_of_unity(-exps[i]) * inverses[perm[i]]
+        key = tuple(c * inv for c in w.coords)
         if key not in seen:
             seen.add(key)
             out.append(w)
     return out
-

@@ -296,6 +296,7 @@ def exterior_power(m: Matrix, k: int) -> Matrix:
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+_PAIR_INDEX = {p: k for k, p in enumerate(_PAIRS)}
 
 
 def _wedge_vv(v: int, w: int) -> int:
@@ -309,13 +310,12 @@ def _wedge_vv(v: int, w: int) -> int:
 
 def _wedge_vf(v: int, f: int) -> int:
     """Wedge of a vector with a 2-form, landing in the 4-dimensional space of 3-forms."""
-    pair_index = {p: k for k, p in enumerate(_PAIRS)}
     out = 0
     for idx, (i, j, k) in enumerate(_TRIPLES):
         c = (
-            ((v >> i) & 1) & ((f >> pair_index[(j, k)]) & 1)
-            ^ ((v >> j) & 1) & ((f >> pair_index[(i, k)]) & 1)
-            ^ ((v >> k) & 1) & ((f >> pair_index[(i, j)]) & 1)
+            ((v >> i) & 1) & ((f >> _PAIR_INDEX[(j, k)]) & 1)
+            ^ ((v >> j) & 1) & ((f >> _PAIR_INDEX[(i, k)]) & 1)
+            ^ ((v >> k) & 1) & ((f >> _PAIR_INDEX[(i, j)]) & 1)
         )
         if c:
             out |= 1 << idx
@@ -521,8 +521,8 @@ def sparse_solve_mod_p(rows, ncols: int, p: int):
     return x, cols
 
 
-# reference primes for the rational membership path; denominators occurring in
-# practice are powers of 2, so any odd prime here is usable
+# the prime ladder, also for replacing unlucky primes; denominators occurring
+# in practice are powers of 2, so any odd prime here is usable
 REFERENCE_PRIMES = (17, 41, 73, 89, 97, 113, 137, 193, 233, 241)
 
 
@@ -780,7 +780,7 @@ class MembershipProblem:
         cert = self._mod_certs[p] = self._finish(entries, GF(p).name, p)
         return cert
 
-    def solve_rational(self, reference_primes=REFERENCE_PRIMES) -> MembershipCertificate:
+    def solve_rational(self) -> MembershipCertificate:
         """Binding certificate over QQ.
 
         A reference-prime elimination proposes a column support (the
@@ -799,7 +799,7 @@ class MembershipProblem:
         if not self.target:
             return self._finish([], QQ.name, None)
         evidence = []
-        for p in reference_primes:
+        for p in REFERENCE_PRIMES:
             if p in self._mod_failures:
                 evidence.append(f"GF({p}): {self._mod_failures[p]}")
                 continue

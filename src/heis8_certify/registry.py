@@ -17,6 +17,7 @@ from .errors import CertifyError, NotInDegree, UnknownCheckId, UnluckyPrime
 from .exactmath import GF, QI8, QQ
 from .heisenberg import CENTRAL, SHIFT, TWIST, HeisenbergElement, center_and_quotient, enumerate_group
 from .linalg import (
+    REFERENCE_PRIMES,
     Matrix,
     exterior_power,
     smith_normal_form,
@@ -26,9 +27,6 @@ from .linalg import (
 from .report import FAIL, PASS, VERSION, CertificateResult, Report, RunConfig
 
 MONODROMY_MATRIX = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-
-# primes ≡ 1 mod 8 used to replace an unlucky configured prime
-PRIME_LADDER = (17, 41, 73, 89, 97, 113, 137, 193, 233, 241)
 
 SAMPLE_TRIALS = 10**6
 
@@ -205,10 +203,15 @@ def check_odp_proxy(cfg: RunConfig) -> CertificateResult:
     return _result("odp-proxy", ok, QI8.name, payload, seed=cfg.seed)
 
 
+def _replacement_primes(cfg: RunConfig) -> list:
+    """The ladder primes that may replace an unlucky configured prime, in order."""
+    return [q for q in REFERENCE_PRIMES if q not in cfg.primes]
+
+
 def _with_prime_ladder(cfg: RunConfig, fn):
     """Run fn(p) for the first configured prime, advancing on UnluckyPrime."""
     tried = []
-    for p in tuple(cfg.primes) + tuple(q for q in PRIME_LADDER if q not in cfg.primes):
+    for p in [*cfg.primes, *_replacement_primes(cfg)]:
         try:
             return fn(p), p
         except UnluckyPrime as exc:
@@ -220,7 +223,7 @@ def check_minus_plane(cfg: RunConfig) -> CertificateResult:
     y = geometry.MinusPlanePoint.rational(*cfg.base_point)
     payload = {}
     used = []
-    remaining = [q for q in PRIME_LADDER if q not in cfg.primes]
+    remaining = _replacement_primes(cfg)
     for p in cfg.primes:
         candidate = p
         while True:
@@ -427,16 +430,11 @@ def check_torsion(cfg: RunConfig) -> CertificateResult:
     )
 
 
-def check_debug_force_fail(cfg: RunConfig) -> CertificateResult:
-    return _result("debug-force-fail", False, "none", {"note": "intentional failure for exit-code tests"})
-
-
 @dataclass(frozen=True)
 class CheckSpec:
     id: str
     claim: str
     runner: object
-    hidden: bool = False
 
 
 REGISTRY = (
@@ -458,12 +456,7 @@ REGISTRY = (
     CheckSpec("unipotent-log", "log M = (M-I) - (M-I)^2/2, additive on commuting unipotent pairs", check_unipotent_log),
     CheckSpec("wedge-lemma", "for independent e1, e2 and any f outside span(e1^e2): e1^f or e2^f is nonzero over F2", check_wedge_lemma),
     CheckSpec("torsion-counting", "the 8-torsion of the rank-4 lattice has order 4096 and contains the 64-element section group", check_torsion),
-    CheckSpec("debug-force-fail", "intentionally failing check for exit-code tests", check_debug_force_fail, hidden=True),
 )
-
-
-def public_checks():
-    return tuple(spec for spec in REGISTRY if not spec.hidden)
 
 
 def known_ids():
@@ -480,7 +473,7 @@ def get_check(cid: str) -> CheckSpec:
 def selected_specs(config: RunConfig):
     """Specs for the selection, always in registry order."""
     if config.checks == ("all",):
-        return public_checks()
+        return REGISTRY
     wanted = {get_check(cid).id for cid in config.checks}
     return tuple(spec for spec in REGISTRY if spec.id in wanted)
 

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import InvalidPrime, InvalidSeed, UnknownCheckId, ZeroPoint
-from .exactmath import is_prime
+from .exactmath import is_prime_1_mod_8
 
 VERSION = "0.1.0"
 
@@ -68,7 +68,7 @@ class RunConfig:
 
 def validate_config(config: RunConfig, known_ids) -> None:
     for p in config.primes:
-        if p <= 2 or not is_prime(p) or p % 8 != 1:
+        if not is_prime_1_mod_8(p):
             raise InvalidPrime(f"prime {p} must be an odd prime congruent to 1 mod 8")
     if not (0 <= config.seed < 2**64):
         raise InvalidSeed(f"seed {config.seed} is not a 64-bit integer")

@@ -60,10 +60,16 @@ def test_zero_base_point_exits_2():
     assert out.returncode == 2
 
 
-def test_forced_failure_exits_1():
-    out = run_cli("verify", "--checks", "debug-force-fail")
-    assert out.returncode == 1
-    assert "FAIL" in out.stdout
+def test_forced_failure_exits_1(monkeypatch, capsys):
+    # the Smith normal form of 2·(8·I) has factors 16, so torsion-counting fails
+    from heis8_certify import cli, registry
+
+    real = registry.smith_normal_form
+    monkeypatch.setattr(
+        registry, "smith_normal_form", lambda mat: real([[2 * v for v in row] for row in mat])
+    )
+    assert cli.main(["verify", "--checks", "torsion-counting"]) == 1
+    assert "FAIL torsion-counting" in capsys.readouterr().out
 
 
 def test_verify_subset_passes_and_is_deterministic(tmp_path):

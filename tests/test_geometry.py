@@ -42,12 +42,45 @@ def test_build_system_quadrics_vanish_at_base():
 
 
 def test_f0_vanishes_on_minus_plane():
-    f0, _, _ = geo.standard_quadrics(QQ)
+    f0, _, _ = geo.standard_quadrics(geo.x_ring(QQ).gens())
     assert not f0.eval(Y123.embed().coords)
 
 
 def test_symbolic_base_identities_vanish():
     assert all(not r for r in geo.symbolic_base_identities())
+
+
+_small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+_plane_points = st.tuples(_small_fractions, _small_fractions, _small_fractions).filter(any)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_plane_points, _plane_points, st.lists(st.integers(-9, 9), min_size=13, max_size=13))
+def test_conventions_agree_at_random_plane_points(base, abc, other):
+    """The embedding, the base quadric and both minus-plane restrictions
+    describe one construction: restricting a polynomial and then evaluating
+    at (a, b, c) equals evaluating it at the embedded point."""
+    system = geo.build_system(geo.MinusPlanePoint.rational(*base))
+    embedded = geo.MinusPlanePoint.rational(*abc).embed().coords
+    for q in system.quadrics:
+        assert geo.restrict_to_minus_plane(q).eval(abc) == q.eval(embedded)
+
+    # the x-slot of the Moore restriction reads x1, x2, x3 only, y untouched
+    yv = other[5:]
+    full = geo.moore_matrix_full()
+    restricted = geo.restrict_moore_to_minus_plane(full)
+    x_any = [other[0], *abc, *other[1:5]]
+    for i in range(4):
+        for j in range(4):
+            assert restricted[i, j].eval(x_any + yv) == full[i, j].eval(list(embedded) + yv)
+
+    # the symbolic system of symbolic_base_identities, at u = base, is build_system's
+    ring = PolyRing(QQ, geo.X_NAMES + ("u1", "u2", "u3"))
+    g = ring.gens()
+    symbolic = geo.shifted_quadrics(geo.base_quadric(g, *g[8:]))
+    x_ring = system.ring
+    images = [*x_ring.gens(), *(x_ring.constant(c) for c in base)]
+    assert [f.substitute(images, x_ring) for f in symbolic] == list(system.quadrics)
 
 
 def test_jacobian_rank_three_at_base_point():
@@ -108,7 +141,8 @@ def test_group_transport_matches_the_explicit_orbit_loop():
     assert ranks.count(4) == 64 == geo.odp_proxy_sweep(Y123)
 
 
-def test_orbit_inverts_once_per_group_image_in_first_seen_order(monkeypatch):
+def test_orbit_inverts_once_per_nonzero_coordinate_in_first_seen_order(monkeypatch):
+    # (0 : 3 : 1 : 4 : 0 : -4 : -1 : -3) has six nonzero coordinates
     y = geo.MinusPlanePoint.rational(3, 1, 4)
     calls = []
     real = Cyclo.inverse
@@ -120,9 +154,9 @@ def test_orbit_inverts_once_per_group_image_in_first_seen_order(monkeypatch):
     monkeypatch.setattr(Cyclo, "inverse", counted)
     geo.orbit_of_base_point.cache_clear()
     orbit = geo.orbit_of_base_point(y)
-    assert len(calls) == 64
+    assert len(calls) == 6
     assert geo.orbit_of_base_point(y) is orbit  # memoized: no further inversions
-    assert len(calls) == 64
+    assert len(calls) == 6
     monkeypatch.undo()
     # the oracle: projective equality, images of shift^a twist^b in (a, b) order
     v = y.to_field(QI8).embed()
