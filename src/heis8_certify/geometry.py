@@ -25,7 +25,6 @@ regression-tested:
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -37,7 +36,7 @@ from .errors import (
     UnluckyPrime,
     ZeroPoint,
 )
-from .exactmath import GF, QI8, QQ, embed_cyclo_mod_p, find_order8_root, is_prime_1_mod_8
+from .exactmath import GF, QI8, QQ, is_prime_1_mod_8
 from .heisenberg import SHIFT, TWIST, HeisenbergElement, ProjPoint, orbit
 from .linalg import Matrix, MembershipProblem, graded_membership
 from .multipoly import (
@@ -288,85 +287,6 @@ def named_intersection_points(y: MinusPlanePoint):
     return out
 
 
-def sample_points(system: VarietySystem, p: int, n: int, seed: int):
-    """Rejection-sample projective GF(p) points on all four quadrics.
-
-    Returns (distinct projective points in draw order, raw hit count).
-    The array kernel, and numpy with it, is imported here, by the one
-    caller that needs it.  The kernel makes no BLAS call, so OpenBLAS is
-    asked for no worker threads (unless the caller chose a number): the
-    idle workers numpy starts otherwise cost CPU time while the run goes on.
-    """
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    from . import kernels
-
-    if not is_prime_1_mod_8(p):
-        raise BadPrime(f"p={p} is not a prime congruent to 1 mod 8")
-    field = GF(p)
-    sys_p = system if system.ring.field == field else system.to_field(field)
-    ti, tj, tc, offsets = [], [], [], [0]
-    for q in sys_p.quadrics:
-        for e, c in q.sorted_terms():
-            idx = [i for i in range(8) for _ in range(e[i])]
-            ti.append(idx[0])
-            tj.append(idx[1])
-            tc.append(c.value)
-        offsets.append(len(ti))
-    hits, rows = kernels.sample_quadric_points(ti, tj, tc, offsets, p, n, seed)
-    seen = set()
-    points = []
-    for row in rows:
-        pt = ProjPoint(field, [field.coerce(int(v)) for v in row])
-        if pt not in seen:
-            seen.add(pt)
-            points.append(pt)
-    return points, hits
-
-
-def orbit_mod_p(y: MinusPlanePoint, p: int):
-    """Reduction of the 64 orbit points mod p, both directly over GF(p) and
-    through the cyclotomic embedding; the two must agree."""
-    field = GF(p)
-    direct = orbit(y.to_field(field).embed())
-    root = find_order8_root(p)
-    lifted = orbit_of_base_point(y)
-    reduced = set()
-    for pt in lifted:
-        reduced.add(ProjPoint(field, [embed_cyclo_mod_p(c, p, root) for c in pt.coords]))
-    if reduced != set(direct):
-        raise UnluckyPrime(f"cyclotomic reduction of the orbit disagrees mod {p}")
-    return direct
-
-
-def off_orbit_sampling_check(y: MinusPlanePoint, p: int, n: int, seed: int) -> dict:
-    """Sampling corroboration that the singular locus is just the orbit:
-    every sampled rank-3 point must reduce into the orbit."""
-    field = GF(p)
-    sys_p = build_system(y.to_field(field))
-    points, hits = sample_points(sys_p, p, n, seed)
-    orb = orbit_mod_p(y, p)
-    if len(orb) != 64:
-        raise UnluckyPrime(f"orbit mod {p} has {len(orb)} points")
-    orbit_set = set(orb)
-    rank3 = 0
-    stray = 0
-    for pt in points:
-        if jacobian_rank_at(sys_p, pt) == 3:
-            rank3 += 1
-            if pt not in orbit_set:
-                stray += 1
-    if stray:
-        raise UnluckyPrime(f"{stray} rank-3 sample points mod {p} are off the orbit")
-    return {
-        "sample_prime": str(p),
-        "sample_trials": str(n),
-        "sample_hits": str(hits),
-        "sample_distinct": str(len(points)),
-        "sample_rank3": str(rank3),
-        "sample_rank3_off_orbit": "0",
-    }
-
-
 @lru_cache(maxsize=None)
 def quadric_span_images(y: MinusPlanePoint) -> tuple:
     """Where shift and twist send the four quadrics at y, over QQ(zeta8).
@@ -412,9 +332,11 @@ def odp_proxy_sweep(y: MinusPlanePoint) -> int:
     (c) over QQ, the Jacobian at v has rank 3 and the cone at v has rank 4
         (odp_normal_hessian_rank).
 
-    Raises DegeneratePoint when (a) or (c) fails (callers redraw).  Returns
-    64 when (b) holds; without it only the base point itself is certified,
-    and it returns 1.
+    Raises DegeneratePoint when (a) or (c) fails, and when y1·y3 = 0, where
+    the quadrics lose their squares and with them the leading terms that
+    singular.singular_scheme_mod_p counts with (callers redraw).  Returns 64 when (b)
+    holds; without it only the base point itself is certified, and it
+    returns 1.
 
     Why (a)–(c) certify all 64 points.  Let A be the matrix by which a group
     element acts on points, so the orbit is {A·v}, and q the column of the
@@ -438,6 +360,8 @@ def odp_proxy_sweep(y: MinusPlanePoint) -> int:
     Rank does not change under the field extension QQ ⊂ QQ(zeta8), where
     the orbit points live.
     """
+    if not y.y1 * y.y3:
+        raise DegeneratePoint(f"y1·y3 = 0 at {y}: the quadrics have no square terms")
     orb = orbit_of_base_point(y)
     if len(orb) != 64:
         raise DegeneratePoint(f"orbit of {y} has {len(orb)} points")
@@ -458,6 +382,14 @@ def restrict_to_minus_plane(q: SparsePoly) -> SparsePoly:
     (y1, y2, y3) via minus_plane_coords."""
     ring = plane_ring(q.ring.field)
     return q.substitute(minus_plane_coords(ring.zero(), *ring.gens()), ring)
+
+
+@lru_cache(maxsize=None)
+def minus_plane_conics(y: MinusPlanePoint) -> tuple:
+    """The four quadrics at y restricted to the minus plane, over y's field.
+    Memoized per point: each prime reduces them, and the exact membership
+    evaluates them."""
+    return tuple(restrict_to_minus_plane(q) for q in build_system(y).quadrics)
 
 
 def _trim(f: list) -> list:
@@ -537,10 +469,8 @@ def minus_plane_solutions_mod_p(y: MinusPlanePoint, p: int):
     if not is_prime_1_mod_8(p):
         raise BadPrime(f"p={p} is not a prime congruent to 1 mod 8")
     field = GF(p)
-    system = build_system(y)
-    conics = [restrict_to_minus_plane(q) for q in system.quadrics]
     ring_p = plane_ring(field)
-    conics_p = [c.map_coefficients(field.coerce, ring_p) for c in conics]
+    conics_p = [c.map_coefficients(field.coerce, ring_p) for c in minus_plane_conics(y)]
 
     solutions = {ProjPoint(field, pt) for pt in plane_zeros_mod_p(conics_p, p)}
 
@@ -557,8 +487,7 @@ def minus_plane_solutions_mod_p(y: MinusPlanePoint, p: int):
 
 def minus_plane_intersection_exact(y: MinusPlanePoint) -> bool:
     """The four named points satisfy the restricted system over the base field."""
-    system = build_system(y)
-    conics = [restrict_to_minus_plane(q) for q in system.quadrics]
+    conics = minus_plane_conics(y)
     for pt in named_intersection_points(y):
         if any(c.eval(pt.coords) for c in conics):
             return False

@@ -28,7 +28,7 @@ from .report import FAIL, PASS, VERSION, CertificateResult, Report, RunConfig
 
 MONODROMY_MATRIX = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
-SAMPLE_TRIALS = 10**6
+ORBIT_POINTS = 64
 
 
 def _result(cid, ok, field, payload, prime=None, seed=None):
@@ -175,7 +175,11 @@ def _two_generic_points(base_point, seed):
 
 
 def check_orbit_singular(cfg: RunConfig) -> CertificateResult:
-    evidence = {"orbit_size": "64", "rank3_points": "64", "base_cone_rank": "4"}
+    """The orbit evidence of both points, and at the first, a Hilbert-function
+    count bounding the length of the singular scheme by ORBIT_POINTS: with
+    the 64 distinct rank-3 orbit points, Sing(V) is the orbit, each point of
+    length 1."""
+    evidence = {"orbit_size": str(ORBIT_POINTS), "rank3_points": str(ORBIT_POINTS), "base_cone_rank": "4"}
     chosen, redraws = _two_generic_points(cfg.base_point, cfg.seed)
     payload = {"redraws": redraws}
     for idx, (y, data) in enumerate(chosen):
@@ -183,12 +187,11 @@ def check_orbit_singular(cfg: RunConfig) -> CertificateResult:
         payload[f"{tag}_point"] = ",".join(str(c) for c in y.coords)
         for k in evidence:
             payload[f"{tag}_{k}"] = data[k]
-    sample_payload, prime = _with_prime_ladder(
-        cfg,
-        lambda p: geometry.off_orbit_sampling_check(chosen[0][0], p, SAMPLE_TRIALS, cfg.seed),
-    )
-    payload.update(sample_payload)
-    ok = sample_payload["sample_rank3_off_orbit"] == "0" and all(
+    from . import singular  # only this check loads it
+
+    hilbert, prime = singular.singular_scheme_certificate(chosen[0][0], cfg.seed, ORBIT_POINTS)
+    payload.update(hilbert)
+    ok = hilbert.get("hilbert_deg7_bound") == str(ORBIT_POINTS) and all(
         data[k] == v for _y, data in chosen for k, v in evidence.items()
     )
     return _result("orbit-64-singular", ok, QI8.name, payload, prime=prime, seed=cfg.seed)
@@ -206,17 +209,6 @@ def check_odp_proxy(cfg: RunConfig) -> CertificateResult:
 def _replacement_primes(cfg: RunConfig) -> list:
     """The ladder primes that may replace an unlucky configured prime, in order."""
     return [q for q in REFERENCE_PRIMES if q not in cfg.primes]
-
-
-def _with_prime_ladder(cfg: RunConfig, fn):
-    """Run fn(p) for the first configured prime, advancing on UnluckyPrime."""
-    tried = []
-    for p in [*cfg.primes, *_replacement_primes(cfg)]:
-        try:
-            return fn(p), p
-        except UnluckyPrime as exc:
-            tried.append(f"{p}: {exc}")
-    raise CertifyError(f"all primes unlucky: {tried}")
 
 
 def check_minus_plane(cfg: RunConfig) -> CertificateResult:
@@ -444,7 +436,7 @@ REGISTRY = (
     CheckSpec("commutator-xi", "twist*shift = zeta8 * shift*twist; the commutator is the central zeta8", check_commutator),
     CheckSpec("ideal-invariance", "shift and twist map each quadric into the span of the four quadrics", check_ideal_invariance),
     CheckSpec("base-point-on-V", "the embedded base point satisfies all four quadrics, identically in the plane coordinates", check_base_point),
-    CheckSpec("orbit-64-singular", "the orbit of a general base point is 64 distinct rank-3 points of the intersection", check_orbit_singular),
+    CheckSpec("orbit-64-singular", "the singular locus at a general base point is exactly its 64-point orbit, each point of length 1", check_orbit_singular),
     CheckSpec("odp-proxy", "every orbit point is corank 1 with a rank-4 quadratic cone on the normal slice", check_odp_proxy),
     CheckSpec("minus-plane-4points", "the intersection with the minus plane is exactly the 4 distinguished points", check_minus_plane),
     CheckSpec("moore-skew", "the restricted Moore matrix matches the reference and is skew after swapping rows 1 and 3", check_moore_skew),

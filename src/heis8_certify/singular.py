@@ -1,0 +1,372 @@
+"""The singular scheme of V at a base point, bounded by one Hilbert-function
+count mod p (singular_scheme_mod_p).
+
+Polynomials mod p are dicts from packed monomials to residues.  A packed
+monomial holds the exponent of x_i in bits [4i, 4i+4); no degree here
+exceeds 7, so the key of a product of monomials is the sum of their keys.
+Rows of the count are packed too, a 40-bit field per column (PackedRankMod).
+
+Only orbit-64-singular uses this module, and it imports it when it runs:
+runs without that check neither load it nor, when no bytecode is cached,
+compile it, which keeps their peak memory where it was.
+"""
+from __future__ import annotations
+
+import itertools
+import random
+from fractions import Fraction
+from functools import lru_cache
+
+from .errors import BadSize, UnluckyPrime
+from .geometry import MinusPlanePoint, build_system
+from .multipoly import SparsePoly, grevlex_key
+
+PACKED_WIDTH = 40  # bits per column of a packed row: five bytes
+
+
+class PackedRankMod:
+    """Incremental rank mod p of rows packed into single integers.
+
+    A packed row holds column j in bits [40·j, 40·(j+1)) as a nonnegative
+    integer whose residue mod p is the entry (pack builds one).  Each pivot
+    row is reduced mod p, has 1 at its pivot column and exact zeros below it,
+    so eliminating one pivot from a row is one multiply-add on the whole
+    integer plus clearing the pivot field, and the next column to look at is
+    the lowest set bit.
+
+    Fields only grow: by less than p² per elimination, and a row meets at
+    most ncols pivots.  So the fields of added rows must stay below 2³⁹ and
+    ncols·p² below 2³⁹, which keeps every field inside its 40 bits.
+    """
+
+    def __init__(self, ncols: int, p: int):
+        if ncols * p * p >= 1 << (PACKED_WIDTH - 1):
+            raise BadSize(f"{ncols} packed columns mod {p} can overflow a {PACKED_WIDTH}-bit field")
+        self.ncols = ncols
+        self.p = p
+        self.pivots = {}  # pivot column -> its normalized packed row
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    @staticmethod
+    def pack(values) -> int:
+        """Pack nonnegative field values (each below 2³⁹), column 0 lowest."""
+        return int.from_bytes(b"".join(v.to_bytes(5, "little") for v in values), "little")
+
+    def add(self, row: int) -> bool:
+        """Reduce a packed row against the pivots; keep it as a new pivot row
+        (and return True) when it is independent of them mod p."""
+        p, pivots, mask = self.p, self.pivots, (1 << PACKED_WIDTH) - 1
+        while row:
+            col = ((row & -row).bit_length() - 1) // PACKED_WIDTH
+            shift = PACKED_WIDTH * col
+            field = (row >> shift) & mask
+            r = field % p
+            if r:
+                pivot = pivots.get(col)
+                if pivot is None:
+                    pivots[col] = self._normalize(row, col, r)
+                    return True
+                row += (p - r) * pivot  # the field at col becomes field + p − r ≡ 0
+                field += p - r
+            row -= field << shift
+        return False
+
+    def _normalize(self, row: int, col: int, lead: int) -> int:
+        """The row scaled to 1 at col, every field reduced mod p."""
+        p, inv = self.p, pow(lead, -1, self.p)
+        data = (row >> (PACKED_WIDTH * col)).to_bytes(5 * (self.ncols - col), "little")
+        fields = (int.from_bytes(data[i : i + 5], "little") * inv % p for i in range(0, len(data), 5))
+        return self.pack(fields) << (PACKED_WIDTH * col)
+
+
+HILBERT_PRIMES = (32713, 32633, 32609)  # the largest primes ≡ 1 mod 8 below 2¹⁵
+HILBERT_DEGREE = 7
+FINITENESS_DEGREE = 5
+HILBERT_ROW_SLACK = 16  # rows past the expected rank before a prime is called unlucky
+
+
+def _key(exps) -> int:
+    return sum(e << (4 * i) for i, e in enumerate(exps))
+
+
+def _exponents(key: int) -> tuple:
+    return tuple((key >> (4 * i)) & 15 for i in range(8))
+
+
+@lru_cache(maxsize=None)
+def _twist_weight(key: int) -> int:
+    """Σ i·e_i: the exponent of ξ⁻¹ by which twist scales the monomial."""
+    return sum(i * ((key >> (4 * i)) & 15) for i in range(1, 8))
+
+
+def _residue(c: Fraction, p: int) -> int:
+    if c.denominator % p == 0:
+        raise UnluckyPrime(f"a denominator vanishes mod {p}")
+    return c.numerator * pow(c.denominator, -1, p) % p
+
+
+def _packed_mod_p(poly: SparsePoly, p: int) -> dict:
+    out = {}
+    for e, c in poly.terms.items():
+        v = _residue(c, p)
+        if v:
+            out[_key(e)] = v
+    return out
+
+
+def _eval_mod_p(poly: dict, point, p: int) -> int:
+    powers = [[pow(c, e, p) for e in range(8)] for c in point]
+    acc = 0
+    for k, v in poly.items():
+        for i in range(8):
+            v *= powers[i][(k >> (4 * i)) & 15]
+        acc += v
+    return acc % p
+
+
+def _poly_mul(a: dict, b: dict, p: int) -> dict:
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            out[ka + kb] = out.get(ka + kb, 0) + va * vb
+    return {k: v % p for k, v in out.items() if v % p}
+
+
+def _partial(poly: dict, i: int, p: int) -> dict:
+    unit = 1 << (4 * i)
+    return {k - unit: v * ((k >> (4 * i)) & 15) % p for k, v in poly.items() if (k >> (4 * i)) & 15}
+
+
+def maximal_minors(rows, p: int) -> list:
+    """All maximal minors of a k×8 matrix of polynomials mod p, column sets
+    in lexicographic order, by Laplace expansion along the top row; every
+    minor of the lower rows is computed once."""
+    k = len(rows)
+    memo = {(): {0: 1}}  # columns -> the minor of the last len(columns) rows
+
+    def minor(cols):
+        out = memo.get(cols)
+        if out is None:
+            row = rows[k - len(cols)]
+            acc = {}
+            for m, j in enumerate(cols):
+                sign = -1 if m % 2 else 1
+                for key, v in _poly_mul(row[j], minor(cols[:m] + cols[m + 1 :]), p).items():
+                    acc[key] = acc.get(key, 0) + sign * v
+            out = memo[cols] = {key: v % p for key, v in acc.items() if v % p}
+        return out
+
+    return [minor(cols) for cols in itertools.combinations(range(8), k)]
+
+
+class QuadricQuotient:
+    """S/(four quadrics) over GF(p), for quadrics whose grevlex leading terms
+    are x0², x1², x2², x3² in some order.
+
+    Leading terms that are pairwise coprime make the quadrics a Gröbner
+    basis (Buchberger's first criterion), so the standard monomials, those
+    squarefree in x0 … x3, are a basis of every degree, and the normal form
+    of a monomial follows from the rewriting rules x_i² → −tail/lead
+    coefficient, memoized per monomial.  `high` lists the other variables
+    that occur.  Raises UnluckyPrime when the leading terms mod p are not
+    the four squares.
+    """
+
+    def __init__(self, quadrics, p: int, high=(4, 5, 6, 7)):
+        self.p = p
+        self.high = high
+        self.rules = {}
+        for q in quadrics:
+            lead = min(q, key=lambda k: grevlex_key(_exponents(k)))
+            i = next((i for i in range(4) if lead == 2 << (4 * i)), None)
+            if i is None or i in self.rules:
+                raise UnluckyPrime(f"the quadrics mod {p} do not lead with x0², x1², x2², x3²")
+            scale = p - pow(q[lead], -1, p)
+            self.rules[i] = [(k, v * scale % p) for k, v in q.items() if k != lead]
+        self._normal_forms = {}
+        self._standard = {}
+        self._blocks = {}
+
+    def normal_form(self, key: int) -> dict:
+        out = self._normal_forms.get(key)
+        if out is None:
+            p = self.p
+            i = next((i for i in range(4) if (key >> (4 * i)) & 15 >= 2), None)
+            if i is None:
+                out = {key: 1}
+            else:
+                base = key - (2 << (4 * i))
+                acc = {}
+                for t, c in self.rules[i]:
+                    for s, v in self.normal_form(base + t).items():
+                        acc[s] = acc.get(s, 0) + c * v
+                out = {s: v % p for s, v in acc.items() if v % p}
+            self._normal_forms[key] = out
+        return out
+
+    def standard(self, degree: int) -> list:
+        """The standard monomials of a degree."""
+        out = self._standard.get(degree)
+        if out is None:
+            out = self._standard[degree] = [
+                sum(1 << (4 * i) for i in (*low, *high))
+                for k in range(min(4, degree) + 1)
+                for low in itertools.combinations(range(4), k)
+                for high in itertools.combinations_with_replacement(self.high, degree - k)
+            ]
+        return out
+
+    def weight_blocks(self, degree: int, modulus: int) -> dict:
+        """The standard monomials of a degree by twist weight mod `modulus`."""
+        out = self._blocks.get((degree, modulus))
+        if out is None:
+            out = self._blocks[degree, modulus] = {w: [] for w in range(modulus)}
+            for s in self.standard(degree):
+                out[_twist_weight(s) % modulus].append(s)
+        return out
+
+    def block_rank(self, gens, degree: int, modulus: int, block: int, order=None, corank=0, slack=None):
+        """Rank mod p of the products generator × standard monomial in one
+        block of degree `degree` of the quotient: the standard monomials of
+        twist weight ≡ block mod `modulus`.  Returns (rank, columns, rows
+        reduced).
+
+        The rows are reduced in the order `order` shuffles them into (as
+        listed when it is None) until the rank reaches columns − corank,
+        when the rows run out, or once columns − corank + slack rows are
+        reduced, whichever comes first.  Every generator must be homogeneous
+        for the weight mod `modulus`.
+        """
+        p = self.p
+        cols = {s: j for j, s in enumerate(self.weight_blocks(degree, modulus)[block])}
+        rows = []
+        for g in gens:
+            if g:
+                lead = next(iter(g))
+                shifts = self.weight_blocks(degree - sum(_exponents(lead)), modulus)
+                rows += [(g, s) for s in shifts[(block - _twist_weight(lead)) % modulus]]
+        if order is not None:
+            order.shuffle(rows)
+        target = len(cols) - corank
+        budget = len(rows) if slack is None else target + slack
+        packed = {}
+
+        def packed_normal_form(key):
+            v = packed.get(key)
+            if v is None:
+                v = packed[key] = sum(c << (PACKED_WIDTH * cols[s]) for s, c in self.normal_form(key).items())
+            return v
+
+        if max(map(len, gens), default=0) * p * p >= 1 << (PACKED_WIDTH - 1):
+            raise BadSize("a generator has enough terms to overflow a packed field")
+        ranker = PackedRankMod(len(cols), p)
+        used = 0
+        for g, s in rows[:budget]:
+            if ranker.rank >= target:
+                break
+            used += 1
+            ranker.add(sum(c * packed_normal_form(t + s) for t, c in g.items()))
+        return ranker.rank, len(cols), used
+
+
+def singular_ideal_mod_p(y: MinusPlanePoint, p: int):
+    """The quadrics at y mod p and the maximal minors of their Jacobian:
+    generators of the ideal of the singular scheme of V."""
+    quadrics = [_packed_mod_p(q, p) for q in build_system(y).quadrics]
+    jacobian = [[_partial(q, j, p) for j in range(8)] for q in quadrics]
+    return quadrics, maximal_minors(jacobian, p)
+
+
+def finiteness_form_coefficient(rng: random.Random, p: int) -> int:
+    """c in the linear form ℓ = x4 + c·x6, drawn from the run's seed."""
+    return rng.randrange(1, p)
+
+
+def _eliminate_x4(poly: dict, c: int, p: int) -> dict:
+    """poly with x4 ↦ −c·x6: its image in S/(x4 + c·x6)."""
+    out = {}
+    for k, v in poly.items():
+        e = (k >> 16) & 15
+        if e:
+            k += e * ((1 << 24) - (1 << 16))
+            v = v * pow(-c, e, p)
+        out[k] = out.get(k, 0) + v
+    return {k: v % p for k, v in out.items() if v % p}
+
+
+def singular_scheme_mod_p(y: MinusPlanePoint, p: int, seed, points: int) -> dict:
+    """At one prime, that the singular scheme of V at y is finite and has
+    length at most `points` (a multiple of 8); raises UnluckyPrime when the
+    prime does not show both.
+
+    I = (quadrics, maximal minors of the Jacobian) cuts out the singular
+    scheme, and R = S/(quadrics) has the standard monomials as a basis
+    (QuadricQuotient), over QQ and mod p alike, as the leading terms are
+    the same when p leaves their coefficient y1·y3 alone.
+
+    (b) Degree 7.  The products minor × standard cubic in the weight-0 block
+        of R_7 are reduced mod p, in an order drawn from the seed, until the
+        rank reaches columns − points/8; a prime still short of it
+        HILBERT_ROW_SLACK rows later is unlucky.  A rank mod p bounds the
+        rank over QQ from below, so dim (S/I)_7 has at most points/8 in
+        weight 0 over QQ.  Shift permutes the variables and maps the span of
+        the quadrics onto itself (quadric_span_images), so it maps I onto
+        itself and block w onto block w − 7; 7 is prime to 8, so every block
+        has the same dimension and HF(S/I, 7) ≤ points.
+    (a) Finiteness.  With ℓ = x4 + c·x6, the products minor × standard
+        linear form fill both parity blocks of (R/ℓR)_5 mod p, hence over
+        QQ: (I + ℓ)_5 = S_5, so V(I) misses the hyperplane ℓ = 0 and is
+        finite.  Multiplication by ℓ then maps (S/I)_{d−1} onto (S/I)_d for
+        d ≥ 5, so HF(S/I, d) does not increase from degree 4 on and
+        HF(S/I, 7) is at least the length of the scheme.
+    So the singular scheme has length at most `points`.  No row count is
+    capped in (a): dependent rows are common there.
+
+    The minors must also vanish at the base point mod p, as the reductions
+    of minors that vanish there over QQ (the orbit evidence): this ties the
+    count to the ideal whose zeros the orbit points are.
+    """
+    rng = random.Random(f"{seed}/{p}")
+    quadrics, minors = singular_ideal_mod_p(y, p)
+    base = [_residue(c, p) for c in y.embed().coords]
+    if any(_eval_mod_p(m, base, p) for m in minors):
+        raise UnluckyPrime(f"a minor does not vanish at the base point mod {p}")
+    rank, ncols, rows = QuadricQuotient(quadrics, p).block_rank(
+        minors, HILBERT_DEGREE, 8, 0, order=rng, corank=points // 8, slack=HILBERT_ROW_SLACK
+    )
+    if rank < ncols - points // 8:
+        raise UnluckyPrime(
+            f"degree-{HILBERT_DEGREE} weight-0 rank {rank}/{ncols} after {rows} rows mod {p}, "
+            f"{ncols - points // 8} needed"
+        )
+    c = finiteness_form_coefficient(rng, p)
+    cut = QuadricQuotient([_eliminate_x4(q, c, p) for q in quadrics], p, high=(5, 6, 7))
+    cut_minors = [_eliminate_x4(m, c, p) for m in minors]
+    spans = [cut.block_rank(cut_minors, FINITENESS_DEGREE, 2, parity) for parity in (0, 1)]
+    if any(r < n for r, n, _ in spans):
+        ranks = ", ".join(f"{r}/{n}" for r, n, _ in spans)
+        raise UnluckyPrime(f"x4+{c}*x6 leaves degree-{FINITENESS_DEGREE} ranks {ranks} mod {p}")
+    return {
+        "hilbert_prime": str(p),
+        "hilbert_linear_form": f"x4+{c}*x6",
+        "hilbert_deg5_mod_form_rank": ",".join(f"{r}/{n}" for r, n, _ in spans),
+        "hilbert_deg7_block0_rank": f"{rank}/{ncols}",
+        "hilbert_deg7_block0_rows": str(rows),
+        "hilbert_deg7_bound": str(8 * (ncols - rank)),
+    }
+
+
+def singular_scheme_certificate(y: MinusPlanePoint, seed, points: int):
+    """singular_scheme_mod_p at the first HILBERT_PRIMES prime that is not
+    unlucky.  Returns (payload, prime), prime None when every one was."""
+    payload = {}
+    for p in HILBERT_PRIMES:
+        try:
+            payload.update(singular_scheme_mod_p(y, p, seed, points))
+            return payload, p
+        except UnluckyPrime as exc:
+            payload[f"hilbert_unlucky_{p}"] = str(exc)
+    return payload, None

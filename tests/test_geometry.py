@@ -1,5 +1,5 @@
-"""The quadric system, Moore pipeline, minus-plane intersection, sampling,
-membership instance, plane quartic, and topology numbers."""
+"""The quadric system, Moore pipeline, minus-plane intersection, membership
+instance, plane quartic, and topology numbers."""
 import itertools
 import random
 from fractions import Fraction
@@ -16,8 +16,8 @@ from heis8_certify.errors import (
     PointNotOnVariety,
     ZeroPoint,
 )
-from heis8_certify.exactmath import GF, QI8, QQ, Cyclo
-from heis8_certify.heisenberg import HeisenbergElement, ProjPoint
+from heis8_certify.exactmath import GF, QI8, QQ, Cyclo, embed_cyclo_mod_p, find_order8_root
+from heis8_certify.heisenberg import HeisenbergElement, ProjPoint, orbit
 from heis8_certify.linalg import monomials_of_degree, replay_certificate
 from heis8_certify.multipoly import PolyRing
 
@@ -95,13 +95,36 @@ def test_jacobian_rank_rejects_off_variety_points():
         geo.jacobian_rank_at(system, v)
 
 
+def _orbit_mod_p(y, p):
+    """The exact QQ(zeta8) orbit of y, reduced mod p."""
+    root = find_order8_root(p)
+    field = GF(p)
+    return {
+        ProjPoint(field, [embed_cyclo_mod_p(c, p, root) for c in pt.coords])
+        for pt in geo.orbit_of_base_point(y)
+    }
+
+
 def test_jacobian_rank_four_at_smooth_sample_points():
+    # points of V over GF(17) from the array sampler, kept as a test reference;
     # rejection density is n/p^4, so p = 17 keeps the draw count practical
+    from heis8_certify.kernels import sample_quadric_points
+
     p = 17
-    system = geo.build_system(Y123.to_field(GF(p)))
-    points, _hits = geo.sample_points(system, p, 10**6, seed=5)
+    field = GF(p)
+    system = geo.build_system(Y123.to_field(field))
+    ti, tj, tc, offsets = [], [], [], [0]
+    for q in system.quadrics:
+        for e, c in q.sorted_terms():
+            i, j = [v for v in range(8) for _ in range(e[v])]
+            ti.append(i)
+            tj.append(j)
+            tc.append(c.value)
+        offsets.append(len(ti))
+    _hits, rows = sample_quadric_points(ti, tj, tc, offsets, p, 10**6, 5)
+    points = {ProjPoint(field, [int(v) for v in row]) for row in rows}
     assert points
-    orbit_set = set(geo.orbit_mod_p(Y123, p))
+    orbit_set = _orbit_mod_p(Y123, p)
     smooth_seen = 0
     for pt in points:
         r = geo.jacobian_rank_at(system, pt)
@@ -308,25 +331,12 @@ def test_minus_plane_unlucky_prime_when_named_points_collide():
     assert payload["solutions_mod_41"] == "4"
 
 
-def test_sample_points_frozen_count():
-    system = geo.build_system(Y123.to_field(GF(17)))
-    points, hits = geo.sample_points(system, 17, 10**6, seed=42)
-    # deterministic counter RNG: the exact count is reproducible; the scale
-    # matches the expected density n/p^4 ≈ 12 at Poisson tolerance
-    assert hits == 19
-    assert len(points) == 19
-    for pt in points:
-        assert all(not q.eval(pt.coords) for q in system.quadrics)
-
-
-def test_off_orbit_sampling_clean():
-    payload = geo.off_orbit_sampling_check(Y123, 17, 10**6, 42)
-    assert payload["sample_rank3_off_orbit"] == "0"
-
-
 def test_orbit_mod_p_agrees_with_cyclotomic_reduction():
-    assert len(geo.orbit_mod_p(Y123, 17)) == 64
-    assert len(geo.orbit_mod_p(Y123, 41)) == 64
+    # the exact orbit reduces to the orbit computed over GF(p) itself
+    for p in (17, 41):
+        direct = set(orbit(Y123.to_field(GF(p)).embed()))
+        assert _orbit_mod_p(Y123, p) == direct
+        assert len(direct) == 64
 
 
 # --- Moore pipeline ----------------------------------------------------------

@@ -1,14 +1,15 @@
 """Check verdicts come from recorded evidence: the group-order closure uses the
 generators, the two orbit checks share one base-point certificate per point,
-and a defect (in the orbit evidence, a ψ certificate or the quartic) gives
-FAIL with exit code 1 and no crash."""
+and a defect (in the orbit evidence, the singular-scheme count, a ψ
+certificate or the quartic) gives FAIL with exit code 1 and no crash."""
 import dataclasses
 import json
 
 import pytest
 
-from heis8_certify import cli, geometry, linalg, registry
-from heis8_certify.heisenberg import SHIFT, HeisenbergElement
+from heis8_certify import cli, geometry, linalg, registry, singular
+from heis8_certify.exactmath import GF
+from heis8_certify.heisenberg import SHIFT, HeisenbergElement, orbit
 from heis8_certify.linalg import MembershipProblem
 from heis8_certify.multipoly import grevlex_key
 from heis8_certify.report import FAIL, PASS, RunConfig
@@ -18,7 +19,12 @@ ORBIT_CHECKS = ("orbit-64-singular", "odp-proxy")
 
 @pytest.fixture(autouse=True)
 def fresh_orbit_memo():
-    memos = (registry._two_generic_points, geometry.quadric_span_images, geometry.orbit_of_base_point)
+    memos = (
+        registry._two_generic_points,
+        geometry.quadric_span_images,
+        geometry.orbit_of_base_point,
+        geometry.minus_plane_conics,
+    )
     for memo in memos:
         memo.cache_clear()
     yield
@@ -64,14 +70,25 @@ def test_orbit_sweep_runs_once_per_point_and_payload_is_unchanged(monkeypatch):
         "y1_orbit_size": "64",
         "y1_rank3_points": "64",
         "y1_base_cone_rank": "4",
-        "sample_prime": "17",
-        "sample_trials": "1000000",
-        "sample_hits": "19",
-        "sample_distinct": "19",
-        "sample_rank3": "0",
-        "sample_rank3_off_orbit": "0",
+        "hilbert_prime": "32713",
+        "hilbert_linear_form": "x4+9382*x6",
+        "hilbert_deg5_mod_form_rank": "84/84,84/84",
+        "hilbert_deg7_block0_rank": "111/119",
+        "hilbert_deg7_block0_rows": "111",
+        "hilbert_deg7_bound": "64",
     }
+    assert orbit.prime == 32713
     assert odp.payload == {"y0_cone_rank4": "64/64", "y1_cone_rank4": "64/64"}
+
+
+def test_minus_plane_restricts_the_system_once_per_point(monkeypatch):
+    builds = []
+    real = geometry.build_system
+    monkeypatch.setattr(geometry, "build_system", lambda y: builds.append(y.coords) or real(y))
+    result = registry.check_minus_plane(RunConfig())
+    assert result.status == PASS
+    assert builds == [(1, 2, 3)]  # three primes and the exact membership share it
+    assert result.payload["primes_used"] == "17,41,73"
 
 
 def test_degenerate_base_points_redraw_to_the_fixed_witnesses():
@@ -102,9 +119,20 @@ def _orbit_data_with(**defect):
     return mutate
 
 
-def _sample_off_orbit(monkeypatch):
-    fake = lambda y, p, n, seed: {"sample_prime": str(p), "sample_rank3_off_orbit": "1"}
-    monkeypatch.setattr(geometry, "off_orbit_sampling_check", fake)
+def _minors_of_three_quadrics(monkeypatch):
+    # the first three quadrics' Jacobian has rank < 3 on a positive-dimensional locus
+    real = singular.maximal_minors
+    monkeypatch.setattr(singular, "maximal_minors", lambda rows, p: real(rows[:3], p))
+
+
+def _form_through_an_orbit_point(monkeypatch):
+    # ℓ = x4 + c·x6 through an orbit point of the default base point mod p
+    def through_orbit(rng, p):
+        y = geometry.MinusPlanePoint.rational(*RunConfig().base_point).to_field(GF(p))
+        v = next(v for v in orbit(y.embed()) if v.coords[4] and v.coords[6]).coords
+        return (-v[4] / v[6]).value
+
+    monkeypatch.setattr(singular, "finiteness_form_coefficient", through_orbit)
 
 
 @pytest.mark.parametrize(
@@ -119,9 +147,16 @@ def _sample_off_orbit(monkeypatch):
             _orbit_data_with(orbit_size="63", rank3_points="63", cone_rank4=63),
             {"orbit-64-singular": FAIL, "odp-proxy": FAIL},
         ),
-        (_sample_off_orbit, {"orbit-64-singular": FAIL, "odp-proxy": PASS}),
+        (_minors_of_three_quadrics, {"orbit-64-singular": FAIL, "odp-proxy": PASS}),
+        (_form_through_an_orbit_point, {"orbit-64-singular": FAIL, "odp-proxy": PASS}),
     ],
-    ids=["image-not-in-span", "base-cone-rank-3", "63-point-orbit", "rank3-sample-off-orbit"],
+    ids=[
+        "image-not-in-span",
+        "base-cone-rank-3",
+        "63-point-orbit",
+        "minors-of-three-quadrics",
+        "form-through-orbit-point",
+    ],
 )
 def test_orbit_defect_fails_and_exits_1(monkeypatch, tmp_path, capsys, mutate, expected):
     mutate(monkeypatch)
