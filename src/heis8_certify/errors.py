@@ -105,6 +105,10 @@ class UnknownCheckId(CertifyError):
     pass
 
 
+class EmptySelection(CertifyError):
+    pass
+
+
 class InvalidPrime(CertifyError):
     pass
 

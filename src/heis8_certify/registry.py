@@ -144,11 +144,10 @@ def check_base_point(cfg: RunConfig) -> CertificateResult:
 
 
 def _candidate_base_points(base_point, seed):
-    """The configured point, a fixed second witness, then seeded redraws."""
+    """The configured point, the fixed witness (3, 1, 4), then seeded redraws."""
     yield base_point
-    for fixed in ((3, 1, 4), (2, 5, 1)):
-        if fixed != base_point:
-            yield fixed
+    if base_point != (3, 1, 4):
+        yield (3, 1, 4)
     rng = random.Random(seed)
     for _ in range(16):
         cand = tuple(rng.randint(-10, 10) for _ in range(3))
@@ -157,53 +156,65 @@ def _candidate_base_points(base_point, seed):
 
 
 @lru_cache(maxsize=1)
-def _two_generic_points(base_point, seed):
-    """First two candidate base points that pass the orbit gauntlet, and the redraw count (memoized)."""
-    chosen = []
+def _generic_point(base_point, seed):
+    """(y, orbit data, rejections) for the first candidate base point that
+    passes the orbit gauntlet (memoized); y and data are None when every
+    candidate is rejected."""
     rejected = []
     for cand in _candidate_base_points(base_point, seed):
         y = geometry.MinusPlanePoint.rational(*cand)
         try:
-            data = geometry.orbit_singularity_data(y)
+            return y, geometry.orbit_singularity_data(y), tuple(rejected)
         except CertifyError as exc:
-            rejected.append(f"{cand}: {exc}")
-            continue
-        chosen.append((y, data))
-        if len(chosen) == 2:
-            return tuple(chosen), len(rejected)
-    raise CertifyError(f"could not find two generic base points; rejected: {rejected}")
+            rejected.append(f"{','.join(map(str, cand))}: {exc}")
+    return None, None, tuple(rejected)
 
 
 def check_orbit_singular(cfg: RunConfig) -> CertificateResult:
-    """The orbit evidence of both points, and at the first, a Hilbert-function
+    """The orbit evidence at one base point y, and there a Hilbert-function
     count bounding the length of the singular scheme by ORBIT_POINTS: with
     the 64 distinct rank-3 orbit points, Sing(V) is the orbit, each point of
-    length 1."""
-    evidence = {"orbit_size": str(ORBIT_POINTS), "rank3_points": str(ORBIT_POINTS), "base_cone_rank": "4"}
-    chosen, redraws = _two_generic_points(cfg.base_point, cfg.seed)
-    payload = {"redraws": redraws}
-    for idx, (y, data) in enumerate(chosen):
-        tag = f"y{idx}"
-        payload[f"{tag}_point"] = ",".join(str(c) for c in y.coords)
-        for k in evidence:
-            payload[f"{tag}_{k}"] = data[k]
+    length 1.
+
+    Why one base point proves the claim for a general y. Every certificate
+    taken at y is an open condition in y: the 64 orbit points are distinct
+    (their coordinate differences are nonzero), the Jacobian has rank 3 and
+    the cone rank 4, and the Hilbert count's rows reach their ranks mod p.
+    Each rank bound is a nonzero minor. Full rank mod p gives full rank over
+    Q, because a minor that is nonzero mod p is a nonzero integer. The minor
+    is a polynomial in (y1, y2, y3), so full rank at one y gives full rank
+    on the Zariski-open set where it does not vanish, which is dense because
+    it is not empty. Span invariance is an identity in y: shift permutes the
+    four quadrics (shift⁴ f = f) and twist scales each. That v(y) lies on V
+    is the identity base-point-on-V checks. So the certificates at one
+    rational point hold for a general y, and a second point proves nothing
+    more.
+
+    When every candidate is rejected, no point is certified: FAIL, with the
+    rejections recorded.
+    """
+    y, data, rejected = _generic_point(cfg.base_point, cfg.seed)
+    payload = {"redraws": len(rejected)}
+    if y is None:
+        payload["rejected"] = "; ".join(rejected)
+        return _result("orbit-64-singular", False, QI8.name, payload, seed=cfg.seed)
+    payload["y0_point"] = ",".join(str(c) for c in y.coords)
+    for k in ("orbit_size", "rank3_points", "base_cone_rank"):
+        payload[f"y0_{k}"] = data[k]
     from . import singular  # only this check loads it
 
-    hilbert, prime = singular.singular_scheme_certificate(chosen[0][0], cfg.seed, ORBIT_POINTS)
+    hilbert, prime = singular.singular_scheme_certificate(y, cfg.seed, ORBIT_POINTS)
     payload.update(hilbert)
-    ok = hilbert.get("hilbert_deg7_bound") == str(ORBIT_POINTS) and all(
-        data[k] == v for _y, data in chosen for k, v in evidence.items()
-    )
+    ok = data["cone_rank4"] == ORBIT_POINTS and hilbert.get("hilbert_deg7_bound") == str(ORBIT_POINTS)
     return _result("orbit-64-singular", ok, QI8.name, payload, prime=prime, seed=cfg.seed)
 
 
 def check_odp_proxy(cfg: RunConfig) -> CertificateResult:
-    chosen, _ = _two_generic_points(cfg.base_point, cfg.seed)
-    payload = {}
-    for idx, (_y, data) in enumerate(chosen):
-        payload[f"y{idx}_cone_rank4"] = f"{data['cone_rank4']}/64"
-    ok = all(data["cone_rank4"] == 64 for _y, data in chosen)
-    return _result("odp-proxy", ok, QI8.name, payload, seed=cfg.seed)
+    y, data, rejected = _generic_point(cfg.base_point, cfg.seed)
+    if y is None:
+        return _result("odp-proxy", False, QI8.name, {"rejected": "; ".join(rejected)}, seed=cfg.seed)
+    ok = data["cone_rank4"] == ORBIT_POINTS
+    return _result("odp-proxy", ok, QI8.name, {"y0_cone_rank4": f"{data['cone_rank4']}/64"}, seed=cfg.seed)
 
 
 def _replacement_primes(cfg: RunConfig) -> list:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import InvalidPrime, InvalidSeed, UnknownCheckId, ZeroPoint
+from .errors import EmptySelection, InvalidPrime, InvalidSeed, UnknownCheckId, ZeroPoint
 from .exactmath import is_prime_1_mod_8
 
 VERSION = "0.1.0"
@@ -67,11 +67,18 @@ class RunConfig:
 
 
 def validate_config(config: RunConfig, known_ids) -> None:
+    """Raise on a configuration that is malformed or would certify nothing."""
+    if not config.primes:
+        raise InvalidPrime("no primes given")
     for p in config.primes:
         if not is_prime_1_mod_8(p):
             raise InvalidPrime(f"prime {p} must be an odd prime congruent to 1 mod 8")
+    if len(set(config.primes)) != len(config.primes):
+        raise InvalidPrime(f"primes {list(config.primes)} repeat a prime")
     if not (0 <= config.seed < 2**64):
         raise InvalidSeed(f"seed {config.seed} is not a 64-bit integer")
+    if not config.checks:
+        raise EmptySelection("no checks selected")
     if config.checks != ("all",):
         for cid in config.checks:
             if cid not in known_ids:

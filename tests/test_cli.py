@@ -60,6 +60,24 @@ def test_zero_base_point_exits_2():
     assert out.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "flags, error",
+    [
+        (("--checks", ","), "EmptySelection"),
+        (("--primes=", "--fast"), "InvalidPrime"),
+        (("--primes", "17,17"), "InvalidPrime"),
+    ],
+    ids=["no-checks", "no-primes", "repeated-prime"],
+)
+def test_config_that_certifies_nothing_exits_2(capsys, flags, error):
+    from heis8_certify import cli
+
+    assert cli.main(["verify", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"configuration error: {error}" in err
+
+
 def test_forced_failure_exits_1(monkeypatch, capsys):
     # the Smith normal form of 2·(8·I) has factors 16, so torsion-counting fails
     from heis8_certify import cli, registry

@@ -1,7 +1,9 @@
 """Check verdicts come from recorded evidence: the group-order closure uses the
-generators, the two orbit checks share one base-point certificate per point,
-and a defect (in the orbit evidence, the singular-scheme count, a ψ
-certificate or the quartic) gives FAIL with exit code 1 and no crash."""
+generators, the two orbit checks share the certificate of one base point, and
+a defect (in the orbit evidence, the singular-scheme count, a ψ certificate or
+the quartic) gives FAIL with exit code 1 and no crash.  A defect that rejects
+every candidate base point leaves no point certified: both orbit checks FAIL
+and record the rejections."""
 import dataclasses
 import json
 
@@ -20,7 +22,7 @@ ORBIT_CHECKS = ("orbit-64-singular", "odp-proxy")
 @pytest.fixture(autouse=True)
 def fresh_orbit_memo():
     memos = (
-        registry._two_generic_points,
+        registry._generic_point,
         geometry.quadric_span_images,
         geometry.orbit_of_base_point,
         geometry.minus_plane_conics,
@@ -57,7 +59,7 @@ def test_orbit_sweep_runs_once_per_point_and_payload_is_unchanged(monkeypatch):
 
     monkeypatch.setattr(geometry, "orbit_singularity_data", counted)
     report = registry.run_checks(RunConfig(checks=ORBIT_CHECKS))
-    assert len(calls) == 2
+    assert calls == [(1, 2, 3)]
     orbit, odp = report.results
     assert (orbit.status, odp.status) == (PASS, PASS)
     assert orbit.payload == {
@@ -66,10 +68,6 @@ def test_orbit_sweep_runs_once_per_point_and_payload_is_unchanged(monkeypatch):
         "y0_orbit_size": "64",
         "y0_rank3_points": "64",
         "y0_base_cone_rank": "4",
-        "y1_point": "3,1,4",
-        "y1_orbit_size": "64",
-        "y1_rank3_points": "64",
-        "y1_base_cone_rank": "4",
         "hilbert_prime": "32713",
         "hilbert_linear_form": "x4+9382*x6",
         "hilbert_deg5_mod_form_rank": "84/84,84/84",
@@ -78,7 +76,7 @@ def test_orbit_sweep_runs_once_per_point_and_payload_is_unchanged(monkeypatch):
         "hilbert_deg7_bound": "64",
     }
     assert orbit.prime == 32713
-    assert odp.payload == {"y0_cone_rank4": "64/64", "y1_cone_rank4": "64/64"}
+    assert odp.payload == {"y0_cone_rank4": "64/64"}
 
 
 def test_minus_plane_restricts_the_system_once_per_point(monkeypatch):
@@ -94,11 +92,11 @@ def test_minus_plane_restricts_the_system_once_per_point(monkeypatch):
 def test_degenerate_base_points_redraw_to_the_fixed_witnesses():
     # y2 = 0 halves the orbit to 32 points: the configured point is redrawn
     for base_point in ((1, 0, 2), (-3, 0, -2)):
-        chosen, redraws = registry._two_generic_points(base_point, 42)
-        assert [y.coords for y, _data in chosen] == [(3, 1, 4), (2, 5, 1)]
-        assert redraws == 1
-        for _y, data in chosen:
-            assert data == {"orbit_size": "64", "rank3_points": "64", "base_cone_rank": "4", "cone_rank4": 64}
+        y, data, rejected = registry._generic_point(base_point, 42)
+        assert y.coords == (3, 1, 4)
+        assert len(rejected) == 1
+        assert rejected[0].startswith(",".join(map(str, base_point)) + ": ")
+        assert data == {"orbit_size": "64", "rank3_points": "64", "base_cone_rank": "4", "cone_rank4": 64}
 
 
 def _image_off_the_span(monkeypatch):
@@ -117,6 +115,15 @@ def _orbit_data_with(**defect):
         monkeypatch.setattr(geometry, "orbit_singularity_data", lambda y: {**real(y), **defect})
 
     return mutate
+
+
+def _cone_rank_3(monkeypatch):
+    monkeypatch.setattr(geometry, "odp_normal_hessian_rank", lambda system, v: 3)
+
+
+def _orbit_missing_a_point(monkeypatch):
+    real = geometry.orbit_of_base_point
+    monkeypatch.setattr(geometry, "orbit_of_base_point", lambda y: real(y)[:-1])
 
 
 def _minors_of_three_quadrics(monkeypatch):
@@ -149,6 +156,8 @@ def _form_through_an_orbit_point(monkeypatch):
         ),
         (_minors_of_three_quadrics, {"orbit-64-singular": FAIL, "odp-proxy": PASS}),
         (_form_through_an_orbit_point, {"orbit-64-singular": FAIL, "odp-proxy": PASS}),
+        (_cone_rank_3, {"orbit-64-singular": FAIL, "odp-proxy": FAIL}),
+        (_orbit_missing_a_point, {"orbit-64-singular": FAIL, "odp-proxy": FAIL}),
     ],
     ids=[
         "image-not-in-span",
@@ -156,6 +165,8 @@ def _form_through_an_orbit_point(monkeypatch):
         "63-point-orbit",
         "minors-of-three-quadrics",
         "form-through-orbit-point",
+        "source-cone-rank-3",
+        "source-orbit-missing-a-point",
     ],
 )
 def test_orbit_defect_fails_and_exits_1(monkeypatch, tmp_path, capsys, mutate, expected):
@@ -166,8 +177,18 @@ def test_orbit_defect_fails_and_exits_1(monkeypatch, tmp_path, capsys, mutate, e
     results = json.loads(out.read_text())["results"]
     assert {r["id"]: r["status"] for r in results} == expected
     for r in results:
+        assert r["field"] == "QQ(zeta8)"
         assert "error" not in r["payload"]
     assert "FAIL" in capsys.readouterr().out
+    if mutate in (_cone_rank_3, _orbit_missing_a_point):
+        # every candidate is rejected at the source: no point is certified
+        candidates = list(registry._candidate_base_points((1, 2, 3), 42))
+        for r in results:
+            rejected = r["payload"]["rejected"].split("; ")
+            assert [entry.split(": ")[0] for entry in rejected] == [
+                ",".join(map(str, c)) for c in candidates
+            ]
+            assert not any(k.startswith("y0_") or k.startswith("hilbert_") for k in r["payload"])
 
 
 def _verify_fails(tmp_path, capsys, check_id, *flags):
