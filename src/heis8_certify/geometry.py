@@ -46,7 +46,6 @@ from .multipoly import (
     TruncatedSeries,
     apply_variable_map,
     ci_invariants,
-    grevlex_key,
     pfaffian4,
 )
 
@@ -260,6 +259,9 @@ def odp_normal_hessian_rank(system: VarietySystem, v: ProjPoint) -> int:
 # orbits and the singular locus
 
 
+INVOLUTIONS = (SHIFT**4, TWIST**4, SHIFT**4 * TWIST**4)  # the order-2 elements of H/center
+
+
 @lru_cache(maxsize=None)
 def orbit_of_base_point(y: MinusPlanePoint) -> tuple:
     """The group orbit of the embedded base point, over QQ(zeta8).  Memoized
@@ -274,17 +276,25 @@ def named_intersection_points(y: MinusPlanePoint):
     minus plane over the base field itself, since only ±1 scalars occur)."""
     embedded = y.embed()
     out = []
-    for g in (
-        HeisenbergElement.identity(),
-        SHIFT**4,
-        TWIST**4,
-        (SHIFT**4) * (TWIST**4),
-    ):
+    for g in (HeisenbergElement.identity(), *INVOLUTIONS):
         w = g.act_on_point(embedded).coords
         if w != minus_plane_coords(y.field.zero, *w[1:4]):
             raise DegeneratePoint("group image left the minus plane")
         out.append(MinusPlanePoint(y.field, *w[1:4]))
     return out
+
+
+def span_coefficients(quadrics, image):
+    """The c with image = Σ c_j·q_j, or None off the span of quadrics with
+    pairwise disjoint supports: each c_j read off one monomial of q_j, and
+    the identity then checked exactly."""
+    if sum(len(q.terms) for q in quadrics) != len(set().union(*(q.terms for q in quadrics))):
+        raise AssertionError("the quadrics' monomial supports overlap")
+    anchors = [next(iter(q.terms)) for q in quadrics]
+    zero = image.ring.field.zero
+    coeffs = tuple(image.terms.get(e, zero) / q.terms[e] for q, e in zip(quadrics, anchors))
+    combination = sum((q * c for q, c in zip(quadrics, coeffs)), image.ring.zero())
+    return coeffs if combination == image else None
 
 
 @lru_cache(maxsize=None)
@@ -293,23 +303,14 @@ def quadric_span_images(y: MinusPlanePoint) -> tuple:
 
     Returns (label, coefficients) pairs labelled shift_q0 … shift_q3,
     twist_q0 … twist_q3: the coefficients c solve g·q_i = Σ_j c_j·q_j, and
-    are None when g·q_i lies outside the span.  Memoized per point.
-    """
+    are None off the span (span_coefficients: shiftᵏ f has only monomials
+    x_i·x_j with i + j ≡ −2k mod 8).  Memoized per point."""
     quadrics = build_system(y.to_field(QI8)).quadrics
-    out = []
-    for gname, g in (("shift", SHIFT), ("twist", TWIST)):
-        for qi, q in enumerate(quadrics):
-            image = g.act_on_poly(q)
-            monomials = sorted(
-                {e for poly in (*quadrics, image) for e in poly.terms}, key=grevlex_key
-            )
-            a = Matrix(
-                QI8,
-                [[poly.terms.get(e, QI8.zero) for poly in quadrics] for e in monomials],
-            )
-            sol = a.solve([image.terms.get(e, QI8.zero) for e in monomials])
-            out.append((f"{gname}_q{qi}", None if sol is None else tuple(sol)))
-    return tuple(out)
+    return tuple(
+        (f"{gname}_q{qi}", span_coefficients(quadrics, g.act_on_poly(q)))
+        for gname, g in (("shift", SHIFT), ("twist", TWIST))
+        for qi, q in enumerate(quadrics)
+    )
 
 
 def orbit_singularity_data(y: MinusPlanePoint) -> dict:
@@ -326,7 +327,8 @@ def odp_proxy_sweep(y: MinusPlanePoint) -> int:
     """How many orbit points have Jacobian rank 3 and a rank-4 cone, from
     evidence at the rational base point v = y.embed() alone:
 
-    (a) the orbit of v has 64 distinct points;
+    (a) the orbit of v has 64 distinct points: no element of INVOLUTIONS fixes
+        v, and a nontrivial stabilizer in the faithful (Z/8)² would hold one;
     (b) shift and twist map the span of the four quadrics at y into itself
         (quadric_span_images);
     (c) over QQ, the Jacobian at v has rank 3 and the cone at v has rank 4
@@ -362,15 +364,13 @@ def odp_proxy_sweep(y: MinusPlanePoint) -> int:
     """
     if not y.y1 * y.y3:
         raise DegeneratePoint(f"y1·y3 = 0 at {y}: the quadrics have no square terms")
-    orb = orbit_of_base_point(y)
-    if len(orb) != 64:
-        raise DegeneratePoint(f"orbit of {y} has {len(orb)} points")
-    cone = odp_normal_hessian_rank(build_system(y), y.embed())
+    v = y.embed()
+    if any(g.act_on_point(v) == v for g in INVOLUTIONS):
+        raise DegeneratePoint(f"orbit of {y} has {len(orbit_of_base_point(y))} points")
+    cone = odp_normal_hessian_rank(build_system(y), v)
     if cone != 4:
         raise DegeneratePoint(f"quadratic cone rank {cone} != 4 at the base point")
-    if all(sol is not None for _label, sol in quadric_span_images(y)):
-        return len(orb)
-    return 1
+    return 64 if all(sol is not None for _label, sol in quadric_span_images(y)) else 1
 
 
 # ---------------------------------------------------------------------------

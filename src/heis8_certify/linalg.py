@@ -332,19 +332,24 @@ class WedgeLemmaSweep:
 def wedge_lemma_exhaustive() -> WedgeLemmaSweep:
     """For every pair of independent e1, e2 in F2^4 and every 2-form f outside
     span(e1∧e2), check that e1∧f or e2∧f is a nonzero 3-form.  Exhaustive.
+
+    The kernel K(e) = {f : e∧f = 0} of each nonzero e is computed once, as a
+    64-bit mask over f; a pair passes when K(e1) ∩ K(e2) ⊆ {0, e1∧e2}.  The
+    cases are counted, and the first counterexample picked, in (e1, e2, f)
+    order, as a sweep over every triple would.
     """
+    kernels = {e: sum(1 << f for f in range(64) if not _wedge_vf(e, f)) for e in range(1, 16)}
     cases = 0
     for e1 in range(1, 16):
         for e2 in range(1, 16):
             if e2 == e1:
                 continue  # over F2, dependence of two nonzero vectors means equality
             w12 = _wedge_vv(e1, e2)
-            for f in range(64):
-                if f == 0 or f == w12:
-                    continue
-                cases += 1
-                if _wedge_vf(e1, f) == 0 and _wedge_vf(e2, f) == 0:
-                    return WedgeLemmaSweep(False, cases, (e1, e2, f))
+            bad = kernels[e1] & kernels[e2] & ~(1 | 1 << w12)
+            if bad:
+                f = (bad & -bad).bit_length() - 1
+                return WedgeLemmaSweep(False, cases + f - (w12 < f), (e1, e2, f))
+            cases += 62  # the 2-forms other than 0 and e1∧e2
     return WedgeLemmaSweep(True, cases, None)
 
 
@@ -417,47 +422,42 @@ def _canonical_hash(polys) -> str:
     return h.hexdigest()
 
 
-def _bareiss_solve(rows, ncols):
-    """Fraction-free elimination on integer rows [A | b]; returns a rational
-    solution vector (free variables zero) or None if inconsistent."""
-    a = [list(r) for r in rows]
-    m = len(a)
-    n = ncols
-    prev = 1
-    piv = 0
-    pivots = []
-    for col in range(n):
-        sel = next((r for r in range(piv, m) if a[r][col]), None)
-        if sel is None:
-            continue
-        a[piv], a[sel] = a[sel], a[piv]
-        pec = a[piv][col]
-        for r in range(piv + 1, m):
-            arc = a[r][col]
-            row = a[r]
-            prow = a[piv]
-            for j in range(col, n + 1):
-                num = row[j] * pec - arc * prow[j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise ArithmeticError("non-exact division in fraction-free elimination")
-                row[j] = q
-        prev = pec
-        pivots.append((piv, col))
-        piv += 1
-        if piv == m:
-            break
-    for r in range(piv, m):
-        if a[r][n]:
-            return None
-    x = [Fraction(0)] * n
-    for i, col in reversed(pivots):
-        acc = Fraction(a[i][n])
-        for j in range(col + 1, n):
-            if a[i][j] and x[j]:
-                acc -= a[i][j] * x[j]
-        x[col] = acc / a[i][col]
-    return x
+MERSENNE_EXPONENTS = (521, 607, 1279, 2203, 2281)  # 2^k − 1 is prime
+
+
+def _rational_reconstruction(a: int, m: int) -> Fraction:
+    """The n/d ≡ a (mod m) with |n|, |d| ≤ √(m/2), by Wang's half-extended Euclid."""
+    bound = math.isqrt(m // 2)
+    r0, r1, t0, t1 = m, a % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or math.gcd(r1, t1) != 1:
+        raise ArithmeticError(f"{a} mod {m} has no fraction within the bound")
+    return Fraction(r1, t1)
+
+
+def solve_over_qq(rows, ncols: int):
+    """sparse_solve_mod_p over QQ: {column: Fraction} on the pivot columns of
+    an integer system [A | b] (free variables zero), or None if inconsistent.
+
+    One solve mod a Mersenne prime P > 2·H², H the product of the column
+    norms of [A | b] (Hadamard), then rational reconstruction.  No minor of
+    [A | b] exceeds H, so none vanishes mod P unless it is 0: the pivot
+    columns and the consistency agree with QQ, and by Cramer's rule the
+    solution's numerators and denominators are minors, which makes its
+    reconstruction unique.  Raises ArithmeticError past MERSENNE_EXPONENTS.
+    """
+    norms = defaultdict(int)
+    for row in rows:
+        for c, v in row.items():
+            norms[c] += v * v
+    bound = 2 * math.prod(norms.values())  # 2·H²
+    p = next((2**k - 1 for k in MERSENNE_EXPONENTS if 2**k - 1 > bound), None)
+    if p is None:
+        raise ArithmeticError(f"Hadamard bound 2·H² = 2^{bound.bit_length()} needs a larger prime")
+    x, _ = sparse_solve_mod_p(rows, ncols, p)
+    return None if x is None else {c: _rational_reconstruction(v, p) for c, v in x.items()}
 
 
 def sparse_solve_mod_p(rows, ncols: int, p: int):
@@ -787,7 +787,7 @@ class MembershipProblem:
         certificate solve_mod already built at that prime, when there is
         one; a prime where solve_mod already found no representation is not
         eliminated again); each target block, restricted to its slice of
-        that support, is then solved by fraction-free elimination.  The
+        that support, is then solved by solve_over_qq.  The
         support lies on pivot columns mod p, so it is independent mod p and
         hence over QQ: the solution on it is unique, and solving the blocks
         one at a time gives the same one as solving the whole support at
@@ -821,22 +821,22 @@ class MembershipProblem:
     def _lift_support(self, support):
         """Rational entries on a proposed support: each block, restricted to
         its support columns and to the rows they or the target touch, solved
-        by fraction-free elimination; None if some block is inconsistent."""
+        by solve_over_qq; None if some block is inconsistent."""
         entries = []
         for block in self._target_blocks():
             cols = [j for j, col in enumerate(block.cols) if col in support]
             colpos = {j: k for k, j in enumerate(cols)}
-            dense = {}
+            rows = defaultdict(dict)
             for r, j, v in zip(block.local_rows, block.local_cols, block.vals):
                 if j in colpos:
-                    dense.setdefault(r, [0] * (len(cols) + 1))[colpos[j]] = v
+                    rows[r][colpos[j]] = v
             for r, c in block.target:
-                dense.setdefault(r, [0] * (len(cols) + 1))[-1] = c
-            x = _bareiss_solve([dense[r] for r in sorted(dense)], len(cols))
+                rows[r][len(cols)] = c
+            x = solve_over_qq(list(rows.values()), len(cols))
             if x is None:
                 return None
-            for j, val in zip(cols, x):
-                gi, mult = block.cols[j]
+            for k, val in x.items():
+                gi, mult = block.cols[cols[k]]
                 coeff = val * self._gen_scale[gi] / self._target_scale
                 if coeff:
                     entries.append((gi, mult, coeff))

@@ -1,6 +1,7 @@
 """The quadric system, Moore pipeline, minus-plane intersection, membership
 instance, plane quartic, and topology numbers."""
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,9 +18,9 @@ from heis8_certify.errors import (
     ZeroPoint,
 )
 from heis8_certify.exactmath import GF, QI8, QQ, Cyclo, embed_cyclo_mod_p, find_order8_root
-from heis8_certify.heisenberg import HeisenbergElement, ProjPoint, orbit
-from heis8_certify.linalg import monomials_of_degree, replay_certificate
-from heis8_certify.multipoly import PolyRing
+from heis8_certify.heisenberg import SHIFT, TWIST, HeisenbergElement, ProjPoint, orbit
+from heis8_certify.linalg import Matrix, monomials_of_degree, replay_certificate
+from heis8_certify.multipoly import PolyRing, grevlex_key
 
 
 Y123 = geo.MinusPlanePoint.rational(1, 2, 3)
@@ -198,6 +199,63 @@ def test_quadric_span_images_shift_and_twist():
     # shift permutes the quadrics cyclically: q_i -> q_{i+1}
     for i in range(4):
         assert images[f"shift_q{i}"] == tuple(QI8.one if j == (i + 1) % 4 else QI8.zero for j in range(4))
+
+
+def _dense_span_solve(quadrics, image):
+    """The QQ(zeta8) solve of image = Σ c_j·q_j over the monomials that occur."""
+    monomials = sorted({e for poly in (*quadrics, image) for e in poly.terms}, key=grevlex_key)
+    a = Matrix(QI8, [[poly.terms.get(e, QI8.zero) for poly in quadrics] for e in monomials])
+    sol = a.solve([image.terms.get(e, QI8.zero) for e in monomials])
+    return None if sol is None else tuple(sol)
+
+
+_RATIONAL = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_CYCLO = st.builds(Cyclo, _RATIONAL, _RATIONAL, _RATIONAL, _RATIONAL)
+_PLANE_POINTS = st.one_of(
+    st.tuples(_RATIONAL, _RATIONAL, _RATIONAL),
+    st.tuples(_RATIONAL, st.just(0), _RATIONAL),  # y2 = 0
+    st.tuples(_RATIONAL, _RATIONAL, st.sampled_from([1, -1])).map(lambda t: (t[0], t[1], t[2] * t[0])),  # y1 = ±y3
+).filter(any)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_PLANE_POINTS, st.lists(_CYCLO, min_size=4, max_size=4), st.sampled_from(monomials_of_degree(8, 2)), _CYCLO)
+@example((1, 0, 0), [Cyclo(1)] * 4, (0, 0, 1, 0, 0, 0, 1, 0), Cyclo(1))  # f = x2·x6, one monomial
+def test_span_read_off_matches_the_dense_solve(y, coeffs, monomial, scale):
+    quadrics = geo.build_system(geo.MinusPlanePoint.rational(*y).to_field(QI8)).quadrics
+    ring = quadrics[0].ring
+    combination = sum((q * c for q, c in zip(quadrics, coeffs)), ring.zero())
+    perturbed = combination + ring.monomial(monomial, scale)
+    images = [g.act_on_poly(q) for g in (SHIFT, TWIST) for q in quadrics]
+    for image in (*images, combination, perturbed):
+        assert geo.span_coefficients(quadrics, image) == _dense_span_solve(quadrics, image)
+    assert geo.span_coefficients(quadrics, combination) == tuple(coeffs)
+    if scale and not any(monomial in q.terms for q in quadrics):
+        assert geo.span_coefficients(quadrics, perturbed) is None
+
+
+def test_span_read_off_refuses_overlapping_supports():
+    quadrics = geo.build_system(Y123.to_field(QI8)).quadrics
+    with pytest.raises(AssertionError):
+        geo.span_coefficients((quadrics[0], quadrics[0] + quadrics[1]), quadrics[0])
+
+
+def test_orbit_has_64_points_exactly_when_no_involution_fixes_the_base_point():
+    # every projective point (y1 : y2 : y3) with coprime |y_i| ≤ 4, one sign each
+    fixed = free = 0
+    try:
+        for y in itertools.product(range(-4, 5), repeat=3):
+            if math.gcd(*y) != 1 or next(c for c in y if c) < 0:
+                continue
+            point = geo.MinusPlanePoint.rational(*y)
+            v = point.embed()
+            is_fixed = any(g.act_on_point(v) == v for g in geo.INVOLUTIONS)
+            assert (len(geo.orbit_of_base_point(point)) == 64) == (not is_fixed)
+            fixed += is_fixed
+            free += not is_fixed
+    finally:
+        geo.orbit_of_base_point.cache_clear()
+    assert fixed and free
 
 
 def test_named_points_on_restricted_system_exactly():

@@ -1,13 +1,17 @@
 """Exact linear algebra, Smith normal form, exterior powers, the wedge-lemma
 sweep, and graded membership with certificate replay."""
+import json
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from heis8_certify import cli, geometry, linalg
 from heis8_certify.errors import (
     DimensionMismatch,
     InhomogeneousInput,
@@ -17,17 +21,19 @@ from heis8_certify.errors import (
 from heis8_certify.exactmath import GF, QQ
 from heis8_certify.kernels import solve_mod_p
 from heis8_certify.linalg import (
+    MERSENNE_EXPONENTS,
     REFERENCE_PRIMES,
     Matrix,
     MembershipProblem,
+    WedgeLemmaSweep,
     exterior_power,
     graded_membership,
     monomials_of_degree,
     replay_certificate,
     smith_normal_form,
+    solve_over_qq,
     sparse_solve_mod_p,
     unipotent_log,
-    _bareiss_solve,
     wedge_lemma_exhaustive,
 )
 from heis8_certify.multipoly import PolyRing, grevlex_key
@@ -186,6 +192,23 @@ def test_monodromy_wedge_fixed_space():
     assert fixed_dim == 4
 
 
+def _wedge_sweep_oracle() -> WedgeLemmaSweep:
+    """Every triple (e1, e2, f) in order, one wedge at a time."""
+    cases = 0
+    for e1 in range(1, 16):
+        for e2 in range(1, 16):
+            if e2 == e1:
+                continue
+            w12 = linalg._wedge_vv(e1, e2)
+            for f in range(64):
+                if f == 0 or f == w12:
+                    continue
+                cases += 1
+                if linalg._wedge_vf(e1, f) == 0 and linalg._wedge_vf(e2, f) == 0:
+                    return WedgeLemmaSweep(False, cases, (e1, e2, f))
+    return WedgeLemmaSweep(True, cases, None)
+
+
 def test_wedge_lemma_basis_case_and_sweep():
     from heis8_certify.linalg import _wedge_vf, _wedge_vv
 
@@ -195,7 +218,36 @@ def test_wedge_lemma_basis_case_and_sweep():
     sweep = wedge_lemma_exhaustive()
     assert sweep.passed and sweep.counterexample is None
     assert sweep.cases == 13020
-    assert sweep.cases <= 210 * 64
+    assert sweep == _wedge_sweep_oracle()
+
+
+@pytest.mark.parametrize(
+    "e, a, b",
+    # e∧(a∧b) zeroed with e outside span(a, b), where a∧b is decomposable:
+    # the pairs (e, e2) with e2 in span(a, b) become counterexamples
+    [(0b0001, 0b0010, 0b0100), (0b1111, 0b0001, 0b0010), (0b1000, 0b0011, 0b0101), (0b0100, 0b1001, 0b1010)],
+)
+def test_wedge_lemma_fails_when_one_wedge_is_zeroed(monkeypatch, tmp_path, capsys, e, a, b):
+    real = linalg._wedge_vf
+    f = linalg._wedge_vv(a, b)
+    monkeypatch.setattr(linalg, "_wedge_vf", lambda v, g: 0 if (v, g) == (e, f) else real(v, g))
+    oracle = _wedge_sweep_oracle()
+    assert not oracle.passed
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--checks", "wedge-lemma", "--json", str(out)]) == 1
+    (result,) = json.loads(out.read_text())["results"]
+    assert result["status"] == "fail"
+    assert result["payload"] == {"cases": str(oracle.cases), "counterexample": str(oracle.counterexample)}
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_wedge_lemma_keeps_passing_when_an_indecomposable_wedge_is_zeroed(monkeypatch):
+    # e1∧e2 + e3∧e4 is killed by no nonzero vector, so one zeroed wedge with
+    # it leaves every pair with a nonzero wedge
+    real = linalg._wedge_vf
+    f = linalg._wedge_vv(0b0001, 0b0010) ^ linalg._wedge_vv(0b0100, 0b1000)
+    monkeypatch.setattr(linalg, "_wedge_vf", lambda v, g: 0 if (v, g) == (0b0001, f) else real(v, g))
+    assert wedge_lemma_exhaustive() == _wedge_sweep_oracle() == WedgeLemmaSweep(True, 13020, None)
 
 
 def test_monomial_enumeration():
@@ -432,6 +484,48 @@ def test_membership_blocks_match_dense_solve(system):
     assert {(gi, mult): c.value for gi, mult, c in cert.entries} == dense
 
 
+def _bareiss_solve(rows, ncols):
+    """Fraction-free elimination on integer rows [A | b]; returns a rational
+    solution vector (free variables zero) or None if inconsistent."""
+    a = [list(r) for r in rows]
+    m = len(a)
+    n = ncols
+    prev = 1
+    piv = 0
+    pivots = []
+    for col in range(n):
+        sel = next((r for r in range(piv, m) if a[r][col]), None)
+        if sel is None:
+            continue
+        a[piv], a[sel] = a[sel], a[piv]
+        pec = a[piv][col]
+        for r in range(piv + 1, m):
+            arc = a[r][col]
+            row = a[r]
+            prow = a[piv]
+            for j in range(col, n + 1):
+                num = row[j] * pec - arc * prow[j]
+                q, rem = divmod(num, prev)
+                assert not rem, "non-exact division in fraction-free elimination"
+                row[j] = q
+        prev = pec
+        pivots.append((piv, col))
+        piv += 1
+        if piv == m:
+            break
+    for r in range(piv, m):
+        if a[r][n]:
+            return None
+    x = [Fraction(0)] * n
+    for i, col in reversed(pivots):
+        acc = Fraction(a[i][n])
+        for j in range(col + 1, n):
+            if a[i][j] and x[j]:
+                acc -= a[i][j] * x[j]
+        x[col] = acc / a[i][col]
+    return x
+
+
 def _whole_support_solve(problem, gens, target):
     """solve_rational's search with one Bareiss solve over the whole proposed
     support, products multiplied out here: the nonzero entries by column for
@@ -524,6 +618,86 @@ def test_sparse_block_solver_edge_cases():
     # a zero column is free; the dependent column 2 = 2·column 0 is free too
     x, pivots = sparse_solve_mod_p([{0: 1, 2: 2, 3: 5}, {1: 3, 3: 6}], 3, 241)
     assert pivots == (0, 1) and x == {0: 5, 1: 2}
+
+
+# --- the rational solve ------------------------------------------------------
+
+
+def _solve_over_qq_and_prime(a):
+    """solve_over_qq on dense rows [A | b], and the one prime it solved at."""
+    with mock.patch.object(linalg, "sparse_solve_mod_p", wraps=linalg.sparse_solve_mod_p) as spy:
+        x = solve_over_qq([{j: v for j, v in enumerate(row) if v} for row in a], len(a[0]) - 1)
+    ((_rows, _ncols, p),) = [call.args for call in spy.call_args_list]
+    return x, p
+
+
+def _agrees_with_bareiss(x, a):
+    oracle = _bareiss_solve(a, len(a[0]) - 1)
+    if oracle is None:
+        return x is None
+    return x == {j: v for j, v in enumerate(oracle) if v}
+
+
+@settings(max_examples=150, deadline=None)
+@given(augmented_systems())
+def test_rational_solve_matches_bareiss_on_small_systems(system):
+    _, a = system
+    x, p = _solve_over_qq_and_prime(a)
+    assert p == 2 ** MERSENNE_EXPONENTS[0] - 1
+    assert _agrees_with_bareiss(x, a)
+
+
+_LARGE = st.tuples(st.integers(2**69, 2**70), st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+@st.composite
+def large_systems(draw):
+    """3×3 systems A·x = b with 70-bit entries of A and small x, so that 2·H²
+    lies between the first two Mersenne primes.  A may have a column twice
+    another (a free variable), a fourth row may be the sum of two others
+    with its right-hand side bumped (inconsistent), and b may be bumped."""
+    a = [[draw(_LARGE) for _ in range(3)] for _ in range(3)]
+    if draw(st.booleans()):
+        for row in a:
+            row[2] = 2 * row[0]
+    x = [draw(st.integers(-3, 3)) for _ in range(3)]
+    a = [row + [sum(v * c for v, c in zip(row, x))] for row in a]
+    if draw(st.booleans()):
+        a.append([u + v for u, v in zip(a[0], a[1])])
+        a[-1][3] += draw(st.sampled_from([0, 1, 2**70]))
+    if draw(st.booleans()):
+        a[2][3] += draw(_LARGE)
+    return a
+
+
+@settings(max_examples=100, deadline=None)
+@given(large_systems())
+def test_rational_solve_climbs_to_the_second_mersenne_prime(a):
+    cols = [[row[j] for row in a] for j in range(4)]
+    bound = 2 * math.prod(sum(v * v for v in col) for col in cols if any(col))
+    assume(2 ** MERSENNE_EXPONENTS[0] - 1 < bound < 2 ** MERSENNE_EXPONENTS[1] - 1)
+    x, p = _solve_over_qq_and_prime(a)
+    assert p == 2 ** MERSENNE_EXPONENTS[1] - 1
+    assert _agrees_with_bareiss(x, a)
+
+
+def test_rational_solve_raises_past_the_largest_mersenne_prime():
+    # 2^600·x = 2^600: 2·H² = 2^2401 exceeds 2^2281 − 1, the largest prime
+    with pytest.raises(ArithmeticError, match="larger prime"):
+        solve_over_qq([{0: 2**600, 1: 2**600}], 1)
+    # 2^500·x = 3·2^500: 2·H² = 9·2^2001, inside the list
+    x, p = _solve_over_qq_and_prime([[2**500, 3 * 2**500]])
+    assert x == {0: Fraction(3)} and p == 2**2203 - 1
+
+
+def test_psi_blocks_are_solved_at_the_first_mersenne_prime():
+    problem = MembershipProblem(list(geometry.moore_minor_generators()), geometry.psi_quartic_target())
+    with mock.patch.object(linalg, "sparse_solve_mod_p", wraps=linalg.sparse_solve_mod_p) as spy:
+        cert = problem.solve_rational()
+    assert problem.replays(cert)
+    primes = [call.args[2] for call in spy.call_args_list]
+    assert primes.count(2 ** MERSENNE_EXPONENTS[0] - 1) == 2  # one solve per target block
+    assert set(primes) <= {*REFERENCE_PRIMES, 2 ** MERSENNE_EXPONENTS[0] - 1}
 
 
 # --- array kernels ----------------------------------------------------------

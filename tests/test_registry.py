@@ -6,6 +6,7 @@ every candidate base point leaves no point certified: both orbit checks FAIL
 and record the rejections."""
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -95,7 +96,8 @@ def test_degenerate_base_points_redraw_to_the_fixed_witnesses():
         y, data, rejected = registry._generic_point(base_point, 42)
         assert y.coords == (3, 1, 4)
         assert len(rejected) == 1
-        assert rejected[0].startswith(",".join(map(str, base_point)) + ": ")
+        assert rejected[0].startswith(",".join(map(str, base_point)) + ": orbit of ")
+        assert rejected[0].endswith(" has 32 points")  # fixed by twist⁴
         assert data == {"orbit_size": "64", "rank3_points": "64", "base_cone_rank": "4", "cone_rank4": 64}
 
 
@@ -121,9 +123,10 @@ def _cone_rank_3(monkeypatch):
     monkeypatch.setattr(geometry, "odp_normal_hessian_rank", lambda system, v: 3)
 
 
-def _orbit_missing_a_point(monkeypatch):
-    real = geometry.orbit_of_base_point
-    monkeypatch.setattr(geometry, "orbit_of_base_point", lambda y: real(y)[:-1])
+def _base_point_fixed_by_an_involution(monkeypatch):
+    # y2 dropped from the embedding: twist⁴ fixes (0 : a : 0 : c : 0 : −c : 0 : −a)
+    real = geometry.MinusPlanePoint.embed
+    monkeypatch.setattr(geometry.MinusPlanePoint, "embed", lambda y: real(dataclasses.replace(y, y2=0)))
 
 
 def _minors_of_three_quadrics(monkeypatch):
@@ -157,7 +160,7 @@ def _form_through_an_orbit_point(monkeypatch):
         (_minors_of_three_quadrics, {"orbit-64-singular": FAIL, "odp-proxy": PASS}),
         (_form_through_an_orbit_point, {"orbit-64-singular": FAIL, "odp-proxy": PASS}),
         (_cone_rank_3, {"orbit-64-singular": FAIL, "odp-proxy": FAIL}),
-        (_orbit_missing_a_point, {"orbit-64-singular": FAIL, "odp-proxy": FAIL}),
+        (_base_point_fixed_by_an_involution, {"orbit-64-singular": FAIL, "odp-proxy": FAIL}),
     ],
     ids=[
         "image-not-in-span",
@@ -166,7 +169,7 @@ def _form_through_an_orbit_point(monkeypatch):
         "minors-of-three-quadrics",
         "form-through-orbit-point",
         "source-cone-rank-3",
-        "source-orbit-missing-a-point",
+        "base-point-fixed-by-an-involution",
     ],
 )
 def test_orbit_defect_fails_and_exits_1(monkeypatch, tmp_path, capsys, mutate, expected):
@@ -180,7 +183,7 @@ def test_orbit_defect_fails_and_exits_1(monkeypatch, tmp_path, capsys, mutate, e
         assert r["field"] == "QQ(zeta8)"
         assert "error" not in r["payload"]
     assert "FAIL" in capsys.readouterr().out
-    if mutate in (_cone_rank_3, _orbit_missing_a_point):
+    if mutate in (_cone_rank_3, _base_point_fixed_by_an_involution):
         # every candidate is rejected at the source: no point is certified
         candidates = list(registry._candidate_base_points((1, 2, 3), 42))
         for r in results:
@@ -189,6 +192,9 @@ def test_orbit_defect_fails_and_exits_1(monkeypatch, tmp_path, capsys, mutate, e
                 ",".join(map(str, c)) for c in candidates
             ]
             assert not any(k.startswith("y0_") or k.startswith("hilbert_") for k in r["payload"])
+            if mutate is _base_point_fixed_by_an_involution:
+                sizes = [re.search(r"orbit of .* has (\d+) points$", e) for e in rejected if "y1·y3 = 0" not in e]
+                assert sizes and all(m and int(m.group(1)) < 64 for m in sizes)
 
 
 def _verify_fails(tmp_path, capsys, check_id, *flags):
@@ -201,6 +207,12 @@ def _verify_fails(tmp_path, capsys, check_id, *flags):
     assert "error" not in result["payload"]
     assert "FAIL" in capsys.readouterr().out
     return result["payload"]
+
+
+def test_ideal_invariance_fails_when_an_image_leaves_the_span(monkeypatch, tmp_path, capsys):
+    _image_off_the_span(monkeypatch)
+    payload = _verify_fails(tmp_path, capsys, "ideal-invariance")
+    assert payload == {f"{g}_q{i}": "not in span" for g in ("shift", "twist") for i in range(4)}
 
 
 def test_psi_membership_fails_on_a_corrupted_certificate(monkeypatch, tmp_path, capsys):
