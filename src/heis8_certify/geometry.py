@@ -37,7 +37,7 @@ from .errors import (
     ZeroPoint,
 )
 from .exactmath import GF, QI8, QQ, is_prime_1_mod_8
-from .heisenberg import SHIFT, TWIST, HeisenbergElement, ProjPoint, orbit
+from .heisenberg import SHIFT, TWIST, HeisenbergElement, ProjPoint
 from .linalg import Matrix, MembershipProblem, graded_membership
 from .multipoly import (
     PolyMatrix,
@@ -262,14 +262,6 @@ def odp_normal_hessian_rank(system: VarietySystem, v: ProjPoint) -> int:
 INVOLUTIONS = (SHIFT**4, TWIST**4, SHIFT**4 * TWIST**4)  # the order-2 elements of H/center
 
 
-@lru_cache(maxsize=None)
-def orbit_of_base_point(y: MinusPlanePoint) -> tuple:
-    """The group orbit of the embedded base point, over QQ(zeta8).  Memoized
-    per point."""
-    lifted = y.to_field(QI8)
-    return tuple(orbit(lifted.embed()))
-
-
 def named_intersection_points(y: MinusPlanePoint):
     """The four distinguished plane points: y and its images under the
     order-2 actions of shift⁴, twist⁴ and their product (these act on the
@@ -314,18 +306,19 @@ def quadric_span_images(y: MinusPlanePoint) -> tuple:
 
 
 def orbit_singularity_data(y: MinusPlanePoint) -> dict:
-    """Orbit size 64, the base cone rank 4, and how many orbit points are
+    """Orbit size 64, the base cone rank, and how many orbit points are
     certified with Jacobian rank 3 and with a rank-4 cone (odp_proxy_sweep).
 
     Raises on a degenerate base point (callers redraw).
     """
-    carried = odp_proxy_sweep(y)
-    return {"orbit_size": "64", "rank3_points": str(carried), "base_cone_rank": "4", "cone_rank4": carried}
+    carried, cone = odp_proxy_sweep(y)
+    return {"orbit_size": "64", "rank3_points": str(carried), "base_cone_rank": str(cone), "cone_rank4": carried}
 
 
-def odp_proxy_sweep(y: MinusPlanePoint) -> int:
-    """How many orbit points have Jacobian rank 3 and a rank-4 cone, from
-    evidence at the rational base point v = y.embed() alone:
+def odp_proxy_sweep(y: MinusPlanePoint) -> tuple:
+    """How many orbit points have Jacobian rank 3 and a rank-4 cone, and the
+    cone rank at the base point, from evidence at the rational base point
+    v = y.embed() alone:
 
     (a) the orbit of v has 64 distinct points: no element of INVOLUTIONS fixes
         v, and a nontrivial stabilizer in the faithful (Z/8)² would hold one;
@@ -336,9 +329,9 @@ def odp_proxy_sweep(y: MinusPlanePoint) -> int:
 
     Raises DegeneratePoint when (a) or (c) fails, and when y1·y3 = 0, where
     the quadrics lose their squares and with them the leading terms that
-    singular.singular_scheme_mod_p counts with (callers redraw).  Returns 64 when (b)
-    holds; without it only the base point itself is certified, and it
-    returns 1.
+    singular.singular_scheme_mod_p counts with (callers redraw).  Carries 64
+    points when (b) holds; without it only the base point itself is
+    certified, and it carries 1.
 
     Why (a)–(c) certify all 64 points.  Let A be the matrix by which a group
     element acts on points, so the orbit is {A·v}, and q the column of the
@@ -365,12 +358,13 @@ def odp_proxy_sweep(y: MinusPlanePoint) -> int:
     if not y.y1 * y.y3:
         raise DegeneratePoint(f"y1·y3 = 0 at {y}: the quadrics have no square terms")
     v = y.embed()
-    if any(g.act_on_point(v) == v for g in INVOLUTIONS):
-        raise DegeneratePoint(f"orbit of {y} has {len(orbit_of_base_point(y))} points")
+    fixer = next((g for g in INVOLUTIONS if g.act_on_point(v) == v), None)
+    if fixer is not None:
+        raise DegeneratePoint(f"{fixer!r} fixes {y}: its orbit has at most 32 points")
     cone = odp_normal_hessian_rank(build_system(y), v)
     if cone != 4:
         raise DegeneratePoint(f"quadratic cone rank {cone} != 4 at the base point")
-    return 64 if all(sol is not None for _label, sol in quadric_span_images(y)) else 1
+    return 64 if all(sol is not None for _label, sol in quadric_span_images(y)) else 1, cone
 
 
 # ---------------------------------------------------------------------------
@@ -594,9 +588,11 @@ class MooreData:
     sign: int
 
 
+@lru_cache(maxsize=1)
 def moore_pipeline() -> MooreData:
     """Full matrix → minus-plane restriction → row swap → Pfaffian, with the
-    Pfaffian compared against the reference conic expression."""
+    Pfaffian compared against the reference conic expression.  Memoized:
+    moore-skew and pfaffian-formula share it."""
     full = moore_matrix_full()
     restricted = restrict_moore_to_minus_plane(full)
     skew = restricted.swap_rows(1, 3)

@@ -17,24 +17,27 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ZeroPoint
 from .linalg import smith_normal_form
 from .multipoly import SparsePoly, apply_variable_map
 
 
-@dataclass(frozen=True)
 class HeisenbergElement:
-    """Normal form shift^a · twist^b · ξ^c, exponents stored mod 8."""
+    """Normal form shift^a · twist^b · ξ^c, exponents stored mod 8.  Equal
+    and hashed by (a, b, c); treated as immutable."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", self.a % 8)
-        object.__setattr__(self, "b", self.b % 8)
-        object.__setattr__(self, "c", self.c % 8)
+    def __init__(self, a: int, b: int, c: int):
+        self.a, self.b, self.c = a % 8, b % 8, c % 8
+
+    def __eq__(self, other):
+        return isinstance(other, HeisenbergElement) and (self.a, self.b, self.c) == (other.a, other.b, other.c)
+
+    def __hash__(self):
+        return self.a | self.b << 3 | self.c << 6
 
     @classmethod
     def identity(cls) -> "HeisenbergElement":
@@ -125,6 +128,7 @@ class CenterAndQuotient:
     invariant_factors: tuple
 
 
+@lru_cache(maxsize=1)
 def center_and_quotient() -> CenterAndQuotient:
     """Center as the elements commuting with shift and twist; quotient
     structure from the kernel lattice of Z² → H/Z, (m, n) ↦ shift^m twist^n · Z.
@@ -132,6 +136,7 @@ def center_and_quotient() -> CenterAndQuotient:
     Testing the two generators is enough: an element commuting with each
     generator commutes with every product of them, and shift and twist
     generate the whole group (the closure of group-order-512 certifies it).
+    Memoized: center-mu8 and quotient-Z8-squared share it.
     """
     center = tuple(
         g for g in enumerate_group() if g.commutes_with(SHIFT) and g.commutes_with(TWIST)

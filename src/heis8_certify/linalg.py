@@ -406,12 +406,16 @@ class MembershipCertificate:
 
 
 def replay_certificate(cert: MembershipCertificate, generators) -> SparsePoly:
-    """Multiply out a certificate against the generators it was issued for."""
+    """Multiply out a certificate against its generators, summed into one dict of terms."""
     ring = generators[0].ring
-    acc = ring.zero()
+    acc = {}
     for gi, exps, coeff in cert.entries:
-        acc = acc + generators[gi] * ring.monomial(exps, coeff)
-    return acc
+        coeff = ring.field.coerce(coeff)
+        for e, c in generators[gi].terms.items():
+            e = tuple(x + y for x, y in zip(e, exps))
+            v = acc.get(e)
+            acc[e] = c * coeff if v is None else v + c * coeff
+    return SparsePoly(ring, {e: c for e, c in acc.items() if c})
 
 
 def _canonical_hash(polys) -> str:

@@ -4,7 +4,8 @@ count mod p (singular_scheme_mod_p).
 Polynomials mod p are dicts from packed monomials to residues.  A packed
 monomial holds the exponent of x_i in bits [4i, 4i+4); no degree here
 exceeds 7, so the key of a product of monomials is the sum of their keys.
-Rows of the count are packed too, a 40-bit field per column (PackedRankMod).
+Rows of the count are packed too, a 40-bit field per column, and reduced
+mod p a lane of fields at a time (PackedRankMod.reduce).
 
 Only orbit-64-singular uses this module, and it imports it when it runs:
 runs without that check neither load it nor, when no bytecode is cached,
@@ -28,33 +29,46 @@ class PackedRankMod:
     """Incremental rank mod p of rows packed into single integers.
 
     A packed row holds column j in bits [40·j, 40·(j+1)) as a nonnegative
-    integer whose residue mod p is the entry (pack builds one).  Each pivot
-    row is reduced mod p, has 1 at its pivot column and exact zeros below
-    it, and is stored shifted down to that column.  A row being reduced is
-    shifted right one field per column it clears, so eliminating one pivot
-    is one multiply-add on the whole integer, and the integer shrinks as
-    the reduction goes.
+    integer whose residue mod p is the entry.  Each pivot row has a residue
+    1 at its pivot column, fields below 2p (reduce) and exact zeros below
+    the pivot, and is stored shifted down to that column.  A row being
+    reduced is shifted right one field per column it clears, so eliminating
+    one pivot is one multiply-add on the whole integer, and the integer
+    shrinks as the reduction goes.
 
-    Fields only grow: by less than p² per elimination, and a row meets at
+    Fields only grow: by less than 2p² per elimination, and a row meets at
     most ncols pivots.  So the fields of added rows must stay below 2³⁹ and
-    ncols·p² below 2³⁹, which keeps every field inside its 40 bits.
+    ncols·2p² below 2³⁹, which keeps every field inside its 40 bits.
     """
 
     def __init__(self, ncols: int, p: int):
-        if ncols * p * p >= 1 << (PACKED_WIDTH - 1):
+        if ncols * 2 * p * p >= 1 << (PACKED_WIDTH - 1):
             raise BadSize(f"{ncols} packed columns mod {p} can overflow a {PACKED_WIDTH}-bit field")
-        self.ncols = ncols
         self.p = p
+        self.barrett = (1 << PACKED_WIDTH) // p
+        # the even fields: the low half of each 80-bit lane
+        self.lanes = int.from_bytes((b"\xff" * 5 + bytes(5)) * ((ncols + 1) // 2), "little")
         self.pivots = {}  # pivot column -> its normalized row, shifted down to the column
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    @staticmethod
-    def pack(values) -> int:
-        """Pack nonnegative field values (each below 2³⁹), column 0 lowest."""
-        return int.from_bytes(b"".join(v.to_bytes(5, "little") for v in values), "little")
+    def reduce(self, row: int) -> int:
+        """The packed row (at most ncols fields, each below 2⁴⁰) with every
+        field brought below 2p and kept in its residue class.
+
+        Barrett reduction on all even fields at once, then on all odd ones:
+        masked into 80-bit lanes, a field x times m = ⌊2⁴⁰/p⌋ stays below 2⁸⁰
+        inside its lane, and q = ⌊x·m/2⁴⁰⌋ is ⌊x/p⌋ or one less, as x·m/2⁴⁰
+        exceeds x/p − 1.  So x − q·p lies in [0, 2p) and no lane borrows.
+        """
+        lanes, m, p = self.lanes, self.barrett, self.p
+        even = row & lanes
+        odd = (row >> PACKED_WIDTH) & lanes
+        even -= ((even * m >> PACKED_WIDTH) & lanes) * p
+        odd -= ((odd * m >> PACKED_WIDTH) & lanes) * p
+        return even | odd << PACKED_WIDTH
 
     def add(self, row: int) -> bool:
         """Reduce a packed row against the pivots; keep it as a new pivot row
@@ -66,18 +80,13 @@ class PackedRankMod:
             if r:
                 pivot = pivots.get(col)
                 if pivot is None:
-                    pivots[col] = self._normalize(row, col, r)
+                    # scaled by 1/r: fields below 2p·p before the second reduction
+                    pivots[col] = self.reduce(self.reduce(row) * pow(r, -1, p))
                     return True
                 row += (p - r) * pivot  # the lowest field becomes ≡ 0 mod p
             row >>= PACKED_WIDTH
             col += 1
         return False
-
-    def _normalize(self, row: int, col: int, lead: int) -> int:
-        """The row (its lowest field at col) scaled to 1 there, every field reduced mod p."""
-        p, inv = self.p, pow(lead, -1, self.p)
-        data = row.to_bytes(5 * (self.ncols - col), "little")
-        return self.pack(int.from_bytes(data[i : i + 5], "little") * inv % p for i in range(0, len(data), 5))
 
 
 HILBERT_PRIMES = (32713, 32633, 32609)  # the largest primes ≡ 1 mod 8 below 2¹⁵
@@ -168,9 +177,9 @@ class QuadricQuotient:
     basis (Buchberger's first criterion), so the standard monomials, those
     squarefree in x0 … x3, are a basis of every degree, and the normal form
     of a monomial follows from the rewriting rules x_i² → −tail/lead
-    coefficient, memoized per monomial.  `high` lists the other variables
-    that occur.  Raises UnluckyPrime when the leading terms mod p are not
-    the four squares.
+    coefficient, as a packed row of its block (packed_normal_forms).  `high`
+    lists the other variables that occur.  Raises UnluckyPrime when the
+    leading terms mod p are not the four squares.
     """
 
     def __init__(self, quadrics, p: int, high=(4, 5, 6, 7)):
@@ -184,47 +193,38 @@ class QuadricQuotient:
                 raise UnluckyPrime(f"the quadrics mod {p} do not lead with x0², x1², x2², x3²")
             scale = p - pow(q[lead], -1, p)
             self.rules[i] = [(k, v * scale % p) for k, v in q.items() if k != lead]
-        self._normal_forms = {}
-        self._standard = {}
         self._blocks = {}
-
-    def normal_form(self, key: int) -> dict:
-        out = self._normal_forms.get(key)
-        if out is None:
-            p = self.p
-            i = next((i for i in range(4) if (key >> (4 * i)) & 15 >= 2), None)
-            if i is None:
-                out = {key: 1}
-            else:
-                base = key - (2 << (4 * i))
-                acc = {}
-                for t, c in self.rules[i]:
-                    for s, v in self.normal_form(base + t).items():
-                        acc[s] = acc.get(s, 0) + c * v
-                out = {s: v % p for s, v in acc.items() if v % p}
-            self._normal_forms[key] = out
-        return out
-
-    def standard(self, degree: int) -> list:
-        """The standard monomials of a degree."""
-        out = self._standard.get(degree)
-        if out is None:
-            out = self._standard[degree] = [
-                sum(1 << (4 * i) for i in (*low, *high))
-                for k in range(min(4, degree) + 1)
-                for low in itertools.combinations(range(4), k)
-                for high in itertools.combinations_with_replacement(self.high, degree - k)
-            ]
-        return out
 
     def weight_blocks(self, degree: int, modulus: int) -> dict:
         """The standard monomials of a degree by twist weight mod `modulus`."""
         out = self._blocks.get((degree, modulus))
         if out is None:
             out = self._blocks[degree, modulus] = {w: [] for w in range(modulus)}
-            for s in self.standard(degree):
-                out[_twist_weight(s) % modulus].append(s)
+            for k in range(min(4, degree) + 1):
+                for low in itertools.combinations(range(4), k):
+                    for high in itertools.combinations_with_replacement(self.high, degree - k):
+                        s = sum(1 << (4 * i) for i in (*low, *high))
+                        out[_twist_weight(s) % modulus].append(s)
         return out
+
+    def packed_normal_forms(self, cols: dict, reduce):
+        """The memoized map from a monomial of one block to its normal form
+        as a packed row over the block's standard monomials `cols` (monomial
+        -> column), every field reduced below 2p by `reduce`.  Each rule
+        x_i² → tail keeps degree and twist weight, so every monomial met on
+        the way is a column or rewrites into columns."""
+        rules = self.rules
+        packed = {s: 1 << (PACKED_WIDTH * j) for s, j in cols.items()}
+
+        def normal_form(key):
+            v = packed.get(key)
+            if v is None:
+                i = next(i for i in range(4) if (key >> (4 * i)) & 15 >= 2)
+                base = key - (2 << (4 * i))
+                v = packed[key] = reduce(sum(c * normal_form(base + t) for t, c in rules[i]))
+            return v
+
+        return normal_form
 
     def block_rank(self, gens, degree: int, modulus: int, block: int, order=None, corank=0, slack=None):
         """Rank mod p of the products generator × standard monomial in one
@@ -250,23 +250,17 @@ class QuadricQuotient:
             order.shuffle(rows)
         target = len(cols) - corank
         budget = len(rows) if slack is None else target + slack
-        packed = {}
-
-        def packed_normal_form(key):
-            v = packed.get(key)
-            if v is None:
-                v = packed[key] = sum(c << (PACKED_WIDTH * cols[s]) for s, c in self.normal_form(key).items())
-            return v
-
-        if max(map(len, gens), default=0) * p * p >= 1 << (PACKED_WIDTH - 1):
-            raise BadSize("a generator has enough terms to overflow a packed field")
+        # a row sums len(g) fields below p·2p, a rewriting len(tail) of them
+        if max(map(len, (*gens, *self.rules.values())), default=0) * 2 * p * p >= 1 << (PACKED_WIDTH - 1):
+            raise BadSize("a generator or a rule has enough terms to overflow a packed field")
         ranker = PackedRankMod(len(cols), p)
+        normal_form = self.packed_normal_forms(cols, ranker.reduce)
         used = 0
         for g, s in rows[:budget]:
             if ranker.rank >= target:
                 break
             used += 1
-            ranker.add(sum(c * packed_normal_form(t + s) for t, c in g.items()))
+            ranker.add(sum(c * normal_form(t + s) for t, c in g.items()))
         return ranker.rank, len(cols), used
 
 

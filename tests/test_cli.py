@@ -1,4 +1,5 @@
 """CLI contract: list output, exit codes, JSON schema, determinism."""
+import hashlib
 import json
 import os
 import subprocess
@@ -114,6 +115,21 @@ def test_verify_subset_passes_and_is_deterministic(tmp_path):
     for r in data["results"]:
         assert set(r) == {"id", "status", "field", "prime", "seed", "elapsed_ms", "payload"}
         assert all(isinstance(v, str) for v in r["payload"].values())
+
+
+# sha256 of normalized_json of the default `verify --json` report: a refactor
+# leaves every byte of it alone, and a change that moves it names the changed
+# field in CHANGES.md and records the new digest here
+DEFAULT_REPORT_SHA256 = "c1fbc1eba06faacf04eab9c9e31c2f5e14b5d5939e5407e5e6718bd83b6a4fcb"
+
+
+def test_default_report_is_byte_identical_to_the_recorded_one(tmp_path):
+    from heis8_certify.report import normalized_json
+
+    out = tmp_path / "report.json"
+    assert run_cli("verify", "--json", str(out)).returncode == 0
+    digest = hashlib.sha256(normalized_json(out.read_text()).encode()).hexdigest()
+    assert digest == DEFAULT_REPORT_SHA256
 
 
 def test_verify_text_report_shape():

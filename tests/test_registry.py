@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from heis8_certify import cli, geometry, linalg, registry, singular
+from heis8_certify import cli, geometry, heisenberg, linalg, registry, singular
 from heis8_certify.exactmath import GF
 from heis8_certify.heisenberg import SHIFT, HeisenbergElement, orbit
 from heis8_certify.linalg import MembershipProblem
@@ -25,8 +25,9 @@ def fresh_orbit_memo():
     memos = (
         registry._generic_point,
         geometry.quadric_span_images,
-        geometry.orbit_of_base_point,
         geometry.minus_plane_conics,
+        geometry.moore_pipeline,
+        heisenberg.center_and_quotient,
     )
     for memo in memos:
         memo.cache_clear()
@@ -48,6 +49,25 @@ def test_group_order_fails_when_the_generators_span_a_subgroup(monkeypatch):
     assert result.status == FAIL
     assert result.payload["order"] == "128"
     assert result.payload["closed"] == "False"
+
+
+def _doubled_cocycle(self, other):
+    # the central coordinate picks up 2·b·a′ in place of b·a′: still a group
+    # law, but shift and twist now commute up to ξ², so the center is larger
+    return HeisenbergElement(self.a + other.a, self.b + other.b, self.c + other.c + 2 * self.b * other.a)
+
+
+@pytest.mark.parametrize(
+    "check_id, payload",
+    [
+        ("center-mu8", {"center_order": "32", "center_is_scalar_axis": "False"}),
+        ("quotient-Z8-squared", {"invariant_factors": "4,4", "quotient_order": "16"}),
+    ],
+)
+def test_group_checks_fail_on_a_wrong_central_cocycle(monkeypatch, tmp_path, capsys, check_id, payload):
+    monkeypatch.setattr(HeisenbergElement, "compose", _doubled_cocycle)
+    monkeypatch.setattr(HeisenbergElement, "__mul__", _doubled_cocycle)
+    assert _verify_fails(tmp_path, capsys, check_id) == payload
 
 
 def test_orbit_sweep_runs_once_per_point_and_payload_is_unchanged(monkeypatch):
@@ -91,13 +111,13 @@ def test_minus_plane_restricts_the_system_once_per_point(monkeypatch):
 
 
 def test_degenerate_base_points_redraw_to_the_fixed_witnesses():
-    # y2 = 0 halves the orbit to 32 points: the configured point is redrawn
+    # y2 = 0: twist⁴ fixes the point and halves its orbit, so it is redrawn
     for base_point in ((1, 0, 2), (-3, 0, -2)):
         y, data, rejected = registry._generic_point(base_point, 42)
         assert y.coords == (3, 1, 4)
         assert len(rejected) == 1
-        assert rejected[0].startswith(",".join(map(str, base_point)) + ": orbit of ")
-        assert rejected[0].endswith(" has 32 points")  # fixed by twist⁴
+        assert rejected[0].startswith(",".join(map(str, base_point)) + ": shift^0*twist^4*zeta8^0 fixes ")
+        assert rejected[0].endswith(": its orbit has at most 32 points")
         assert data == {"orbit_size": "64", "rank3_points": "64", "base_cone_rank": "4", "cone_rank4": 64}
 
 
@@ -193,8 +213,9 @@ def test_orbit_defect_fails_and_exits_1(monkeypatch, tmp_path, capsys, mutate, e
             ]
             assert not any(k.startswith("y0_") or k.startswith("hilbert_") for k in r["payload"])
             if mutate is _base_point_fixed_by_an_involution:
-                sizes = [re.search(r"orbit of .* has (\d+) points$", e) for e in rejected if "y1·y3 = 0" not in e]
-                assert sizes and all(m and int(m.group(1)) < 64 for m in sizes)
+                fixed = [re.search(r": (shift\^\d\*twist\^\d\*zeta8\^0) fixes .*: its orbit has at most 32 points$", e)
+                         for e in rejected if "y1·y3 = 0" not in e]
+                assert fixed and all(m and m.group(1) in map(repr, geometry.INVOLUTIONS) for m in fixed)
 
 
 def _verify_fails(tmp_path, capsys, check_id, *flags):

@@ -1,9 +1,13 @@
-"""The singular-scheme count: packed rank mod p, maximal minors, the quotient
+"""The singular-scheme count: packed rank mod p, the lane-wise reduction,
+packed normal forms against the dict rewriting, maximal minors, the quotient
 by the quadrics against the Macaulay matrix in S, the prime ladder, and the
 y1·y3 gauntlet."""
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heis8_certify import geometry as geo
 from heis8_certify import singular
@@ -12,6 +16,36 @@ from heis8_certify.exactmath import GF
 from heis8_certify.linalg import Matrix, monomials_of_degree, sparse_solve_mod_p
 
 Y123 = geo.MinusPlanePoint.rational(1, 2, 3)
+WIDTH = singular.PACKED_WIDTH
+
+
+def pack(values) -> int:
+    """Pack nonnegative field values (each below 2⁴⁰), column 0 lowest."""
+    return int.from_bytes(b"".join(v.to_bytes(WIDTH // 8, "little") for v in values), "little")
+
+
+def unpack(row: int, n: int) -> list:
+    return [(row >> (WIDTH * j)) & ((1 << WIDTH) - 1) for j in range(n)]
+
+
+def dict_normal_form(quotient, key, memo):
+    """The normal form of a monomial in the quotient as a dict from standard
+    monomials to residues, by the same rewriting rules, one dict per step."""
+    out = memo.get(key)
+    if out is None:
+        p = quotient.p
+        i = next((i for i in range(4) if (key >> (4 * i)) & 15 >= 2), None)
+        if i is None:
+            out = {key: 1}
+        else:
+            base = key - (2 << (4 * i))
+            acc = {}
+            for t, c in quotient.rules[i]:
+                for s, v in dict_normal_form(quotient, base + t, memo).items():
+                    acc[s] = acc.get(s, 0) + c * v
+            out = {s: v % p for s, v in acc.items() if v % p}
+        memo[key] = out
+    return out
 
 
 def test_packed_rank_matches_exact_rank():
@@ -29,15 +63,64 @@ def test_packed_rank_matches_exact_rank():
             grew = []
             for row in rows:
                 # unreduced fields: each entry plus a multiple of p
-                grew.append(ranker.add(singular.PackedRankMod.pack([v + p * rng.randrange(2**20) for v in row])))
+                grew.append(ranker.add(pack([v + p * rng.randrange(2**20) for v in row])))
                 assert ranker.rank == Matrix(GF(p), rows[: len(grew)]).rank()
             assert sum(grew) == ranker.rank
 
 
 def test_packed_rank_refuses_fields_that_can_overflow():
+    # pivot fields below 2p: ncols·2p² must stay below 2³⁹, so 256 columns
+    # fit at the top Hilbert prime and 257 do not
     singular.PackedRankMod(119, 32713)
+    singular.PackedRankMod(256, 32713)
     with pytest.raises(BadSize):
-        singular.PackedRankMod(600, 32713)
+        singular.PackedRankMod(257, 32713)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((17, 41, 32713)), st.integers(1, 119), st.data())
+@example(17, 119, None)
+@example(32713, 118, None)
+def test_lane_reduction_matches_per_field_mod(p, ncols, data):
+    if data is None:  # the largest fields, an odd and an even row length
+        fields = [(1 << WIDTH) - 1] * ncols
+    else:
+        length = data.draw(st.integers(1, ncols))
+        fields = data.draw(st.lists(st.integers(0, (1 << WIDTH) - 1), min_size=length, max_size=length))
+    reduced = singular.PackedRankMod(ncols, p).reduce(pack(fields))
+    assert reduced >> (WIDTH * len(fields)) == 0
+    out = unpack(reduced, len(fields))
+    assert [v % p for v in out] == [v % p for v in fields]
+    assert all(v < 2 * p for v in out)
+
+
+def test_packed_normal_forms_match_the_dict_rewriting():
+    # every monomial of the degree-7 weight blocks at the top Hilbert prime,
+    # and of both parity blocks of degree 5 after cutting by x4 + 3·x6 mod 41
+    for p, cut, degree, modulus in ((singular.HILBERT_PRIMES[0], None, 7, 8), (41, 3, 5, 2)):
+        quadrics, _minors = singular.singular_ideal_mod_p(Y123, p)
+        high = (4, 5, 6, 7)
+        if cut is not None:
+            quadrics, high = [singular._eliminate_x4(q, cut, p) for q in quadrics], (5, 6, 7)
+        quotient = singular.QuadricQuotient(quadrics, p, high=high)
+        memo = {}
+        variables = (0, 1, 2, 3, *high)
+        monomials = [sum(1 << (4 * i) for i in m) for m in itertools.combinations_with_replacement(variables, degree)]
+        for block, columns in quotient.weight_blocks(degree, modulus).items():
+            cols = {s: j for j, s in enumerate(columns)}
+            ranker = singular.PackedRankMod(len(cols), p)
+            normal_form = quotient.packed_normal_forms(cols, ranker.reduce)
+            keys = [k for k in monomials if singular._twist_weight(k) % modulus == block]
+            assert keys
+            for key in keys:
+                expect = [0] * len(cols)
+                for s, v in dict_normal_form(quotient, key, memo).items():
+                    expect[cols[s]] = v
+                packed = normal_form(key)
+                assert packed >> (WIDTH * len(cols)) == 0
+                fields = unpack(packed, len(cols))
+                assert all(v < 2 * p for v in fields)
+                assert [v % p for v in fields] == expect
 
 
 def _block_count(y, p, weight=0):
