@@ -23,10 +23,6 @@ class BadPrime(CertifyError):
     pass
 
 
-class BadRoot(CertifyError):
-    pass
-
-
 class DenominatorVanishes(CertifyError):
     pass
 
@@ -71,11 +67,11 @@ class InhomogeneousInput(CertifyError):
 
 
 class NotInDegree(CertifyError):
-    """No representation of the target in its own degree was found.
+    """The target has no representation in its own degree.
 
-    Over GF(p) this is an exact statement about the degree-d slice of the
-    ideal mod p.  Over the rationals it is degree-bounded evidence gathered
-    through reference primes, not a proof of non-membership.
+    This is an exact statement about the degree-d slice of the ideal over
+    the field the solve ran in, GF(p) or QQ; for a homogeneous target and
+    homogeneous generators that slice decides membership in the ideal.
     """
 
 

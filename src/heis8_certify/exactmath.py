@@ -19,7 +19,6 @@ from functools import lru_cache
 
 from .errors import (
     BadPrime,
-    BadRoot,
     DenominatorVanishes,
     DivisionByZero,
     MissingRootOfUnity,
@@ -270,32 +269,6 @@ def find_order8_root(p: int) -> int:
         if pow(r, 8, p) == 1 and pow(r, 4, p) != 1:
             return r
     raise BadPrime(f"no element of order 8 mod {p}")  # unreachable for p ≡ 1 mod 8
-
-
-def multiplicative_order(a: int, p: int) -> int:
-    v = a % p
-    if v == 0:
-        raise DivisionByZero("order of 0 is undefined")
-    k, acc = 1, v
-    while acc != 1:
-        acc = acc * v % p
-        k += 1
-    return k
-
-
-def embed_cyclo_mod_p(c: Cyclo, p: int, root) -> ModInt:
-    """Ring homomorphism ℚ(ξ) → GF(p) sending ξ to ``root`` (order-8 residue)."""
-    if not is_prime_1_mod_8(p):
-        raise BadPrime(f"p={p} is not a prime congruent to 1 mod 8")
-    r = root.value if isinstance(root, ModInt) else root % p
-    if multiplicative_order(r, p) != 8:
-        raise BadRoot(f"{r} does not have order 8 mod {p}")
-    acc = 0
-    for i, coeff in enumerate(c.coeffs):
-        if coeff.denominator % p == 0:
-            raise DenominatorVanishes(f"denominator of {coeff} vanishes mod {p}")
-        acc += coeff.numerator * pow(coeff.denominator, -1, p) * pow(r, i, p)
-    return ModInt(acc, p)
 
 
 class FieldBase:

@@ -20,7 +20,7 @@ regression-tested:
   where w0 = 2·x1·x3, w1 = −x2², w2 = x1²+x3² and A, B, C are the conic-plane
   pullbacks A = (y1²−y3²+y5²−y7²)/2, B = (y0−y4)(y2−y6), C = y3·y7−y1·y5;
 * the ψ target is the plane quartic (quartic_curve_poly) under w ↦ (A, B, C);
-* the prime ladder is linalg.REFERENCE_PRIMES, and the prime rule
+* the prime ladder is registry.REFERENCE_PRIMES, and the prime rule
   (p prime, p ≡ 1 mod 8) is exactmath.is_prime_1_mod_8.
 """
 from __future__ import annotations
@@ -120,10 +120,6 @@ class MinusPlanePoint:
     def to_field(self, field) -> "MinusPlanePoint":
         return MinusPlanePoint(field, *(field.coerce(c) for c in self.coords))
 
-    def plane_point(self, field=None) -> ProjPoint:
-        f = field if field is not None else self.field
-        return ProjPoint(f, [f.coerce(c) for c in self.coords])
-
 
 def standard_quadrics(x):
     """The three base quadrics x0²+x4², x1·x7+x3·x5, x2·x6 in the coordinates x."""
@@ -202,15 +198,6 @@ def symbolic_base_identities() -> list:
 
 def point_on_variety(system: VarietySystem, v: ProjPoint) -> bool:
     return all(not q.eval(v.coords) for q in system.quadrics)
-
-
-def jacobian_rank_at(system: VarietySystem, v: ProjPoint) -> int:
-    """Rank of the 4×8 Jacobian at a point of the variety: 3 at a singular
-    point of the complete intersection, 4 at a smooth one."""
-    if not point_on_variety(system, v):
-        raise PointNotOnVariety(f"{v} is not on the quadric system")
-    entries = system.jacobian.eval(v.coords)
-    return Matrix(system.ring.field, entries).rank()
 
 
 def odp_normal_hessian_rank(system: VarietySystem, v: ProjPoint) -> int:

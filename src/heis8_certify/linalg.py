@@ -124,22 +124,6 @@ class Matrix:
             basis.append(vec)
         return basis
 
-    def solve(self, b):
-        """One exact solution of self·x = b, or None if the system is inconsistent."""
-        m, n = self.shape
-        if len(b) != m:
-            raise DimensionMismatch(f"rhs of length {len(b)} for {self.shape}")
-        coerce = self.field.coerce
-        aug = Matrix(self.field, [list(row) + [coerce(v)] for row, v in zip(self.rows, b)])
-        red, pivots, rank = aug.rref()
-        if n in pivots:
-            return None
-        zero = self.field.zero
-        x = [zero] * n
-        for i, pc in enumerate(pivots):
-            x[pc] = red.rows[i][n]
-        return x
-
     def det(self):
         m, n = self.shape
         if m != n:
@@ -161,14 +145,6 @@ class Matrix:
                     f = rows[r][col] / pivot
                     rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
         return acc if sign == 1 else -acc
-
-    def apply(self, vec):
-        if len(vec) != self.shape[1]:
-            raise DimensionMismatch("vector length mismatch")
-        coerce = self.field.coerce
-        v = [coerce(x) for x in vec]
-        zero = self.field.zero
-        return [sum((a * b for a, b in zip(row, v)), zero) for row in self.rows]
 
     def __repr__(self):
         return "\n".join("[" + ", ".join(repr(v) for v in row) + "]" for row in self.rows)
@@ -357,26 +333,6 @@ def wedge_lemma_exhaustive() -> WedgeLemmaSweep:
 # graded ideal membership
 
 
-def monomials_of_degree(nvars: int, degree: int):
-    """All exponent tuples of the given total degree, descending grevlex."""
-    out = []
-
-    def rec(prefix, rem, k):
-        if k == 1:
-            out.append(tuple(prefix) + (rem,))
-            return
-        for d in range(rem, -1, -1):
-            prefix.append(d)
-            rec(prefix, rem - d, k - 1)
-            prefix.pop()
-
-    if nvars == 0:
-        return [()] if degree == 0 else []
-    rec([], degree, nvars)
-    out.sort(key=grevlex_key)
-    return out
-
-
 @dataclass(frozen=True)
 class MembershipCertificate:
     """target = Σ coefficient · multiplier · generator, replayable exactly.
@@ -525,11 +481,6 @@ def sparse_solve_mod_p(rows, ncols: int, p: int):
     return x, cols
 
 
-# the prime ladder, also for replacing unlucky primes; denominators occurring
-# in practice are powers of 2, so any odd prime here is usable
-REFERENCE_PRIMES = (17, 41, 73, 89, 97, 113, 137, 193, 233, 241)
-
-
 def _monomial_count(nvars: int, degree: int) -> int:
     """How many monomials of the given degree there are in nvars variables."""
     if nvars == 0:
@@ -552,6 +503,18 @@ class _Block:
     target: list  # (local row, integer coefficient)
 
 
+def _augmented(block: _Block) -> list:
+    """A block's integer system [A | b] as sparse rows {local column: value},
+    with b at key len(block.cols)."""
+    ncols = len(block.cols)
+    aug = [{} for _ in block.rows]
+    for i, j, v in zip(block.local_rows, block.local_cols, block.vals):
+        aug[i][j] = v
+    for i, c in block.target:
+        aug[i][ncols] = c
+    return aug
+
+
 class MembershipProblem:
     """The degree-d linear system asking whether a homogeneous target lies in
     the span of (monomial multiplier)·(generator) products.
@@ -562,8 +525,10 @@ class MembershipProblem:
     monomial are ever built, searched outward from the target: a row m
     reaches the product (gi, m − e) for every term e of generator gi dividing
     m, and a product reaches the rows of its terms.  Coefficients are cleared
-    to integers per generator and shared by every modular solve.
+    to integers per generator and shared by every solve.
 
+    solve_mod(p) and solve_rational() each solve every target block whole
+    and decide membership in the degree exactly, over GF(p) and over QQ.
     The solves return certificates without replaying them; replays(cert)
     decides whether one reproduces the target, and graded_membership replays
     for its callers.
@@ -618,8 +583,6 @@ class MembershipProblem:
                 self._block_generators.append(gi)
                 seen.update((key, frozenset((-g).terms.items())))
         self._blocks = None
-        self._mod_certs = {}  # prime -> the certificate solve_mod built there
-        self._mod_failures = {}  # prime -> the NotInDegree solve_mod raised there
         self.target_hash = _canonical_hash([target])
         self.generators_hash = _canonical_hash(generators)
 
@@ -764,87 +727,40 @@ class MembershipProblem:
         sts = int(pow(self._target_scale, -1, p))
         entries = []
         for block in self._target_blocks():
-            ncols = len(block.cols)
-            aug = [{} for _ in block.rows]
-            for i, j, v in zip(block.local_rows, block.local_cols, block.vals):
-                aug[i][j] = v
-            for i, c in block.target:
-                aug[i][ncols] = c
-            xb, _ = sparse_solve_mod_p(aug, ncols, p)
+            xb, _ = sparse_solve_mod_p(_augmented(block), len(block.cols), p)
             if xb is None:
-                exc = self._mod_failures[p] = NotInDegree(
-                    f"no representation of the target in degree {self.degree} over GF({p})"
-                )
-                raise exc
+                raise NotInDegree(f"no representation of the target in degree {self.degree} over GF({p})")
             for j, v in xb.items():
                 gi, mult = block.cols[j]
                 coeff = ModInt(v * self._gen_scale[gi] * sts, p)
                 if coeff:
                     entries.append((gi, mult, coeff))
-        cert = self._mod_certs[p] = self._finish(entries, GF(p).name, p)
-        return cert
+        return self._finish(entries, GF(p).name, p)
 
     def solve_rational(self) -> MembershipCertificate:
-        """Binding certificate over QQ.
+        """Exact decision of membership in the degree-d slice over QQ.
 
-        A reference-prime elimination proposes a column support (the
-        certificate solve_mod already built at that prime, when there is
-        one; a prime where solve_mod already found no representation is not
-        eliminated again); each target block, restricted to its slice of
-        that support, is then solved by solve_over_qq.  The
-        support lies on pivot columns mod p, so it is independent mod p and
-        hence over QQ: the solution on it is unique, and solving the blocks
-        one at a time gives the same one as solving the whole support at
-        once.  Replaying the result over QQ (replays) is what makes the
-        certificate binding; reference primes only propose.
+        Each target block is solved whole by solve_over_qq, whose pivot
+        columns and consistency are those over QQ.  The certificate is the
+        solution with every free variable zero on the QQ pivot columns, the
+        definition solve_mod uses mod p, and the argument there that the
+        blocks give the whole system's solution holds over QQ word for word.
+        An inconsistent block raises NotInDegree: the target is not in the
+        degree-d slice of the ideal over QQ.
         """
         if self._field_prime() is not None:
             raise InhomogeneousInput("rational solve needs generators over QQ")
         if not self.target:
             return self._finish([], QQ.name, None)
-        evidence = []
-        for p in REFERENCE_PRIMES:
-            if p in self._mod_failures:
-                evidence.append(f"GF({p}): {self._mod_failures[p]}")
-                continue
-            try:
-                cert_p = self._mod_certs.get(p) or self.solve_mod(p)
-            except (NotInDegree, DenominatorVanishes) as exc:
-                evidence.append(f"GF({p}): {exc}")
-                continue
-            entries = self._lift_support({(gi, mult) for gi, mult, _ in cert_p.entries})
-            if entries is None:
-                evidence.append(f"GF({p}): support not liftable to QQ")
-                continue
-            return self._finish(entries, QQ.name, None)
-        raise NotInDegree(
-            "no representation over QQ found in degree "
-            f"{self.degree}; evidence: {'; '.join(evidence)}"
-        )
-
-    def _lift_support(self, support):
-        """Rational entries on a proposed support: each block, restricted to
-        its support columns and to the rows they or the target touch, solved
-        by solve_over_qq; None if some block is inconsistent."""
         entries = []
         for block in self._target_blocks():
-            cols = [j for j, col in enumerate(block.cols) if col in support]
-            colpos = {j: k for k, j in enumerate(cols)}
-            rows = defaultdict(dict)
-            for r, j, v in zip(block.local_rows, block.local_cols, block.vals):
-                if j in colpos:
-                    rows[r][colpos[j]] = v
-            for r, c in block.target:
-                rows[r][len(cols)] = c
-            x = solve_over_qq(list(rows.values()), len(cols))
+            x = solve_over_qq(_augmented(block), len(block.cols))
             if x is None:
-                return None
-            for k, val in x.items():
-                gi, mult = block.cols[cols[k]]
-                coeff = val * self._gen_scale[gi] / self._target_scale
-                if coeff:
-                    entries.append((gi, mult, coeff))
-        return entries
+                raise NotInDegree(f"no representation over QQ of the target in degree {self.degree}")
+            for j, val in x.items():
+                gi, mult = block.cols[j]
+                entries.append((gi, mult, val * self._gen_scale[gi] / self._target_scale))
+        return self._finish(entries, QQ.name, None)
 
     def _finish(self, entries, field_name, prime):
         entries.sort(key=lambda t: (t[0], grevlex_key(t[1])))
@@ -874,8 +790,8 @@ def graded_membership(generators, target: SparsePoly) -> MembershipCertificate:
     """Decide degree-d membership of a homogeneous target in the ideal slice
     spanned by the generators, returning a replay-verified certificate.
 
-    Over GF(p) this is a complete decision in the degree; over QQ a failed
-    search raises NotInDegree as degree-bounded evidence (see errors module).
+    Over GF(p) and over QQ alike this is an exact decision in the degree:
+    NotInDegree means the target is not in the degree-d slice of the ideal.
     """
     problem = MembershipProblem(generators, target)
     p = problem._field_prime()

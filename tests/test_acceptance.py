@@ -22,20 +22,19 @@ from heis8_certify.heisenberg import (
     enumerate_group,
 )
 from heis8_certify.linalg import (
-    REFERENCE_PRIMES,
     Matrix,
-    MembershipProblem,
     exterior_power,
     graded_membership,
-    monomials_of_degree,
     replay_certificate,
     smith_normal_form,
     unipotent_log,
     wedge_lemma_exhaustive,
 )
 from heis8_certify.multipoly import PolyMatrix, PolyRing, pfaffian4
-from heis8_certify.registry import MONODROMY_MATRIX
+from heis8_certify.registry import MONODROMY_MATRIX, REFERENCE_PRIMES
 from heis8_certify.report import normalized_json
+
+from helpers import monomials_of_degree
 
 Y123 = geo.MinusPlanePoint.rational(1, 2, 3)
 

@@ -123,13 +123,61 @@ def test_verify_subset_passes_and_is_deterministic(tmp_path):
 DEFAULT_REPORT_SHA256 = "c1fbc1eba06faacf04eab9c9e31c2f5e14b5d5939e5407e5e6718bd83b6a4fcb"
 
 
-def test_default_report_is_byte_identical_to_the_recorded_one(tmp_path):
+BASEPOINT_CHECKS = "ideal-invariance,base-point-on-V,orbit-64-singular,odp-proxy,minus-plane-4points"
+# the same contract for other configurations: (verify flags, exit code, sha256)
+REPORT_SHA256 = {
+    "psi-quartic-ladder-primes": (
+        ("--checks", "psi-quartic-membership,quartic-smooth-genus3", "--primes", "113,137,193,233,241"),
+        0,
+        "017169281a1a5dd7053a0927eb00d3414cf1bfeb5a5b106f6a8f43b9a3d8b62a",
+    ),
+    "fast-modular": (
+        ("--fast", "--checks", MODULAR_CHECKS, "--primes", "89,97"),
+        0,
+        "6b17d54c02133969a568f82f2a18aa023fc560bcb50690ca05ba3ba9eb3e7cf6",
+    ),
+    "basepoint-5-3-7": (
+        ("--checks", BASEPOINT_CHECKS, "--y=5,-3,7", "--seed", "7"),
+        0,
+        "68f8769bdd2847d965763ee16ca4d77a6494a3a2564c89db732f0968f5d0a08b",
+    ),
+    "basepoint-1-0-2": (
+        ("--checks", BASEPOINT_CHECKS, "--y=1,0,2", "--seed", "9"),
+        1,  # y2 = 0: minus-plane-4points FAILs
+        "dbefea51b6025457a875b5b9569b3d40e7f80cbd8a7ee526ba7fd712a0c85a9d",
+    ),
+}
+# sha256 of the triples of the three quartic Nullstellensatz certificates,
+# one per line, which no report carries
+QUARTIC_NULLSTELLENSATZ_SHA256 = "3edc2048d597b444f5f8b41db47e1dfb7b3c79d048186d0e60290ebffd3bd870"
+
+
+def report_digest(tmp_path, flags, code):
     from heis8_certify.report import normalized_json
 
     out = tmp_path / "report.json"
-    assert run_cli("verify", "--json", str(out)).returncode == 0
-    digest = hashlib.sha256(normalized_json(out.read_text()).encode()).hexdigest()
-    assert digest == DEFAULT_REPORT_SHA256
+    assert run_cli("verify", *flags, "--json", str(out)).returncode == code
+    return hashlib.sha256(normalized_json(out.read_text()).encode()).hexdigest()
+
+
+def test_default_report_is_byte_identical_to_the_recorded_one(tmp_path):
+    assert report_digest(tmp_path, (), 0) == DEFAULT_REPORT_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_report_is_byte_identical_to_the_recorded_one(tmp_path, name):
+    flags, code, digest = REPORT_SHA256[name]
+    assert report_digest(tmp_path, flags, code) == digest
+
+
+def test_quartic_nullstellensatz_certificates_are_the_recorded_ones():
+    from heis8_certify import geometry
+
+    digest = hashlib.sha256()
+    for cert in geometry.quartic_nullstellensatz_certificates():
+        for triple in cert.triples_text(geometry.conic_ring().names):
+            digest.update(triple.encode() + b"\n")
+    assert digest.hexdigest() == QUARTIC_NULLSTELLENSATZ_SHA256
 
 
 def test_verify_text_report_shape():

@@ -7,7 +7,6 @@ import pytest
 
 from heis8_certify.errors import (
     BadPrime,
-    BadRoot,
     DenominatorVanishes,
     DivisionByZero,
     ModulusMismatch,
@@ -18,11 +17,11 @@ from heis8_certify.exactmath import (
     QQ,
     Cyclo,
     ModInt,
-    embed_cyclo_mod_p,
     find_order8_root,
     is_prime,
-    multiplicative_order,
 )
+
+from helpers import BadRoot, embed_cyclo_mod_p, multiplicative_order
 
 Z = Cyclo.zeta
 

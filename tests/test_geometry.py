@@ -18,10 +18,12 @@ from heis8_certify.errors import (
     PointNotOnVariety,
     ZeroPoint,
 )
-from heis8_certify.exactmath import GF, QI8, QQ, Cyclo, embed_cyclo_mod_p, find_order8_root
+from heis8_certify.exactmath import GF, QI8, QQ, Cyclo, find_order8_root
 from heis8_certify.heisenberg import SHIFT, TWIST, HeisenbergElement, ProjPoint, orbit
-from heis8_certify.linalg import Matrix, monomials_of_degree, replay_certificate
+from heis8_certify.linalg import Matrix, replay_certificate
 from heis8_certify.multipoly import PolyRing, grevlex_key
+
+from helpers import embed_cyclo_mod_p, jacobian_rank_at, monomials_of_degree, plane_point, solve
 
 
 Y123 = geo.MinusPlanePoint.rational(1, 2, 3)
@@ -87,14 +89,14 @@ def test_conventions_agree_at_random_plane_points(base, abc, other):
 
 def test_jacobian_rank_three_at_base_point():
     system = geo.build_system(Y123)
-    assert geo.jacobian_rank_at(system, Y123.embed()) == 3
+    assert jacobian_rank_at(system, Y123.embed()) == 3
 
 
 def test_jacobian_rank_rejects_off_variety_points():
     system = geo.build_system(Y123)
     v = ProjPoint(QQ, [1, 0, 0, 0, 0, 0, 0, 0])
     with pytest.raises(PointNotOnVariety):
-        geo.jacobian_rank_at(system, v)
+        jacobian_rank_at(system, v)
 
 
 @lru_cache(maxsize=None)
@@ -135,7 +137,7 @@ def test_jacobian_rank_four_at_smooth_sample_points():
     orbit_set = _orbit_mod_p(Y123, p)
     smooth_seen = 0
     for pt in points:
-        r = geo.jacobian_rank_at(system, pt)
+        r = jacobian_rank_at(system, pt)
         if pt not in orbit_set:
             assert r == 4
             smooth_seen += 1
@@ -210,7 +212,7 @@ def _dense_span_solve(quadrics, image):
     """The QQ(zeta8) solve of image = Σ c_j·q_j over the monomials that occur."""
     monomials = sorted({e for poly in (*quadrics, image) for e in poly.terms}, key=grevlex_key)
     a = Matrix(QI8, [[poly.terms.get(e, QI8.zero) for poly in quadrics] for e in monomials])
-    sol = a.solve([image.terms.get(e, QI8.zero) for e in monomials])
+    sol = solve(a, [image.terms.get(e, QI8.zero) for e in monomials])
     return None if sol is None else tuple(sol)
 
 
@@ -266,7 +268,7 @@ def test_orbit_has_64_points_exactly_when_no_involution_fixes_the_base_point():
 def test_named_points_on_restricted_system_exactly():
     assert geo.minus_plane_intersection_exact(Y123)
     named = geo.named_intersection_points(Y123)
-    plane_pts = {p.plane_point() for p in named}
+    plane_pts = {plane_point(p) for p in named}
     expect = {
         ProjPoint(QQ, [1, 2, 3]),
         ProjPoint(QQ, [3, 2, 1]),

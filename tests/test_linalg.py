@@ -22,13 +22,11 @@ from heis8_certify.exactmath import GF, QQ
 from heis8_certify.kernels import solve_mod_p
 from heis8_certify.linalg import (
     MERSENNE_EXPONENTS,
-    REFERENCE_PRIMES,
     Matrix,
     MembershipProblem,
     WedgeLemmaSweep,
     exterior_power,
     graded_membership,
-    monomials_of_degree,
     replay_certificate,
     smith_normal_form,
     solve_over_qq,
@@ -36,8 +34,10 @@ from heis8_certify.linalg import (
     unipotent_log,
     wedge_lemma_exhaustive,
 )
-from heis8_certify.multipoly import PolyRing, grevlex_key
-from heis8_certify.registry import MONODROMY_MATRIX
+from heis8_certify.multipoly import PolyRing
+from heis8_certify.registry import MONODROMY_MATRIX, REFERENCE_PRIMES
+
+from helpers import apply, monomials_of_degree, solve
 
 
 def test_rank_examples():
@@ -49,11 +49,11 @@ def test_rank_examples():
 
 def test_solve_examples():
     eye = Matrix.identity(QQ, 3)
-    assert eye.solve([1, 2, 3]) == [Fraction(1), Fraction(2), Fraction(3)]
+    assert solve(eye, [1, 2, 3]) == [Fraction(1), Fraction(2), Fraction(3)]
     inconsistent = Matrix(QQ, [[0], [0]])
-    assert inconsistent.solve([1, 0]) is None
+    assert solve(inconsistent, [1, 0]) is None
     with pytest.raises(DimensionMismatch):
-        eye.solve([1, 2])
+        solve(eye, [1, 2])
 
 
 def test_solve_random_consistent_over_gf73():
@@ -63,10 +63,10 @@ def test_solve_random_consistent_over_gf73():
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         a = Matrix(field, [[field.random(rng) for _ in range(n)] for _ in range(m)])
         x0 = [field.random(rng) for _ in range(n)]
-        b = a.apply(x0)
-        x = a.solve(b)
+        b = apply(a, x0)
+        x = solve(a, b)
         assert x is not None
-        assert a.apply(x) == b  # residual exactly zero
+        assert apply(a, x) == b  # residual exactly zero
 
 
 def test_rank_nullity():
@@ -338,8 +338,8 @@ def test_membership_zero_target_trivial_certificate():
 
 
 def test_membership_rational_retries_when_reference_prime_drops_a_term():
-    # the coefficient 17 vanishes mod the first reference prime, so the
-    # proposed support misses a needed column and the solver must move on
+    # the coefficient 17 vanishes mod the first ladder prime, which the
+    # rational solve never reduces by
     ring = PolyRing(QQ, ("a", "b"))
     a, b = ring.gens()
     gens = [a * a, b * b]
@@ -349,19 +349,34 @@ def test_membership_rational_retries_when_reference_prime_drops_a_term():
     assert replay_certificate(cert, gens) == target
 
 
-def test_rational_solve_reuses_the_reference_prime_certificate(monkeypatch):
+def test_rational_solve_never_calls_solve_mod(monkeypatch):
     ring = PolyRing(QQ, ("a", "b"))
     a, b = ring.gens()
     gens = [a * a + b * b, a * b]
     problem = MembershipProblem(gens, gens[0] * a + gens[1] * (b * 3))
     cert17 = problem.solve_mod(17)
 
-    def solve_again(self, p):
-        pytest.fail(f"GF({p}) solved a second time")
+    def solve_mod(self, p):
+        pytest.fail(f"solve_rational solved over GF({p})")
 
-    monkeypatch.setattr(MembershipProblem, "solve_mod", solve_again)
+    monkeypatch.setattr(MembershipProblem, "solve_mod", solve_mod)
     cert = problem.solve_rational()
     assert problem.replays(cert17) and problem.replays(cert)
+
+
+@pytest.mark.parametrize("case", ["in-the-ideal", "not-in-the-ideal"])
+def test_rational_membership_is_decided_over_qq_not_by_the_ladder(case):
+    ring = PolyRing(QQ, ("x0", "x1"))
+    x0, x1 = ring.gens()
+    n = math.prod(REFERENCE_PRIMES)
+    if case == "in-the-ideal":
+        # g2 − g1 = N·x1, though g2 ≡ g1 and N·x1 ≡ 0 mod every ladder prime
+        cert = graded_membership([x0 + x1, x0 + x1 * (1 + n)], x1 * n)
+        assert cert.entries == ((0, (0, 0), Fraction(-1)), (1, (0, 0), Fraction(1)))
+    else:
+        # x0 + (1+N)·x1 ≡ x0 + x1 mod every ladder prime, but is no multiple of it over QQ
+        with pytest.raises(NotInDegree, match="no representation over QQ"):
+            graded_membership([x0 + x1], x0 + x1 * (1 + n))
 
 
 def test_graded_membership_raises_when_the_replay_fails(monkeypatch):
@@ -443,28 +458,34 @@ def multiplier_systems(draw):
     return gens, target
 
 
-def _dense_solve(gens, target):
-    """The whole system, rows and columns enumerated here, as one dense
-    augmented matrix solved by the kernel.  Returns the shape of the system
-    and the nonzero entries of its solution by column, or None."""
+def _dense_system(gens, target, ring):
+    """The whole system, rows and columns enumerated here: its columns
+    (generator index, multiplier) in canonical order and its augmented rows
+    [A | b] in descending grevlex, every coefficient in the ring's field."""
     d = target.homogeneous_degree()
-    rows = monomials_of_degree(4, d)
-    row_index = {e: i for i, e in enumerate(rows)}
     columns = [
         (gi, mult)
         for gi, g in enumerate(gens)
         if g.homogeneous_degree() <= d
         for mult in monomials_of_degree(4, d - g.homogeneous_degree())
     ]
-    aug = np.zeros((len(rows), len(columns) + 1), dtype=np.int64)
-    for k, (gi, mult) in enumerate(columns):
-        for e, c in (gens[gi] * PARITY_RING.monomial(mult)).terms.items():
-            aug[row_index[e], k] = c.value
-    for e, c in target.terms.items():
-        aug[row_index[e], -1] = c.value
-    x, _, _ = solve_mod_p(aug, PARITY_PRIME)
+    products = [(gens[gi] * ring.monomial(mult)).terms for gi, mult in columns]
+    zero = ring.field.zero
+    aug = [
+        [terms.get(e, zero) for terms in products] + [target.terms.get(e, zero)]
+        for e in monomials_of_degree(4, d)
+    ]
+    return columns, aug
+
+
+def _dense_solve(gens, target):
+    """The whole system as one dense augmented matrix solved by the kernel.
+    Returns the shape of the system and the nonzero entries of its solution
+    by column, or None."""
+    columns, aug = _dense_system(gens, target, PARITY_RING)
+    x, _, _ = solve_mod_p(np.array([[c.value for c in row] for row in aug], dtype=np.int64), PARITY_PRIME)
     solution = None if x is None else {columns[k]: int(x[k]) for k in np.nonzero(x)[0]}
-    return (len(rows), len(columns)), solution
+    return (len(aug), len(columns)), solution
 
 
 @settings(max_examples=150, deadline=None)
@@ -526,42 +547,29 @@ def _bareiss_solve(rows, ncols):
     return x
 
 
-def _whole_support_solve(problem, gens, target):
-    """solve_rational's search with one Bareiss solve over the whole proposed
-    support, products multiplied out here: the nonzero entries by column for
-    the first reference prime whose support lifts, or None."""
-    for p in REFERENCE_PRIMES:
-        try:
-            cert_p = problem.solve_mod(p)
-        except NotInDegree:
-            continue
-        support = [(gi, mult) for gi, mult, _ in cert_p.entries]
-        products = [(gens[gi] * RATIONAL_RING.monomial(mult)).terms for gi, mult in support]
-        rows = {e for terms in products for e in terms} | set(target.terms)
-        aug = [
-            [int(terms.get(e, 0)) for terms in products] + [int(target.terms.get(e, 0))]
-            for e in sorted(rows, key=grevlex_key)
-        ]
-        x = _bareiss_solve(aug, len(support))
-        if x is not None:
-            return {col: v for col, v in zip(support, x) if v}
-    return None
+def _dense_qq_solve(gens, target):
+    """The whole system over QQ solved by the reduced row echelon form: the
+    nonzero entries of the solution with every free variable zero, by
+    column, or None if it is inconsistent."""
+    columns, aug = _dense_system(gens, target, RATIONAL_RING)
+    x = solve(Matrix(QQ, [row[:-1] for row in aug]), [row[-1] for row in aug])
+    return None if x is None else {col: v for col, v in zip(columns, x) if v}
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(blocked_systems(RATIONAL_RING))
-def test_rational_blocks_match_one_whole_support_solve(system):
+def test_rational_certificate_is_the_dense_qq_solution(system):
     gens, target = system  # integer coefficients, so no denominators to clear
     if not target:
         return
     problem = MembershipProblem(gens, target)
-    whole = _whole_support_solve(problem, gens, target)
-    if whole is None:
+    dense = _dense_qq_solve(gens, target)
+    if dense is None:
         with pytest.raises(NotInDegree):
             problem.solve_rational()
         return
     cert = problem.solve_rational()
-    assert {(gi, mult): c for gi, mult, c in cert.entries} == whole
+    assert {(gi, mult): c for gi, mult, c in cert.entries} == dense
 
 
 # --- the sparse block solver ------------------------------------------------
@@ -597,7 +605,7 @@ def test_sparse_block_solver_matches_the_dense_references(system):
     rows = [{j: v for j, v in enumerate(row) if v} for row in a]
     x, pivots = sparse_solve_mod_p(rows, n, p)
     field = GF(p)
-    exact = Matrix(field, [row[:n] for row in a]).solve([row[n] for row in a])
+    exact = solve(Matrix(field, [row[:n] for row in a]), [row[n] for row in a])
     dense, rank, dense_pivots = solve_mod_p(np.asarray(a, dtype=np.int64) % p, p)
     assert pivots == Matrix(field, [row[:n] for row in a]).rref()[1]
     assert (x is None) == (exact is None) == (dense is None)
@@ -697,7 +705,7 @@ def test_psi_blocks_are_solved_at_the_first_mersenne_prime():
     assert problem.replays(cert)
     primes = [call.args[2] for call in spy.call_args_list]
     assert primes.count(2 ** MERSENNE_EXPONENTS[0] - 1) == 2  # one solve per target block
-    assert set(primes) <= {*REFERENCE_PRIMES, 2 ** MERSENNE_EXPONENTS[0] - 1}
+    assert set(primes) == {2 ** MERSENNE_EXPONENTS[0] - 1}
 
 
 # --- array kernels ----------------------------------------------------------
@@ -719,7 +727,7 @@ def test_elimination_matches_exact_rref():
             assert rank_ == exact_rank
             assert tuple(int(c) for c in pivots) == exact_pivots
             sol, _, _ = solve_mod_p(a.copy(), p)
-            exact = Matrix(GF(p), a[:, :n].tolist()).solve(a[:, n].tolist())
+            exact = solve(Matrix(GF(p), a[:, :n].tolist()), a[:, n].tolist())
             assert (sol is None) == (exact is None)
             if sol is not None:
                 lhs = a[:, :n] @ sol % p

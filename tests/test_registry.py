@@ -267,10 +267,10 @@ def test_psi_membership_fails_on_a_wrong_target(monkeypatch, tmp_path, capsys, f
         payload = _verify_fails(tmp_path, capsys, "psi-quartic-membership", *flags)
     finally:
         geometry.psi_membership_problem.cache_clear()
-    # each (prime, block) is eliminated once: the rational search does not
-    # eliminate again at a prime where the GF(p) solve already failed
+    # each (prime, block) is eliminated once: the rational solve works modulo
+    # the first Mersenne prime above its Hadamard bound, not at the GF(p) primes
     assert len(solves) == len(set(solves))
-    primes = (17, 41, 73) if flags else linalg.REFERENCE_PRIMES
+    primes = (17, 41, 73) if flags else (17, 41, 73, 2 ** linalg.MERSENNE_EXPONENTS[0] - 1)
     assert sorted({p for p, _rows, _cols in solves}) == sorted(primes)
     for p in (17, 41, 73):
         assert payload[f"gf{p}_not_in_degree"].startswith("no representation")

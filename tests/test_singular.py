@@ -13,7 +13,9 @@ from heis8_certify import geometry as geo
 from heis8_certify import singular
 from heis8_certify.errors import BadSize, DegeneratePoint, UnluckyPrime
 from heis8_certify.exactmath import GF
-from heis8_certify.linalg import Matrix, monomials_of_degree, sparse_solve_mod_p
+from heis8_certify.linalg import Matrix, sparse_solve_mod_p
+
+from helpers import monomials_of_degree
 
 Y123 = geo.MinusPlanePoint.rational(1, 2, 3)
 WIDTH = singular.PACKED_WIDTH
