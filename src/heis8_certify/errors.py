@@ -27,7 +27,7 @@ class DenominatorVanishes(CertifyError):
     pass
 
 
-# polynomials, matrices, series
+# polynomials and matrices
 class ArityMismatch(CertifyError):
     pass
 
@@ -41,10 +41,6 @@ class NotSkewSymmetric(CertifyError):
 
 
 class BadSize(CertifyError):
-    pass
-
-
-class NonUnitSeries(CertifyError):
     pass
 
 

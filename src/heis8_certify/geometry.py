@@ -25,6 +25,7 @@ regression-tested:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -37,16 +38,16 @@ from .errors import (
     ZeroPoint,
 )
 from .exactmath import GF, QI8, QQ, is_prime_1_mod_8
-from .heisenberg import SHIFT, TWIST, HeisenbergElement, ProjPoint
+from .heisenberg import SHIFT, TWIST, HeisenbergElement, ProjPoint, center_and_quotient
 from .linalg import Matrix, MembershipProblem, graded_membership
 from .multipoly import (
     PolyMatrix,
     PolyRing,
     SparsePoly,
-    TruncatedSeries,
     apply_variable_map,
     ci_invariants,
     pfaffian4,
+    truncated_product,
 )
 
 X_NAMES = tuple(f"x{i}" for i in range(8))
@@ -293,13 +294,20 @@ def quadric_span_images(y: MinusPlanePoint) -> tuple:
 
 
 def orbit_singularity_data(y: MinusPlanePoint) -> dict:
-    """Orbit size 64, the base cone rank, and how many orbit points are
+    """The orbit size, the base cone rank, and how many orbit points are
     certified with Jacobian rank 3 and with a rank-4 cone (odp_proxy_sweep).
+    The orbit is H/center acting freely (odp_proxy_sweep (a)), so its size
+    is the quotient order.
 
-    Raises on a degenerate base point (callers redraw).
+    Raises on a degenerate base point (callers fall back to the witness).
     """
     carried, cone = odp_proxy_sweep(y)
-    return {"orbit_size": "64", "rank3_points": str(carried), "base_cone_rank": str(cone), "cone_rank4": carried}
+    return {
+        "orbit_size": str(center_and_quotient().quotient_order),
+        "rank3_points": str(carried),
+        "base_cone_rank": str(cone),
+        "cone_rank4": carried,
+    }
 
 
 def odp_proxy_sweep(y: MinusPlanePoint) -> tuple:
@@ -307,8 +315,9 @@ def odp_proxy_sweep(y: MinusPlanePoint) -> tuple:
     cone rank at the base point, from evidence at the rational base point
     v = y.embed() alone:
 
-    (a) the orbit of v has 64 distinct points: no element of INVOLUTIONS fixes
-        v, and a nontrivial stabilizer in the faithful (Z/8)² would hold one;
+    (a) the orbit of v has |H/center| = 64 distinct points: no element of
+        INVOLUTIONS fixes v, and a nontrivial stabilizer in the faithful
+        (Z/8)² would hold one, so the stabilizer is trivial;
     (b) shift and twist map the span of the four quadrics at y into itself
         (quadric_span_images);
     (c) over QQ, the Jacobian at v has rank 3 and the cone at v has rank 4
@@ -316,9 +325,9 @@ def odp_proxy_sweep(y: MinusPlanePoint) -> tuple:
 
     Raises DegeneratePoint when (a) or (c) fails, and when y1·y3 = 0, where
     the quadrics lose their squares and with them the leading terms that
-    singular.singular_scheme_mod_p counts with (callers redraw).  Carries 64
-    points when (b) holds; without it only the base point itself is
-    certified, and it carries 1.
+    singular.singular_scheme_mod_p counts with (callers fall back to the
+    witness).  Carries the quotient order, 64 points, when (b) holds;
+    without it only the base point itself is certified, and it carries 1.
 
     Why (a)–(c) certify all 64 points.  Let A be the matrix by which a group
     element acts on points, so the orbit is {A·v}, and q the column of the
@@ -351,7 +360,8 @@ def odp_proxy_sweep(y: MinusPlanePoint) -> tuple:
     cone = odp_normal_hessian_rank(build_system(y), v)
     if cone != 4:
         raise DegeneratePoint(f"quadratic cone rank {cone} != 4 at the base point")
-    return 64 if all(sol is not None for _label, sol in quadric_span_images(y)) else 1, cone
+    invariant = all(sol is not None for _label, sol in quadric_span_images(y))
+    return center_and_quotient().quotient_order if invariant else 1, cone
 
 
 # ---------------------------------------------------------------------------
@@ -685,19 +695,19 @@ def topology_numbers() -> dict:
     the node-resolution identity, and the Hilbert-series cross-check.
 
     The Hilbert series of the coordinate ring is (1−t²)⁴/(1−t)⁸; cancelling
-    (1−t)⁴ leaves the reduced numerator (1+t)⁴ over (1−t)^4, and the numerator
-    value at t = 1 is the degree.
+    (1−t)⁴ leaves the reduced numerator (1−t²)⁴/(1−t)⁴ = (1+t)⁴ over
+    (1−t)⁴, and the numerator value at t = 1 is the degree.  The numerator
+    is computed on integers as (1−t²)⁴ · Σ C(k+3, 3)·tᵏ, the series of
+    (1−t)⁻⁴, truncated at t⁴: the product is a polynomial of degree 4, so
+    the truncation loses nothing.
     """
     inv = ci_invariants(7, (2, 2, 2, 2))
-    numerator = TruncatedSeries([1, 0, -1], 4) ** 4 * (TruncatedSeries([1, -1], 4) ** 4).inverse()
-    value = sum(numerator.coeffs)
-    if value.denominator != 1:
-        raise AssertionError("Hilbert numerator value is not an integer")
+    numerator = truncated_product([[1, 0, -1]] * 4 + [[math.comb(k + 3, 3) for k in range(5)]], 4)
     return {
         "degree": inv.degree,
         "c2_hyperplane_degree": inv.c2_hyperplane_degree,
         "euler_smooth": inv.euler,
         "node_identity": inv.euler + 2 * 64,
-        "hilbert_numerator_at_1": int(value),
-        "hilbert_coeffs": ",".join(str(c) for c in numerator.coeffs),
+        "hilbert_numerator_at_1": sum(numerator),
+        "hilbert_coeffs": ",".join(map(str, numerator)),
     }

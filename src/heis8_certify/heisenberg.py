@@ -146,11 +146,10 @@ def center_and_quotient() -> CenterAndQuotient:
     for m, n in itertools.product(range(8), repeat=2):
         if (m, n) != (0, 0) and HeisenbergElement(m, n, 0) in central:
             relations.append((m, n))
-    snf = smith_normal_form(relations)
     return CenterAndQuotient(
         center=center,
         quotient_order=512 // len(center),
-        invariant_factors=snf.factors,
+        invariant_factors=smith_normal_form(relations),
     )
 
 

@@ -154,40 +154,22 @@ class Matrix:
 # integer lattices
 
 
-@dataclass(frozen=True)
-class SmithNormalForm:
-    diagonal: tuple          # full diagonal of D, zeros included
-    factors: tuple           # nonzero invariant factors d1 | d2 | ...
-    left: tuple              # U with U·A·V = D
-    right: tuple             # V
-
-
-def smith_normal_form(mat) -> SmithNormalForm:
-    """Smith normal form of an integer matrix by unimodular row/column moves."""
+def smith_normal_form(mat) -> tuple:
+    """The nonzero invariant factors d1 | d2 | … of an integer matrix, from
+    its Smith normal form by unimodular row and column moves."""
     a = [[int(v) for v in row] for row in mat]
     m = len(a)
     n = len(a[0]) if m else 0
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_op(i, j, q):  # row_i -= q*row_j
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
     def col_op(i, j, q):  # col_i -= q*col_j
         for row in a:
             row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
             row[i], row[j] = row[j], row[i]
 
     s = 0
@@ -200,7 +182,7 @@ def smith_normal_form(mat) -> SmithNormalForm:
                     best = (i, j)
         if best is None:
             break
-        swap_rows(s, best[0])
+        a[s], a[best[0]] = a[best[0]], a[s]
         swap_cols(s, best[1])
         dirty = False
         for i in range(s + 1, m):
@@ -223,21 +205,13 @@ def smith_normal_form(mat) -> SmithNormalForm:
         if fix is not None:
             row_op(s, fix[0], -1)  # adds row fix[0] into row s
             continue
-        if a[s][s] < 0:
-            a[s] = [-x for x in a[s]]
-            u[s] = [-x for x in u[s]]
         s += 1
-
-    diag = tuple(a[i][i] for i in range(min(m, n)))
-    factors = tuple(d for d in diag if d)
-    return SmithNormalForm(diag, factors, tuple(map(tuple, u)), tuple(map(tuple, v)))
+    return tuple(abs(a[i][i]) for i in range(s))
 
 
 def unipotent_log(mat) -> Matrix:
     """log of a unipotent matrix: (M−I) − ½(M−I)², requiring (M−I)³ = 0."""
     m = mat if isinstance(mat, Matrix) else Matrix(QQ, mat)
-    if m.field != QQ:
-        m = Matrix(QQ, [[Fraction(int(v.value)) if isinstance(v, ModInt) else v for v in row] for row in m.rows])
     rows, cols = m.shape
     if rows != cols:
         raise NotUnipotent("not square")
@@ -491,28 +465,13 @@ def _monomial_count(nvars: int, degree: int) -> int:
 @dataclass(frozen=True)
 class _Block:
     """One connected component of a membership system that meets the target,
-    in local coordinates: its rows (descending grevlex) and columns
-    ((generator index, multiplier), canonical order), its nonzeros as
-    integers, and its target coefficients."""
+    in local coordinates: its rows (descending grevlex), its columns
+    ((generator index, multiplier), canonical order), and its integer system
+    [A | b] as sparse rows {local column: value}, with b at key len(cols)."""
 
     rows: tuple
     cols: tuple
-    local_rows: list
-    local_cols: list
-    vals: list
-    target: list  # (local row, integer coefficient)
-
-
-def _augmented(block: _Block) -> list:
-    """A block's integer system [A | b] as sparse rows {local column: value},
-    with b at key len(block.cols)."""
-    ncols = len(block.cols)
-    aug = [{} for _ in block.rows]
-    for i, j, v in zip(block.local_rows, block.local_cols, block.vals):
-        aug[i][j] = v
-    for i, c in block.target:
-        aug[i][ncols] = c
-    return aug
+    system: list
 
 
 class MembershipProblem:
@@ -667,24 +626,18 @@ class MembershipProblem:
 
     def _local_block(self, rows, cols):
         """A component's rows and columns in the global order, with its
-        nonzeros and target coefficients in local coordinates."""
+        integer system [A | b] in local coordinates."""
         rows = tuple(sorted(rows, key=grevlex_key))
         cols = tuple(sorted(cols, key=lambda col: (col[0], grevlex_key(col[1]))))
         row_pos = {r: i for i, r in enumerate(rows)}
-        local_rows, local_cols, vals = [], [], []
+        system = [{} for _ in rows]
         for j, (gi, mult) in enumerate(cols):
             for e, c in self._gen_int_terms[gi]:
-                local_rows.append(row_pos[tuple(map(operator.add, mult, e))])
-                local_cols.append(j)
-                vals.append(c)
-        return _Block(
-            rows=rows,
-            cols=cols,
-            local_rows=local_rows,
-            local_cols=local_cols,
-            vals=vals,
-            target=[(i, self._target_int[r]) for i, r in enumerate(rows) if r in self._target_int],
-        )
+                system[row_pos[tuple(map(operator.add, mult, e))]][j] = c
+        for i, r in enumerate(rows):
+            if r in self._target_int:
+                system[i][len(cols)] = self._target_int[r]
+        return _Block(rows=rows, cols=cols, system=system)
 
     def _field_prime(self):
         f = self.ring.field
@@ -727,7 +680,7 @@ class MembershipProblem:
         sts = int(pow(self._target_scale, -1, p))
         entries = []
         for block in self._target_blocks():
-            xb, _ = sparse_solve_mod_p(_augmented(block), len(block.cols), p)
+            xb, _ = sparse_solve_mod_p(block.system, len(block.cols), p)
             if xb is None:
                 raise NotInDegree(f"no representation of the target in degree {self.degree} over GF({p})")
             for j, v in xb.items():
@@ -754,7 +707,7 @@ class MembershipProblem:
             return self._finish([], QQ.name, None)
         entries = []
         for block in self._target_blocks():
-            x = solve_over_qq(_augmented(block), len(block.cols))
+            x = solve_over_qq(block.system, len(block.cols))
             if x is None:
                 raise NotInDegree(f"no representation over QQ of the target in degree {self.degree}")
             for j, val in x.items():

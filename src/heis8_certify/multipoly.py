@@ -1,5 +1,5 @@
 """Sparse multivariate polynomials over an exact field, polynomial matrices,
-and truncated univariate power series.
+and the Chern numbers of smooth complete intersections.
 
 Terms are kept in a dict from exponent tuple to nonzero coefficient; the
 canonical term order everywhere (iteration, printing, hashing) is graded
@@ -10,6 +10,7 @@ certificate reports.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +19,6 @@ from .errors import (
     BadDimension,
     BadSize,
     NonInvertibleMap,
-    NonUnitSeries,
     NotSkewSymmetric,
 )
 
@@ -386,82 +386,13 @@ def pfaffian4(m: PolyMatrix) -> SparsePoly:
     return r[0][1] * r[2][3] - r[0][2] * r[1][3] + r[0][3] * r[1][2]
 
 
-class TruncatedSeries:
-    """Σ aᵢ hⁱ for i ≤ N with exact rational coefficients; higher degrees are discarded."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs, order: int):
-        cs = [Fraction(c) for c in coeffs[: order + 1]]
-        cs += [Fraction(0)] * (order + 1 - len(cs))
-        self.order = order
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls([1], order)
-
-    def _check(self, other) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            if other.order != self.order:
-                raise BadSize("mixing truncation orders")
-            return other
-        return TruncatedSeries([other], self.order)
-
-    def __add__(self, other):
-        o = self._check(other)
-        return TruncatedSeries([a + b for a, b in zip(self.coeffs, o.coeffs)], self.order)
-
-    def __sub__(self, other):
-        o = self._check(other)
-        return TruncatedSeries([a - b for a, b in zip(self.coeffs, o.coeffs)], self.order)
-
-    def __mul__(self, other):
-        o = self._check(other)
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = o.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries(out, n)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        acc = TruncatedSeries.one(self.order)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
-    def inverse(self) -> "TruncatedSeries":
-        a = self.coeffs
-        if not a[0]:
-            raise NonUnitSeries("constant term is zero")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        out[0] = 1 / a[0]
-        for k in range(1, n + 1):
-            out[k] = -sum(a[i] * out[k - i] for i in range(1, k + 1)) / a[0]
-        return TruncatedSeries(out, n)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def __repr__(self):
-        return " + ".join(f"{c}*h^{i}" for i, c in enumerate(self.coeffs) if c) or "0"
+def truncated_product(factors, order: int) -> list:
+    """The coefficients of h⁰ … h^order in the product of the factors, each
+    given by its integer coefficient list [c₀, c₁, …]."""
+    out = [1] + [0] * order
+    for f in factors:
+        out = [sum(out[k - j] * c for j, c in enumerate(f[: k + 1])) for k in range(order + 1)]
+    return out
 
 
 @dataclass(frozen=True)
@@ -473,31 +404,23 @@ class CompleteIntersectionInvariants:
     euler: int            # deg(c_dim) = topological Euler characteristic
 
 
-def _exact_int(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise ArithmeticError(f"expected an integer, got {x}")
-    return x.numerator
-
-
 def ci_invariants(n: int, degrees) -> CompleteIntersectionInvariants:
     """Degree and Chern numbers of a smooth complete intersection of the given
     multidegree in projective n-space.
 
     The total Chern class of the tangent bundle restricted to the intersection
-    is (1+h)^{n+1} · Π (1+dᵢh)⁻¹ truncated at the dimension; multiplying the
-    top coefficients by the degree Π dᵢ gives the Chern numbers.
+    is (1+h)^{n+1} · Π (1+dᵢh)⁻¹ truncated at the dimension.  Both factors
+    have integer coefficients, C(n+1, k) and (1+dh)⁻¹ = Σ (−d)ᵏhᵏ, so the
+    series is a product of integer lists; multiplying the top coefficients
+    by the degree Π dᵢ gives the Chern numbers.
     """
     degrees = tuple(int(d) for d in degrees)
     if len(degrees) > n or any(d < 1 for d in degrees):
         raise BadDimension(f"multidegree {degrees} in P^{n}")
     dim = n - len(degrees)
-    deg = 1
-    for d in degrees:
-        deg *= d
-    series = TruncatedSeries([1, 1], dim) ** (n + 1)
-    for d in degrees:
-        series = series * TruncatedSeries([1, d], dim).inverse()
-    chern = series.coeffs
-    c2h = _exact_int(chern[2] * deg) if dim >= 2 else None
-    euler = _exact_int(chern[dim] * deg)
-    return CompleteIntersectionInvariants(dim, deg, chern, c2h, euler)
+    deg = math.prod(degrees)
+    factors = [[math.comb(n + 1, k) for k in range(dim + 1)]]
+    factors += [[(-d) ** k for k in range(dim + 1)] for d in degrees]
+    chern = tuple(truncated_product(factors, dim))
+    c2h = chern[2] * deg if dim >= 2 else None
+    return CompleteIntersectionInvariants(dim, deg, chern, c2h, chern[dim] * deg)

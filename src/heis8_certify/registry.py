@@ -7,7 +7,7 @@ one after another, in registry order.
 from __future__ import annotations
 
 import hashlib
-import random
+import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -136,25 +136,20 @@ def check_base_point(cfg: RunConfig) -> CertificateResult:
     )
 
 
-def _candidate_base_points(base_point, seed):
-    """The configured point, the fixed witness (3, 1, 4), then seeded redraws."""
+def _candidate_base_points(base_point):
+    """The configured point, then the fixed witness (3, 1, 4)."""
     yield base_point
     if base_point != (3, 1, 4):
         yield (3, 1, 4)
-    rng = random.Random(seed)
-    for _ in range(16):
-        cand = tuple(rng.randint(-10, 10) for _ in range(3))
-        if any(cand):
-            yield cand
 
 
 @lru_cache(maxsize=1)
-def _generic_point(base_point, seed):
+def _generic_point(base_point):
     """(y, orbit data, rejections) for the first candidate base point that
     passes the orbit gauntlet (memoized); y and data are None when every
     candidate is rejected."""
     rejected = []
-    for cand in _candidate_base_points(base_point, seed):
+    for cand in _candidate_base_points(base_point):
         y = geometry.MinusPlanePoint.rational(*cand)
         try:
             return y, geometry.orbit_singularity_data(y), tuple(rejected)
@@ -186,7 +181,7 @@ def check_orbit_singular(cfg: RunConfig) -> CertificateResult:
     When every candidate is rejected, no point is certified: FAIL, with the
     rejections recorded.
     """
-    y, data, rejected = _generic_point(cfg.base_point, cfg.seed)
+    y, data, rejected = _generic_point(cfg.base_point)
     payload = {"redraws": len(rejected)}
     if y is None:
         payload["rejected"] = "; ".join(rejected)
@@ -203,7 +198,7 @@ def check_orbit_singular(cfg: RunConfig) -> CertificateResult:
 
 
 def check_odp_proxy(cfg: RunConfig) -> CertificateResult:
-    y, data, rejected = _generic_point(cfg.base_point, cfg.seed)
+    y, data, rejected = _generic_point(cfg.base_point)
     if y is None:
         return _result("odp-proxy", False, QI8.name, {"rejected": "; ".join(rejected)}, seed=cfg.seed)
     ok = data["cone_rank4"] == ORBIT_POINTS
@@ -364,11 +359,11 @@ def check_monodromy(cfg: RunConfig) -> CertificateResult:
     n = m - Matrix.identity(QQ, 4)
     rank_n = n.rank()
     square_zero = (n * n).is_zero()
-    snf = smith_normal_form([[int(v) for v in row] for row in n.rows])
+    factors = smith_normal_form([[int(v) for v in row] for row in n.rows])
     invariant_rank = 4 - rank_n
     wedge = exterior_power(Matrix(GF(2), MONODROMY_MATRIX), 2)
     fixed_dim = 6 - (wedge - Matrix.identity(GF(2), 6)).rank()
-    ok = rank_n == 1 and square_zero and snf.factors == (1,) and invariant_rank == 3
+    ok = rank_n == 1 and square_zero and factors == (1,) and invariant_rank == 3
     return _result(
         "monodromy-nilpotent",
         ok,
@@ -376,7 +371,7 @@ def check_monodromy(cfg: RunConfig) -> CertificateResult:
         {
             "rank_M_minus_I": rank_n,
             "square_zero": square_zero,
-            "snf_factors": ",".join(map(str, snf.factors)),
+            "snf_factors": ",".join(map(str, factors)),
             "invariant_sublattice_rank": invariant_rank,
             "wedge2_fixed_dim_mod_2": fixed_dim,
         },
@@ -412,21 +407,32 @@ def check_wedge_lemma(cfg: RunConfig) -> CertificateResult:
 
 
 def check_torsion(cfg: RunConfig) -> CertificateResult:
-    snf = smith_normal_form([[8 if i == j else 0 for j in range(4)] for i in range(4)])
-    order = 1
-    for d in snf.factors:
-        order *= d
-    sections = 64  # (Z/8)^2, the translation subgroup of sections
-    ok = snf.factors == (8, 8, 8, 8) and order == 4096 and 512 // 8 == sections
+    """The 8-torsion (Z/8)⁴ of the rank-4 lattice, and the section group
+    H/center inside it: a finite abelian group embeds in another exactly when
+    it has no more invariant factors and, matched from the largest down, each
+    of its factors divides the other's."""
+    factors = smith_normal_form([[8 if i == j else 0 for j in range(4)] for i in range(4)])
+    order = math.prod(factors)
+    cq = center_and_quotient()
+    sections = cq.quotient_order
+    embeds = len(cq.invariant_factors) <= len(factors) and all(
+        d % e == 0 for e, d in zip(reversed(cq.invariant_factors), reversed(factors))
+    )
+    ok = (
+        factors == (8, 8, 8, 8)
+        and order == 4096
+        and sections == math.prod(cq.invariant_factors) == 64
+        and embeds
+    )
     return _result(
         "torsion-counting",
         ok,
         "ZZ",
         {
-            "snf_8_identity": ",".join(map(str, snf.factors)),
+            "snf_8_identity": ",".join(map(str, factors)),
             "lattice_mod_8_order": order,
             "section_subgroup_order": sections,
-            "subgroup_embeds": all(d % 8 == 0 for d in snf.factors[:2]),
+            "subgroup_embeds": embeds,
         },
     )
 

@@ -1,5 +1,6 @@
 """Exact linear algebra, Smith normal form, exterior powers, the wedge-lemma
 sweep, and graded membership with certificate replay."""
+import itertools
 import json
 import math
 import random
@@ -83,29 +84,48 @@ def int_det(rows):
 
 
 def test_snf_examples():
-    assert smith_normal_form([[2, 0], [0, 4]]).factors == (2, 4)
-    snf = smith_normal_form([[8 if i == j else 0 for j in range(4)] for i in range(4)])
-    assert snf.factors == (8, 8, 8, 8)
+    assert smith_normal_form([[2, 0], [0, 4]]) == (2, 4)
+    assert smith_normal_form([[8 if i == j else 0 for j in range(4)] for i in range(4)]) == (8, 8, 8, 8)
     n = [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
-    assert smith_normal_form(n).factors == (1,)
+    assert smith_normal_form(n) == (1,)
+    assert smith_normal_form([[0, 0], [0, 0]]) == ()
 
 
-def test_snf_transforms_are_unimodular_and_exact():
+def determinantal_divisor_factors(a):
+    """Invariant factors d_k / d_(k-1), with d_k the gcd of the k×k minors and
+    d_0 = 1, for each k up to the rank (past it every minor is zero)."""
+    m, n = len(a), len(a[0])
+    factors, prev = [], 1
+    for k in range(1, min(m, n) + 1):
+        d = 0
+        for rset in itertools.combinations(range(m), k):
+            for cset in itertools.combinations(range(n), k):
+                d = math.gcd(d, int(int_det([[a[i][j] for j in cset] for i in rset])))
+        if not d:
+            break
+        factors.append(d // prev)
+        prev = d
+    return tuple(factors)
+
+
+def test_snf_factors_are_determinantal_divisor_ratios():
     rng = random.Random(23)
-    for _ in range(60):
+    for _ in range(80):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        snf = smith_normal_form(a)
-        assert abs(int_det(snf.left)) == 1
-        assert abs(int_det(snf.right)) == 1
-        u, v = Matrix(QQ, snf.left), Matrix(QQ, snf.right)
-        d = u * Matrix(QQ, a) * v
+        # scaled rows give factor chains beyond (1, …, 1, d)
         for i in range(m):
-            for j in range(n):
-                expect = snf.diagonal[i] if i == j and i < len(snf.diagonal) else 0
-                assert d[i, j] == expect
-        for x, y in zip(snf.factors, snf.factors[1:]):
-            assert y % x == 0
+            a[i] = [v * rng.choice((1, 1, 2, 4, 6)) for v in a[i]]
+        if rng.random() < 0.3:
+            a[rng.randrange(m)] = [0] * n
+        if rng.random() < 0.3:
+            j = rng.randrange(n)
+            for row in a:
+                row[j] = 0
+        factors = smith_normal_form(a)
+        assert factors == determinantal_divisor_factors(a)
+        assert all(d > 0 for d in factors)
+        assert all(y % x == 0 for x, y in zip(factors, factors[1:]))
 
 
 def random_unimodular(n, rng):
@@ -126,7 +146,7 @@ def test_snf_invariant_under_unimodular_multiplication():
         u, v = random_unimodular(n, rng), random_unimodular(n, rng)
         ua = (Matrix(QQ, u) * Matrix(QQ, a) * Matrix(QQ, v)).rows
         b = [[int(x) for x in row] for row in ua]
-        assert smith_normal_form(a).factors == smith_normal_form(b).factors
+        assert smith_normal_form(a) == smith_normal_form(b)
 
 
 def test_unipotent_log_examples():

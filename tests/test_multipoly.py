@@ -1,6 +1,7 @@
-"""Sparse polynomials, polynomial matrices, Pfaffians, truncated series, and
-the complete-intersection invariants."""
+"""Sparse polynomials, polynomial matrices, Pfaffians, truncated integer
+series products, and the complete-intersection invariants."""
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from heis8_certify.errors import (
     BadDimension,
     BadSize,
     NonInvertibleMap,
-    NonUnitSeries,
     NotSkewSymmetric,
 )
 from heis8_certify.exactmath import GF, QI8, QQ
@@ -21,10 +21,10 @@ from heis8_certify.multipoly import (
     PolyMatrix,
     PolyRing,
     SparsePoly,
-    TruncatedSeries,
     apply_variable_map,
     ci_invariants,
     pfaffian4,
+    truncated_product,
 )
 
 RX = PolyRing(QQ, tuple(f"x{i}" for i in range(8)))
@@ -225,42 +225,58 @@ def binomial_series_oracle(c, e, order):
     return out
 
 
-def test_series_chern_example():
-    s = TruncatedSeries([1, 1], 3) ** 8 * (TruncatedSeries([1, 2], 3) ** 4).inverse()
-    assert list(s.coeffs) == [1, 0, 4, -8]
-    oracle = TruncatedSeries(binomial_series_oracle(Fraction(1), 8, 3), 3) * TruncatedSeries(
-        binomial_series_oracle(Fraction(2), -4, 3), 3
-    )
-    assert s == oracle
+def binomial_product_oracle(pairs, order):
+    """Coefficients of Π (1 + c·h)^e up to h^order, convolving the binomial
+    oracles term by term."""
+    out = [Fraction(1)] + [Fraction(0)] * order
+    for c, e in pairs:
+        b = binomial_series_oracle(Fraction(c), e, order)
+        out = [sum(out[j] * b[k - j] for j in range(k + 1)) for k in range(order + 1)]
+    return out
 
 
-def test_series_power_zero():
-    assert (TruncatedSeries([1, 1], 4) ** 0) == TruncatedSeries([1], 4)
+def binomial_factors(c, e, order):
+    """(1 + c·h)^e as integer factor lists: e copies of [1, c], or −e copies
+    of (1 + c·h)⁻¹ = Σ (−c)ᵏhᵏ."""
+    if e >= 0:
+        return [[1, c]] * e
+    return [[(-c) ** k for k in range(order + 1)]] * -e
 
 
-def test_series_cancellation_long_division_oracle():
-    # (1-t^2)^4 divided by (1-t)^4 is the polynomial (1+t)^4
-    num = TruncatedSeries([1, 0, -1], 4) ** 4
-    den = TruncatedSeries([1, -1], 4) ** 4
-    quotient = num * den.inverse()
-    assert list(quotient.coeffs) == [1, 4, 6, 4, 1]
-    # long-division oracle: quotient * denominator reproduces the numerator
-    assert quotient * den == num
+def test_truncated_product_matches_binomial_oracle():
+    # (1+h)⁸·(1+2h)⁻⁴, the Chern series of a (2,2,2,2) intersection in P⁷
+    factors = binomial_factors(1, 8, 3) + binomial_factors(2, -4, 3)
+    assert truncated_product(factors, 3) == [1, 0, 4, -8]
+    rng = random.Random(11)
+    for _ in range(200):
+        order = rng.randint(0, 6)
+        pairs = [(rng.randint(-4, 4), rng.randint(-5, 5)) for _ in range(rng.randint(0, 3))]
+        factors = [f for c, e in pairs for f in binomial_factors(c, e, order)]
+        product = truncated_product(factors, order)
+        assert product == binomial_product_oracle(pairs, order)
+        assert all(type(v) is int for v in product)
 
 
-def test_series_inverse_requires_unit():
-    with pytest.raises(NonUnitSeries):
-        TruncatedSeries([0, 1], 3).inverse()
+def test_truncated_product_hilbert_numerator():
+    # (1-t²)⁴ times the series Σ C(k+3, 3)·tᵏ of (1-t)⁻⁴ is the polynomial (1+t)⁴
+    series = [math.comb(k + 3, 3) for k in range(5)]
+    assert truncated_product([[1, 0, -1]] * 4 + [series], 4) == [1, 4, 6, 4, 1]
+    # long-division oracle: (1+t)⁴ times (1-t)⁴ reproduces (1-t²)⁴
+    assert truncated_product([[1, 4, 6, 4, 1]] + [[1, -1]] * 4, 8) == truncated_product([[1, 0, -1]] * 4, 8)
 
 
-def test_series_linearity_and_multiplicativity():
+def test_truncated_product_is_commutative_associative_and_distributive():
     rng = random.Random(12)
     for _ in range(200):
-        a = TruncatedSeries([Fraction(rng.randint(-5, 5)) for _ in range(5)], 4)
-        b = TruncatedSeries([Fraction(rng.randint(-5, 5)) for _ in range(5)], 4)
-        c = TruncatedSeries([Fraction(rng.randint(-5, 5)) for _ in range(5)], 4)
-        assert (a + b) * c == a * c + b * c
-        assert a * b == b * a
+        a, b, c = ([rng.randint(-5, 5) for _ in range(rng.randint(1, 6))] for _ in range(3))
+        ab = truncated_product([a, b], 4)
+        assert ab == truncated_product([b, a], 4)
+        abc = truncated_product([a, b, c], 4)
+        assert truncated_product([ab, c], 4) == abc
+        assert truncated_product([a, truncated_product([b, c], 4)], 4) == abc
+        a_plus_b = [x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+        sums = zip(truncated_product([a, c], 4), truncated_product([b, c], 4))
+        assert truncated_product([a_plus_b, c], 4) == [x + y for x, y in sums]
 
 
 def test_ci_invariants_2222():
@@ -269,12 +285,33 @@ def test_ci_invariants_2222():
     assert inv.c2_hyperplane_degree == 64
     assert inv.euler == -128
     assert inv.euler + 2 * 64 == 0
+    assert inv.chern == (1, 0, 4, -8)
+    assert all(type(c) is int for c in inv.chern)
     # independent series oracle
-    series = TruncatedSeries(binomial_series_oracle(Fraction(1), 8, 3), 3)
-    for _ in range(4):
-        series = series * TruncatedSeries(binomial_series_oracle(Fraction(2), -1, 3), 3)
-    assert inv.c2_hyperplane_degree == series.coeffs[2] * 16
-    assert inv.euler == series.coeffs[3] * 16
+    series = binomial_product_oracle([(1, 8)] + [(2, -1)] * 4, 3)
+    assert inv.c2_hyperplane_degree == series[2] * 16
+    assert inv.euler == series[3] * 16
+
+
+@pytest.mark.parametrize(
+    "n, degrees, euler, c2h",
+    [
+        (4, (5,), -200, 50),  # the quintic threefold
+        (5, (3, 3), -144, 54),
+        (5, (2, 4), -176, 56),
+        (6, (2, 2, 3), -144, 60),
+        (7, (2, 2, 2, 2), -128, 64),
+        (3, (3,), 9, 9),  # the cubic surface, P² blown up in six points
+        (3, (4,), 24, 24),  # the quartic K3 surface
+    ],
+)
+def test_ci_invariants_known_values(n, degrees, euler, c2h):
+    inv = ci_invariants(n, degrees)
+    assert (inv.euler, inv.c2_hyperplane_degree) == (euler, c2h)
+    assert inv.degree == math.prod(degrees)
+    assert all(type(c) is int for c in inv.chern)
+    pairs = [(1, n + 1)] + [(d, -1) for d in degrees]
+    assert list(inv.chern) == binomial_product_oracle(pairs, inv.dimension)
 
 
 def test_ci_invariants_quartic_surface():

@@ -62,6 +62,15 @@ def _doubled_cocycle(self, other):
     [
         ("center-mu8", {"center_order": "32", "center_is_scalar_axis": "False"}),
         ("quotient-Z8-squared", {"invariant_factors": "4,4", "quotient_order": "16"}),
+        (
+            "torsion-counting",
+            {
+                "snf_8_identity": "8,8,8,8",
+                "lattice_mod_8_order": "4096",
+                "section_subgroup_order": "16",
+                "subgroup_embeds": "True",
+            },
+        ),
     ],
 )
 def test_group_checks_fail_on_a_wrong_central_cocycle(monkeypatch, tmp_path, capsys, check_id, payload):
@@ -113,7 +122,7 @@ def test_minus_plane_restricts_the_system_once_per_point(monkeypatch):
 def test_degenerate_base_points_redraw_to_the_fixed_witnesses():
     # y2 = 0: twist⁴ fixes the point and halves its orbit, so it is redrawn
     for base_point in ((1, 0, 2), (-3, 0, -2)):
-        y, data, rejected = registry._generic_point(base_point, 42)
+        y, data, rejected = registry._generic_point(base_point)
         assert y.coords == (3, 1, 4)
         assert len(rejected) == 1
         assert rejected[0].startswith(",".join(map(str, base_point)) + ": shift^0*twist^4*zeta8^0 fixes ")
@@ -149,6 +158,12 @@ def _base_point_fixed_by_an_involution(monkeypatch):
     monkeypatch.setattr(geometry.MinusPlanePoint, "embed", lambda y: real(dataclasses.replace(y, y2=0)))
 
 
+def _quotient_of_order_32(monkeypatch):
+    # the orbit size and the points carried are the quotient order, not a literal
+    real = heisenberg.center_and_quotient()
+    monkeypatch.setattr(geometry, "center_and_quotient", lambda: dataclasses.replace(real, quotient_order=32))
+
+
 def _minors_of_three_quadrics(monkeypatch):
     # the first three quadrics' Jacobian has rank < 3 on a positive-dimensional locus
     real = singular.maximal_minors
@@ -177,6 +192,7 @@ def _form_through_an_orbit_point(monkeypatch):
             _orbit_data_with(orbit_size="63", rank3_points="63", cone_rank4=63),
             {"orbit-64-singular": FAIL, "odp-proxy": FAIL},
         ),
+        (_quotient_of_order_32, {"orbit-64-singular": FAIL, "odp-proxy": FAIL}),
         (_minors_of_three_quadrics, {"orbit-64-singular": FAIL, "odp-proxy": PASS}),
         (_form_through_an_orbit_point, {"orbit-64-singular": FAIL, "odp-proxy": PASS}),
         (_cone_rank_3, {"orbit-64-singular": FAIL, "odp-proxy": FAIL}),
@@ -186,6 +202,7 @@ def _form_through_an_orbit_point(monkeypatch):
         "image-not-in-span",
         "base-cone-rank-3",
         "63-point-orbit",
+        "quotient-order-32",
         "minors-of-three-quadrics",
         "form-through-orbit-point",
         "source-cone-rank-3",
@@ -203,9 +220,12 @@ def test_orbit_defect_fails_and_exits_1(monkeypatch, tmp_path, capsys, mutate, e
         assert r["field"] == "QQ(zeta8)"
         assert "error" not in r["payload"]
     assert "FAIL" in capsys.readouterr().out
+    if mutate is _quotient_of_order_32:
+        assert {r["payload"].get("y0_orbit_size") for r in results} == {"32", None}
+        assert {r["payload"].get("y0_cone_rank4") for r in results} == {"32/64", None}
     if mutate in (_cone_rank_3, _base_point_fixed_by_an_involution):
         # every candidate is rejected at the source: no point is certified
-        candidates = list(registry._candidate_base_points((1, 2, 3), 42))
+        candidates = list(registry._candidate_base_points((1, 2, 3)))
         for r in results:
             rejected = r["payload"]["rejected"].split("; ")
             assert [entry.split(": ")[0] for entry in rejected] == [
