@@ -120,7 +120,7 @@ def test_minus_plane_restricts_the_system_once_per_point(monkeypatch):
 
 
 def test_degenerate_base_points_redraw_to_the_fixed_witnesses():
-    # y2 = 0: twist⁴ fixes the point and halves its orbit, so it is redrawn
+    # y2 = 0: twist⁴ fixes the point and halves its orbit, so the witness replaces it
     for base_point in ((1, 0, 2), (-3, 0, -2)):
         y, data, rejected = registry._generic_point(base_point)
         assert y.coords == (3, 1, 4)

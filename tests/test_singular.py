@@ -195,7 +195,7 @@ def test_singular_scheme_climbs_past_an_unlucky_prime(monkeypatch):
 
 
 def test_singular_scheme_needs_the_square_terms():
-    # y1·y3 = 0: the quadrics have no square terms; the gauntlet redraws
+    # y1·y3 = 0: the quadrics have no square terms; the gauntlet rejects the point
     for coords in ((0, 1, 2), (1, 2, 0)):
         with pytest.raises(DegeneratePoint):
             geo.odp_proxy_sweep(geo.MinusPlanePoint.rational(*coords))
