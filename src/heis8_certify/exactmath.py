@@ -1,16 +1,15 @@
-"""Exact coefficient arithmetic: ℚ, GF(p), and ℚ(ξ) with ξ a primitive 8th root of unity.
+"""Exact coefficient arithmetic: ℚ and GF(p).
 
-Three element types share one contract (add/sub/mul/div/neg/pow/==, all exact):
+Two element types share one contract (add/sub/mul/div/neg/pow/==, all exact):
 
 * rationals are ``fractions.Fraction``, always stored reduced, so equality is
   structural;
 * ``ModInt`` is a residue carrying its modulus; mixing moduli raises
-  ModulusMismatch;
-* ``Cyclo`` is an element of ℚ[t]/(t⁴+1) on the power basis {1, ξ, ξ², ξ³},
-  never a numerical approximation.
+  ModulusMismatch.
 
-Field *objects* (``QQ``, ``PrimeField(p)``, ``QI8``) carry the constants and
-coercions that generic code (polynomials, matrices) needs.
+Field *objects* (``QQ``, ``PrimeField(p)``) carry the constants and coercions
+that generic code (polynomials, matrices) needs.  No claim needs arithmetic
+in ℚ(ξ8): geometry.quadric_span_images decides the ℚ(ξ8) one on integers.
 """
 from __future__ import annotations
 
@@ -130,139 +129,10 @@ _FRAC_ZERO = Fraction(0)
 _FRAC_ONE = Fraction(1)
 
 
-class Cyclo:
-    """c0 + c1·ξ + c2·ξ² + c3·ξ³ with ξ⁴ = −1, coefficients exact rationals."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, c0=0, c1=0, c2=0, c3=0):
-        self.coeffs = (Fraction(c0), Fraction(c1), Fraction(c2), Fraction(c3))
-
-    @classmethod
-    def _raw(cls, coeffs) -> "Cyclo":
-        obj = object.__new__(cls)
-        obj.coeffs = tuple(coeffs)
-        return obj
-
-    @staticmethod
-    def zeta(k: int = 1) -> "Cyclo":
-        """ξ^k for any integer k (ξ has order 8)."""
-        k %= 8
-        sign = _FRAC_ONE if k < 4 else -_FRAC_ONE
-        c = [_FRAC_ZERO] * 4
-        c[k % 4] = sign
-        return Cyclo._raw(c)
-
-    def _lift(self, other):
-        if isinstance(other, Cyclo):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Cyclo(other)
-        return None
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Cyclo._raw(a + b for a, b in zip(self.coeffs, o.coeffs))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Cyclo._raw(a - b for a, b in zip(self.coeffs, o.coeffs))
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is None else o - self
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        out = [_FRAC_ZERO] * 4
-        for i in range(4):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(4):
-                if not b[j]:
-                    continue
-                k = i + j
-                if k < 4:
-                    out[k] += ai * b[j]
-                else:
-                    out[k - 4] -= ai * b[j]
-        return Cyclo._raw(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is None else self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is None else o * self.inverse()
-
-    def __neg__(self):
-        return Cyclo._raw(-a for a in self.coeffs)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        acc = Cyclo(1)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
-    def inverse(self) -> "Cyclo":
-        """1/a = σ3(a)·σ5(a)·σ7(a) / N(a), σk being ξ ↦ ξ^k.  b = a·σ5(a) is
-        fixed by σ5, so lies in ℚ(ξ²); σ3(a)·σ7(a) = σ3(b) and N(a) = b·σ3(b)."""
-        if not self:
-            raise DivisionByZero("inverse of 0 in Q(zeta8)")
-        c0, c1, c2, c3 = self.coeffs
-        s5 = Cyclo._raw((c0, -c1, c2, -c3))
-        b0, _, b2, _ = (self * s5).coeffs
-        norm = b0 * b0 + b2 * b2
-        return s5 * Cyclo._raw((b0 / norm, _FRAC_ZERO, -b2 / norm, _FRAC_ZERO))
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __eq__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is None else self.coeffs == o.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            mon = ("", "zeta8", "zeta8^2", "zeta8^3")[i]
-            if not mon:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mon)
-            elif c == -1:
-                parts.append(f"-{mon}")
-            else:
-                parts.append(f"{c}*{mon}")
-        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
-
-
+@lru_cache(maxsize=None)
 def find_order8_root(p: int) -> int:
-    """Smallest residue of exact multiplicative order 8 in GF(p). Needs p ≡ 1 (mod 8)."""
+    """Smallest residue of exact multiplicative order 8 in GF(p). Needs p ≡ 1 (mod 8).
+    Memoized: PrimeField.root_of_unity asks for it on every call."""
     if not is_prime_1_mod_8(p):
         raise BadPrime(f"p={p} is not a prime congruent to 1 mod 8")
     for r in range(2, p):
@@ -272,10 +142,8 @@ def find_order8_root(p: int) -> int:
 
 
 class FieldBase:
-    """Shared helpers; concrete fields define zero/one/coerce/name/random."""
-
-    def root_of_unity(self, k: int):
-        raise MissingRootOfUnity(self.name)
+    """Shared helpers; concrete fields define zero/one/coerce/name/random and
+    root_of_unity."""
 
     def __repr__(self):
         return self.name
@@ -357,35 +225,7 @@ class PrimeField(FieldBase):
         return hash(("GF", self.p))
 
 
-class CyclotomicField(FieldBase):
-    """ℚ(ξ₈) = ℚ[t]/(t⁴+1)."""
-
-    name = "QQ(zeta8)"
-    zero = Cyclo(0)
-    one = Cyclo(1)
-
-    def coerce(self, x):
-        if isinstance(x, Cyclo):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return Cyclo(x)
-        raise TypeError(f"cannot coerce {x!r} into QQ(zeta8)")
-
-    def root_of_unity(self, k: int):
-        return Cyclo.zeta(k)
-
-    def random(self, rng, bound: int = 10):
-        return Cyclo(*(Fraction(rng.randint(-bound, bound), rng.randint(1, 3)) for _ in range(4)))
-
-    def __eq__(self, other):
-        return isinstance(other, CyclotomicField)
-
-    def __hash__(self):
-        return hash("QQ(zeta8)")
-
-
 QQ = RationalField()
-QI8 = CyclotomicField()
 
 
 @lru_cache(maxsize=None)

@@ -37,7 +37,7 @@ from .errors import (
     UnluckyPrime,
     ZeroPoint,
 )
-from .exactmath import GF, QI8, QQ, is_prime_1_mod_8
+from .exactmath import GF, QQ, is_prime_1_mod_8
 from .heisenberg import SHIFT, TWIST, HeisenbergElement, ProjPoint, center_and_quotient
 from .linalg import Matrix, MembershipProblem, graded_membership
 from .multipoly import (
@@ -118,9 +118,6 @@ class MinusPlanePoint:
     def embed(self) -> ProjPoint:
         return ProjPoint(self.field, minus_plane_coords(self.field.zero, *self.coords))
 
-    def to_field(self, field) -> "MinusPlanePoint":
-        return MinusPlanePoint(field, *(field.coerce(c) for c in self.coords))
-
 
 def standard_quadrics(x):
     """The three base quadrics x0²+x4², x1·x7+x3·x5, x2·x6 in the coordinates x."""
@@ -134,16 +131,20 @@ def base_quadric(x, y1, y2, y3):
     return f0 * (y1 * y3) - f1 * (y2 * y2) + f2 * (y1 * y1 + y3 * y3)
 
 
-def shifted_quadrics(f) -> tuple:
-    """f, shift(f), shift²(f), shift³(f), shifting x0 … x7 and fixing later
-    variables.  The permutation is applied directly, not by act_on_poly, so
-    the action that ideal-invariance certifies plays no part in the system."""
-    ring = f.ring
+def shift_poly(q):
+    """shift(q), shifting x0 … x7 and fixing later variables.  SHIFT's
+    permutation is applied directly, not by act_on_poly, so the action that
+    ideal-invariance certifies plays no part in building the system."""
+    ring = q.ring
     perm = SHIFT.substitution()[0] + tuple(range(8, ring.nvars))
-    ones = [ring.field.one] * ring.nvars
+    return apply_variable_map(perm, [ring.field.one] * ring.nvars, q)
+
+
+def shifted_quadrics(f) -> tuple:
+    """f, shift(f), shift²(f), shift³(f)."""
     out = [f]
     for _ in range(3):
-        out.append(apply_variable_map(perm, ones, out[-1]))
+        out.append(shift_poly(out[-1]))
     return tuple(out)
 
 
@@ -156,9 +157,6 @@ class VarietySystem:
     ring: PolyRing
     quadrics: tuple
     jacobian: PolyMatrix
-
-    def to_field(self, field) -> "VarietySystem":
-        return build_system(self.point.to_field(field))
 
     @cached_property
     def hessians(self):
@@ -187,14 +185,24 @@ def build_system(y: MinusPlanePoint) -> VarietySystem:
     return VarietySystem(y, ring, quadrics, jac)
 
 
+@lru_cache(maxsize=1)
+def symbolic_quadrics() -> tuple:
+    """The four quadrics with symbolic plane coordinates, in
+    QQ[x0 … x7, u1, u2, u3].  Memoized: base-point-on-V and ideal-invariance
+    decide their identities on the same quadrics."""
+    ring = PolyRing(QQ, X_NAMES + ("u1", "u2", "u3"))
+    g = ring.gens()
+    return shifted_quadrics(base_quadric(g, *g[8:]))
+
+
 def symbolic_base_identities() -> list:
     """With symbolic plane coordinates u1, u2, u3, each shifted quadric
     vanishes identically on the embedded point; returns the four residues."""
-    ring = PolyRing(QQ, X_NAMES + ("u1", "u2", "u3"))
-    g = ring.gens()
-    u = g[8:]
+    quadrics = symbolic_quadrics()
+    ring = quadrics[0].ring
+    u = ring.gens()[8:]
     images = (*minus_plane_coords(ring.zero(), *u), *u)
-    return [f.substitute(images, ring) for f in shifted_quadrics(base_quadric(g, *u))]
+    return [f.substitute(images, ring) for f in quadrics]
 
 
 def point_on_variety(system: VarietySystem, v: ProjPoint) -> bool:
@@ -277,20 +285,44 @@ def span_coefficients(quadrics, image):
     return coeffs if combination == image else None
 
 
-@lru_cache(maxsize=None)
-def quadric_span_images(y: MinusPlanePoint) -> tuple:
-    """Where shift and twist send the four quadrics at y, over QQ(zeta8).
+# ζ8^w written out for w = 0 … 7, as the coefficients of QQ(zeta8) are reported
+ZETA8_POWERS = ("1", "zeta8", "zeta8^2", "zeta8^3", "-1", "-zeta8", "-zeta8^2", "-zeta8^3")
+
+
+def twist_weights(q: SparsePoly) -> set:
+    """The weights w = Σ exps[i]·e_i mod 8 of q's monomials x^e, with twist
+    the substitution x_i ↦ ζ8^exps[i]·x_i: twist scales x^e by ζ8^w."""
+    _perm, exps = TWIST.substitution()
+    return {sum(k * ei for k, ei in zip(exps, e)) % 8 for e in q.terms}
+
+
+@lru_cache(maxsize=1)
+def quadric_span_images() -> tuple:
+    """Where shift and twist send the four quadrics, over QQ(zeta8) and
+    identically in the plane coordinates: decided once on symbolic_quadrics.
 
     Returns (label, coefficients) pairs labelled shift_q0 … shift_q3,
-    twist_q0 … twist_q3: the coefficients c solve g·q_i = Σ_j c_j·q_j, and
-    are None off the span (span_coefficients: shiftᵏ f has only monomials
-    x_i·x_j with i + j ≡ −2k mod 8).  Memoized per point."""
-    quadrics = build_system(y.to_field(QI8)).quadrics
-    return tuple(
-        (f"{gname}_q{qi}", span_coefficients(quadrics, g.act_on_poly(q)))
-        for gname, g in (("shift", SHIFT), ("twist", TWIST))
-        for qi, q in enumerate(quadrics)
-    )
+    twist_q0 … twist_q3: the coefficients c of g·q_i = Σ_j c_j·q_j, written
+    out as elements of QQ(zeta8), or None off the span.
+    * Shift permutes the variables: span_coefficients reads its images off
+      over QQ.  It sends q_k to q_{k+1} by construction for k < 3; shift(q3)
+      = shift⁴ f = f is the evidence.
+    * Twist scales each monomial by ζ8 to its weight (twist_weights), so
+      twist(q_k) = ζ8^w·q_k when every monomial of q_k has the weight w.
+      Otherwise twist(q_k), with the support of q_k, is off the span: the
+      supports are pairwise disjoint, so an image in the span is a multiple
+      of q_k.  shiftᵏ f has only monomials x_i·x_j with i + j ≡ −2k (mod 8),
+      the one weight 2k.
+    Memoized."""
+    quadrics = symbolic_quadrics()
+    shift, twist = [], []
+    for k, q in enumerate(quadrics):
+        coeffs = span_coefficients(quadrics, shift_poly(q))
+        shift.append((f"shift_q{k}", None if coeffs is None else tuple(map(str, coeffs))))
+        weights = twist_weights(q)
+        scaled = tuple(ZETA8_POWERS[max(weights)] if j == k else "0" for j in range(4))
+        twist.append((f"twist_q{k}", scaled if len(weights) == 1 else None))
+    return (*shift, *twist)
 
 
 def orbit_singularity_data(y: MinusPlanePoint) -> dict:
@@ -318,8 +350,9 @@ def odp_proxy_sweep(y: MinusPlanePoint) -> tuple:
     (a) the orbit of v has |H/center| = 64 distinct points: no element of
         INVOLUTIONS fixes v, and a nontrivial stabilizer in the faithful
         (Z/8)² would hold one, so the stabilizer is trivial;
-    (b) shift and twist map the span of the four quadrics at y into itself
-        (quadric_span_images);
+    (b) shift and twist map the span of the four quadrics into itself,
+        identically in y (quadric_span_images, decided once on the symbolic
+        quadrics);
     (c) over QQ, the Jacobian at v has rank 3 and the cone at v has rank 4
         (odp_normal_hessian_rank).
 
@@ -360,7 +393,7 @@ def odp_proxy_sweep(y: MinusPlanePoint) -> tuple:
     cone = odp_normal_hessian_rank(build_system(y), v)
     if cone != 4:
         raise DegeneratePoint(f"quadratic cone rank {cone} != 4 at the base point")
-    invariant = all(sol is not None for _label, sol in quadric_span_images(y))
+    invariant = all(sol is not None for _label, sol in quadric_span_images())
     return center_and_quotient().quotient_order if invariant else 1, cone
 
 

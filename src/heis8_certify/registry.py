@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from . import geometry
 from .errors import CertifyError, NotInDegree, UnknownCheckId, UnluckyPrime
-from .exactmath import GF, QI8, QQ
+from .exactmath import GF, QQ
 from .heisenberg import CENTRAL, SHIFT, TWIST, HeisenbergElement, center_and_quotient, enumerate_group
 from .linalg import Matrix, exterior_power, smith_normal_form, unipotent_log, wedge_lemma_exhaustive
 from .report import FAIL, PASS, VERSION, CertificateResult, Report, RunConfig
@@ -22,6 +22,10 @@ from .report import FAIL, PASS, VERSION, CertificateResult, Report, RunConfig
 MONODROMY_MATRIX = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 ORBIT_POINTS = 64
+
+# the span and orbit claims hold over QQ(zeta8), where twist and the orbit
+# points live, though no arithmetic in that field decides them
+ZETA8_FIELD = "QQ(zeta8)"
 
 
 def _result(cid, ok, field, payload, prime=None, seed=None):
@@ -107,23 +111,22 @@ def check_commutator(cfg: RunConfig) -> CertificateResult:
 
 
 def check_ideal_invariance(cfg: RunConfig) -> CertificateResult:
-    y = geometry.MinusPlanePoint.rational(*cfg.base_point)
-    images = geometry.quadric_span_images(y)
+    images = geometry.quadric_span_images()
     payload = {
-        label: "not in span" if sol is None else "[" + ", ".join(repr(c) for c in sol) + "]"
+        label: "not in span" if sol is None else "[" + ", ".join(sol) + "]"
         for label, sol in images
     }
     ok = all(sol is not None for _label, sol in images)
-    return _result("ideal-invariance", ok, QI8.name, payload, seed=cfg.seed)
+    return _result("ideal-invariance", ok, ZETA8_FIELD, payload, seed=cfg.seed)
 
 
 def check_base_point(cfg: RunConfig) -> CertificateResult:
     residues = geometry.symbolic_base_identities()
     symbolic_ok = all(not r for r in residues)
     y = geometry.MinusPlanePoint.rational(*cfg.base_point)
-    system = geometry.build_system(y)
-    embedded = y.embed()
-    numeric_ok = geometry.point_on_variety(system, embedded)
+    # the quadrics at y, not build_system(y), which raises off its base point
+    quadrics = geometry.shifted_quadrics(geometry.base_quadric(geometry.x_ring(QQ).gens(), *y.coords))
+    numeric_ok = all(not q.eval(y.embed().coords) for q in quadrics)
     return _result(
         "base-point-on-V",
         symbolic_ok and numeric_ok,
@@ -185,7 +188,7 @@ def check_orbit_singular(cfg: RunConfig) -> CertificateResult:
     payload = {"redraws": len(rejected)}
     if y is None:
         payload["rejected"] = "; ".join(rejected)
-        return _result("orbit-64-singular", False, QI8.name, payload, seed=cfg.seed)
+        return _result("orbit-64-singular", False, ZETA8_FIELD, payload, seed=cfg.seed)
     payload["y0_point"] = ",".join(str(c) for c in y.coords)
     for k in ("orbit_size", "rank3_points", "base_cone_rank"):
         payload[f"y0_{k}"] = data[k]
@@ -194,15 +197,17 @@ def check_orbit_singular(cfg: RunConfig) -> CertificateResult:
     hilbert, prime = singular.singular_scheme_certificate(y, cfg.seed, ORBIT_POINTS)
     payload.update(hilbert)
     ok = data["cone_rank4"] == ORBIT_POINTS and hilbert.get("hilbert_deg7_bound") == str(ORBIT_POINTS)
-    return _result("orbit-64-singular", ok, QI8.name, payload, prime=prime, seed=cfg.seed)
+    return _result("orbit-64-singular", ok, ZETA8_FIELD, payload, prime=prime, seed=cfg.seed)
 
 
 def check_odp_proxy(cfg: RunConfig) -> CertificateResult:
     y, data, rejected = _generic_point(cfg.base_point)
     if y is None:
-        return _result("odp-proxy", False, QI8.name, {"rejected": "; ".join(rejected)}, seed=cfg.seed)
+        return _result("odp-proxy", False, ZETA8_FIELD, {"rejected": "; ".join(rejected)}, seed=cfg.seed)
     ok = data["cone_rank4"] == ORBIT_POINTS
-    return _result("odp-proxy", ok, QI8.name, {"y0_cone_rank4": f"{data['cone_rank4']}/64"}, seed=cfg.seed)
+    # points carried out of the certified orbit size, the quotient order
+    payload = {"y0_cone_rank4": f"{data['cone_rank4']}/{data['orbit_size']}"}
+    return _result("odp-proxy", ok, ZETA8_FIELD, payload, seed=cfg.seed)
 
 
 # the prime ladder, from which unlucky primes are replaced; denominators

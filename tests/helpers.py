@@ -1,23 +1,11 @@
 """Functions only the tests call: reference solves, monomial enumeration and
 conversions that the package itself never needs, kept here so that a run of
 the package does not load them."""
-from heis8_certify.errors import (
-    BadPrime,
-    CertifyError,
-    DenominatorVanishes,
-    DimensionMismatch,
-    DivisionByZero,
-    PointNotOnVariety,
-)
-from heis8_certify.exactmath import ModInt, is_prime_1_mod_8
+from heis8_certify.errors import DimensionMismatch, DivisionByZero, PointNotOnVariety
 from heis8_certify.geometry import point_on_variety
 from heis8_certify.heisenberg import ProjPoint
 from heis8_certify.linalg import Matrix
 from heis8_certify.multipoly import grevlex_key
-
-
-class BadRoot(CertifyError):
-    pass
 
 
 def multiplicative_order(a: int, p: int) -> int:
@@ -29,21 +17,6 @@ def multiplicative_order(a: int, p: int) -> int:
         acc = acc * v % p
         k += 1
     return k
-
-
-def embed_cyclo_mod_p(c, p: int, root) -> ModInt:
-    """Ring homomorphism ℚ(ξ) → GF(p) sending ξ to ``root`` (order-8 residue)."""
-    if not is_prime_1_mod_8(p):
-        raise BadPrime(f"p={p} is not a prime congruent to 1 mod 8")
-    r = root.value if isinstance(root, ModInt) else root % p
-    if multiplicative_order(r, p) != 8:
-        raise BadRoot(f"{r} does not have order 8 mod {p}")
-    acc = 0
-    for i, coeff in enumerate(c.coeffs):
-        if coeff.denominator % p == 0:
-            raise DenominatorVanishes(f"denominator of {coeff} vanishes mod {p}")
-        acc += coeff.numerator * pow(coeff.denominator, -1, p) * pow(r, i, p)
-    return ModInt(acc, p)
 
 
 def plane_point(y, field=None) -> ProjPoint:

@@ -18,15 +18,25 @@ from heis8_certify.errors import (
     PointNotOnVariety,
     ZeroPoint,
 )
-from heis8_certify.exactmath import GF, QI8, QQ, Cyclo, find_order8_root
+from heis8_certify.exactmath import GF, QQ, ModInt, find_order8_root
 from heis8_certify.heisenberg import SHIFT, TWIST, HeisenbergElement, ProjPoint, orbit
 from heis8_certify.linalg import Matrix, replay_certificate
 from heis8_certify.multipoly import PolyRing, grevlex_key
 
-from helpers import embed_cyclo_mod_p, jacobian_rank_at, monomials_of_degree, plane_point, solve
+from helpers import jacobian_rank_at, monomials_of_degree, plane_point, solve
 
 
 Y123 = geo.MinusPlanePoint.rational(1, 2, 3)
+
+# ζ8 exists in GF(p) for p ≡ 1 mod 8, a reduction of QQ(zeta8) mod a prime
+# above p: points distinct there are distinct over QQ(zeta8), and a rank
+# there bounds the rank over QQ(zeta8) from below
+ORBIT_PRIME = 12289
+
+
+def mod_p(y, p):
+    """The minus-plane point y over GF(p)."""
+    return geo.MinusPlanePoint(GF(p), *y.coords)
 
 
 def test_minus_plane_point_validation():
@@ -78,10 +88,8 @@ def test_conventions_agree_at_random_plane_points(base, abc, other):
         for j in range(4):
             assert restricted[i, j].eval(x_any + yv) == full[i, j].eval(list(embedded) + yv)
 
-    # the symbolic system of symbolic_base_identities, at u = base, is build_system's
-    ring = PolyRing(QQ, geo.X_NAMES + ("u1", "u2", "u3"))
-    g = ring.gens()
-    symbolic = geo.shifted_quadrics(geo.base_quadric(g, *g[8:]))
+    # the symbolic quadrics, at u = base, are build_system's
+    symbolic = geo.symbolic_quadrics()
     x_ring = system.ring
     images = [*x_ring.gens(), *(x_ring.constant(c) for c in base)]
     assert [f.substitute(images, x_ring) for f in symbolic] == list(system.quadrics)
@@ -101,17 +109,21 @@ def test_jacobian_rank_rejects_off_variety_points():
 
 @lru_cache(maxsize=None)
 def orbit_of_base_point(y):
-    """The group orbit of the embedded base point over QQ(zeta8), memoized."""
-    return tuple(orbit(y.to_field(QI8).embed()))
+    """The group orbit of the embedded base point over GF(ORBIT_PRIME), memoized."""
+    return tuple(orbit(mod_p(y, ORBIT_PRIME).embed()))
 
 
 def _orbit_mod_p(y, p):
-    """The exact QQ(zeta8) orbit of y, reduced mod p."""
+    """The exact QQ(zeta8) orbit of the rational point y, reduced mod a prime
+    above p.  By the module docstring of heisenberg, shift^a·twist^b moves
+    the point v to the point with coordinates ζ8^(b·(a+i))·v_(i+a), i = 0 … 7:
+    monomials in ζ8 that reduce by sending ζ8 to an order-8 residue."""
     root = find_order8_root(p)
     field = GF(p)
+    v = [field.coerce(c) for c in y.embed().coords]
     return {
-        ProjPoint(field, [embed_cyclo_mod_p(c, p, root) for c in pt.coords])
-        for pt in orbit_of_base_point(y)
+        ProjPoint(field, [pow(root, b * (a + i), p) * v[(i + a) % 8] for i in range(8)])
+        for a, b in itertools.product(range(8), repeat=2)
     }
 
 
@@ -122,7 +134,7 @@ def test_jacobian_rank_four_at_smooth_sample_points():
 
     p = 17
     field = GF(p)
-    system = geo.build_system(Y123.to_field(field))
+    system = geo.build_system(mod_p(Y123, p))
     ti, tj, tc, offsets = [], [], [], [0]
     for q in system.quadrics:
         for e, c in q.sorted_terms():
@@ -165,9 +177,9 @@ def test_odp_proxy_full_sweep():
 
 def test_group_transport_matches_the_explicit_orbit_loop():
     # the per-point sweep that the base-point evidence replaces: every orbit
-    # point, over QQ(zeta8), has Jacobian rank 3 (else the call raises) and a
-    # rank-4 cone, as carried from the base point by the group
-    system = geo.build_system(Y123.to_field(QI8))
+    # point, over GF(ORBIT_PRIME), has Jacobian rank 3 (else the call raises)
+    # and a rank-4 cone, as carried from the base point by the group
+    system = geo.build_system(mod_p(Y123, ORBIT_PRIME))
     orbit = orbit_of_base_point(Y123)
     ranks = [geo.odp_normal_hessian_rank(system, pt) for pt in orbit]
     assert len(orbit) == 64
@@ -177,20 +189,19 @@ def test_group_transport_matches_the_explicit_orbit_loop():
 
 def test_orbit_inverts_once_per_nonzero_coordinate_in_first_seen_order(monkeypatch):
     # (0 : 3 : 1 : 4 : 0 : -4 : -1 : -3) has six nonzero coordinates
-    y = geo.MinusPlanePoint.rational(3, 1, 4)
+    v = mod_p(geo.MinusPlanePoint.rational(3, 1, 4), ORBIT_PRIME).embed()
     calls = []
-    real = Cyclo.inverse
+    real = ModInt.inverse
 
     def counted(self):
         calls.append(self)
         return real(self)
 
-    monkeypatch.setattr(Cyclo, "inverse", counted)
-    orbit_points = orbit(y.to_field(QI8).embed())
+    monkeypatch.setattr(ModInt, "inverse", counted)
+    orbit_points = orbit(v)
     assert len(calls) == 6
     monkeypatch.undo()
     # the oracle: projective equality, images of shift^a twist^b in (a, b) order
-    v = y.to_field(QI8).embed()
     expect = []
     for a, b in itertools.product(range(8), repeat=2):
         w = HeisenbergElement(a, b, 0).act_on_point(v)
@@ -200,24 +211,40 @@ def test_orbit_inverts_once_per_nonzero_coordinate_in_first_seen_order(monkeypat
 
 
 def test_quadric_span_images_shift_and_twist():
-    images = dict(geo.quadric_span_images(Y123))
+    images = dict(geo.quadric_span_images())
     assert list(images) == [f"{g}_q{i}" for g in ("shift", "twist") for i in range(4)]
-    assert all(sol is not None for sol in images.values())
-    # shift permutes the quadrics cyclically: q_i -> q_{i+1}
     for i in range(4):
-        assert images[f"shift_q{i}"] == tuple(QI8.one if j == (i + 1) % 4 else QI8.zero for j in range(4))
+        # shift permutes the quadrics cyclically: q_i -> q_{i+1}
+        assert images[f"shift_q{i}"] == tuple("1" if j == (i + 1) % 4 else "0" for j in range(4))
+        # q_i has the one twist weight 2i: twist scales it by ζ8^(2i)
+        assert images[f"twist_q{i}"] == tuple(geo.ZETA8_POWERS[2 * i] if j == i else "0" for j in range(4))
+
+
+@pytest.mark.parametrize("p", [17, 41])
+def test_span_images_agree_with_the_polynomial_action_mod_p(p):
+    # the weights, read on integers, against act_on_poly at a point over GF(p)
+    field = GF(p)
+    quadrics = geo.build_system(mod_p(Y123, p)).quadrics
+    for i, (q, symbolic) in enumerate(zip(quadrics, geo.symbolic_quadrics())):
+        (w,) = geo.twist_weights(symbolic)
+        assert TWIST.act_on_poly(q) == q * field.root_of_unity(w)
+        assert SHIFT.act_on_poly(q) == quadrics[(i + 1) % 4]
+
+
+SPAN_PRIME = 97
 
 
 def _dense_span_solve(quadrics, image):
-    """The QQ(zeta8) solve of image = Σ c_j·q_j over the monomials that occur."""
+    """The GF(SPAN_PRIME) solve of image = Σ c_j·q_j over the monomials that occur."""
+    field = GF(SPAN_PRIME)
     monomials = sorted({e for poly in (*quadrics, image) for e in poly.terms}, key=grevlex_key)
-    a = Matrix(QI8, [[poly.terms.get(e, QI8.zero) for poly in quadrics] for e in monomials])
-    sol = solve(a, [image.terms.get(e, QI8.zero) for e in monomials])
+    a = Matrix(field, [[poly.terms.get(e, field.zero) for poly in quadrics] for e in monomials])
+    sol = solve(a, [image.terms.get(e, field.zero) for e in monomials])
     return None if sol is None else tuple(sol)
 
 
 _RATIONAL = st.fractions(min_value=-6, max_value=6, max_denominator=4)
-_CYCLO = st.builds(Cyclo, _RATIONAL, _RATIONAL, _RATIONAL, _RATIONAL)
+_RESIDUE = st.integers(0, SPAN_PRIME - 1)
 _PLANE_POINTS = st.one_of(
     st.tuples(_RATIONAL, _RATIONAL, _RATIONAL),
     st.tuples(_RATIONAL, st.just(0), _RATIONAL),  # y2 = 0
@@ -226,10 +253,12 @@ _PLANE_POINTS = st.one_of(
 
 
 @settings(max_examples=40, deadline=None)
-@given(_PLANE_POINTS, st.lists(_CYCLO, min_size=4, max_size=4), st.sampled_from(monomials_of_degree(8, 2)), _CYCLO)
-@example((1, 0, 0), [Cyclo(1)] * 4, (0, 0, 1, 0, 0, 0, 1, 0), Cyclo(1))  # f = x2·x6, one monomial
+@given(_PLANE_POINTS, st.lists(_RESIDUE, min_size=4, max_size=4), st.sampled_from(monomials_of_degree(8, 2)), _RESIDUE)
+@example((1, 0, 0), [1] * 4, (0, 0, 1, 0, 0, 0, 1, 0), 1)  # f = x2·x6, one monomial
 def test_span_read_off_matches_the_dense_solve(y, coeffs, monomial, scale):
-    quadrics = geo.build_system(geo.MinusPlanePoint.rational(*y).to_field(QI8)).quadrics
+    field = GF(SPAN_PRIME)
+    quadrics = geo.build_system(geo.MinusPlanePoint(field, *y)).quadrics
+    coeffs = [field.coerce(c) for c in coeffs]
     ring = quadrics[0].ring
     combination = sum((q * c for q, c in zip(quadrics, coeffs)), ring.zero())
     perturbed = combination + ring.monomial(monomial, scale)
@@ -242,7 +271,7 @@ def test_span_read_off_matches_the_dense_solve(y, coeffs, monomial, scale):
 
 
 def test_span_read_off_refuses_overlapping_supports():
-    quadrics = geo.build_system(Y123.to_field(QI8)).quadrics
+    quadrics = geo.build_system(Y123).quadrics
     with pytest.raises(AssertionError):
         geo.span_coefficients((quadrics[0], quadrics[0] + quadrics[1]), quadrics[0])
 
@@ -399,7 +428,7 @@ def test_minus_plane_unlucky_prime_when_named_points_collide():
 def test_orbit_mod_p_agrees_with_cyclotomic_reduction():
     # the exact orbit reduces to the orbit computed over GF(p) itself
     for p in (17, 41):
-        direct = set(orbit(Y123.to_field(GF(p)).embed()))
+        direct = set(orbit(mod_p(Y123, p).embed()))
         assert _orbit_mod_p(Y123, p) == direct
         assert len(direct) == 64
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from heis8_certify.errors import MissingRootOfUnity, ZeroPoint
-from heis8_certify.exactmath import GF, QI8, QQ
+from heis8_certify.exactmath import GF, QQ
 from heis8_certify.heisenberg import (
     CENTRAL,
     SHIFT,
@@ -92,13 +92,19 @@ def test_center_matches_all_pairs_commutation():
     assert center_and_quotient().center == center
 
 
+# ζ8 exists in GF(ZETA_P), a reduction of QQ(zeta8) mod a prime above it:
+# points distinct there are distinct over QQ(zeta8)
+ZETA_P = 12289
+QZ = GF(ZETA_P)
+
+
 def embedded(field, y1, y2, y3):
     c = [field.coerce(v) for v in (0, y1, y2, y3, 0, -y3, -y2, -y1)]
     return ProjPoint(field, c)
 
 
 def test_central_elements_act_trivially():
-    v = embedded(QI8, 1, 2, 3)
+    v = embedded(QZ, 1, 2, 3)
     for c in range(8):
         assert HeisenbergElement(0, 0, c).act_on_point(v) == v
 
@@ -130,16 +136,16 @@ def test_orbit_of_coordinate_point_has_8_elements():
 
 def test_orbit_of_generic_point_is_64():
     rng = random.Random(42)
-    v = embedded(QI8, rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 9))
+    v = embedded(QZ, rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 9))
     assert len(orbit(v)) == 64
 
 
 def test_orbit_size_divides_64():
     rng = random.Random(8)
-    candidates = [embedded(QI8, 1, 0, 0), embedded(QI8, 1, 1, 1), embedded(QI8, 0, 1, 0)]
+    candidates = [embedded(QZ, 1, 0, 0), embedded(QZ, 1, 1, 1), embedded(QZ, 0, 1, 0)]
     for _ in range(5):
         candidates.append(
-            embedded(QI8, rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(0, 3) or 1)
+            embedded(QZ, rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(0, 3) or 1)
         )
     for v in candidates:
         assert 64 % len(orbit(v)) == 0
@@ -162,15 +168,15 @@ def test_adjoint_contract_on_quadrics():
     # eval(g·q, g·v) = λ·eval(q, v) with one λ for all four quadrics
     from heis8_certify.geometry import MinusPlanePoint, build_system
 
-    system = build_system(MinusPlanePoint.rational(1, 2, 3)).to_field(QI8)
+    system = build_system(MinusPlanePoint(QZ, 1, 2, 3))
     rng = random.Random(31)
     els = enumerate_group()
     for _ in range(40):
         g = rng.choice(els)
-        coords = [QI8.random(rng) for _ in range(8)]
+        coords = [QZ.random(rng) for _ in range(8)]
         if not any(coords):
-            coords[0] = QI8.one
-        v = ProjPoint(QI8, coords)
+            coords[0] = QZ.one
+        v = ProjPoint(QZ, coords)
         w = g.act_on_point(v)
         lam = None
         for q in system.quadrics:
@@ -184,7 +190,7 @@ def test_adjoint_contract_on_quadrics():
             else:
                 assert not left
         # with the raw (uncanonicalized) action the scalar is exactly 1
-        assert lam is None or lam == QI8.one
+        assert lam is None or lam == QZ.one
 
 
 def test_projective_point_basics():

@@ -1,9 +1,9 @@
 """Check verdicts come from recorded evidence: the group-order closure uses the
 generators, the two orbit checks share the certificate of one base point, and
-a defect (in the orbit evidence, the singular-scheme count, a ψ certificate or
-the quartic) gives FAIL with exit code 1 and no crash.  A defect that rejects
-every candidate base point leaves no point certified: both orbit checks FAIL
-and record the rejections."""
+every check has a mutation in MUTATIONS (a defect in its evidence) that gives
+FAIL with exit code 1 and no crash.  A defect that rejects every candidate
+base point leaves no point certified: both orbit checks FAIL and record the
+rejections."""
 import dataclasses
 import json
 import re
@@ -14,7 +14,7 @@ from heis8_certify import cli, geometry, heisenberg, linalg, registry, singular
 from heis8_certify.exactmath import GF
 from heis8_certify.heisenberg import SHIFT, HeisenbergElement, orbit
 from heis8_certify.linalg import MembershipProblem
-from heis8_certify.multipoly import grevlex_key
+from heis8_certify.multipoly import PolyMatrix, grevlex_key
 from heis8_certify.report import FAIL, PASS, RunConfig
 
 ORBIT_CHECKS = ("orbit-64-singular", "odp-proxy")
@@ -24,6 +24,7 @@ ORBIT_CHECKS = ("orbit-64-singular", "odp-proxy")
 def fresh_orbit_memo():
     memos = (
         registry._generic_point,
+        geometry.symbolic_quadrics,
         geometry.quadric_span_images,
         geometry.minus_plane_conics,
         geometry.moore_pipeline,
@@ -42,9 +43,13 @@ def test_group_order_passes_with_the_generators():
     assert result.payload == {"order": "512", "closed": "True", "lagrange_512": "True"}
 
 
-def test_group_order_fails_when_the_generators_span_a_subgroup(monkeypatch):
+def _generators_of_a_subgroup(monkeypatch):
     # shift² and twist generate a subgroup of order 4·8·4 = 128
     monkeypatch.setattr(registry, "SHIFT", SHIFT**2)
+
+
+def test_group_order_fails_when_the_generators_span_a_subgroup(monkeypatch):
+    _generators_of_a_subgroup(monkeypatch)
     result = registry.check_group_order(RunConfig())
     assert result.status == FAIL
     assert result.payload["order"] == "128"
@@ -55,6 +60,11 @@ def _doubled_cocycle(self, other):
     # the central coordinate picks up 2·b·a′ in place of b·a′: still a group
     # law, but shift and twist now commute up to ξ², so the center is larger
     return HeisenbergElement(self.a + other.a, self.b + other.b, self.c + other.c + 2 * self.b * other.a)
+
+
+def _doubled_cocycle_law(monkeypatch):
+    monkeypatch.setattr(HeisenbergElement, "compose", _doubled_cocycle)
+    monkeypatch.setattr(HeisenbergElement, "__mul__", _doubled_cocycle)
 
 
 @pytest.mark.parametrize(
@@ -74,8 +84,7 @@ def _doubled_cocycle(self, other):
     ],
 )
 def test_group_checks_fail_on_a_wrong_central_cocycle(monkeypatch, tmp_path, capsys, check_id, payload):
-    monkeypatch.setattr(HeisenbergElement, "compose", _doubled_cocycle)
-    monkeypatch.setattr(HeisenbergElement, "__mul__", _doubled_cocycle)
+    _doubled_cocycle_law(monkeypatch)
     assert _verify_fails(tmp_path, capsys, check_id) == payload
 
 
@@ -130,14 +139,12 @@ def test_degenerate_base_points_redraw_to_the_fixed_witnesses():
         assert data == {"orbit_size": "64", "rank3_points": "64", "base_cone_rank": "4", "cone_rank4": 64}
 
 
-def _image_off_the_span(monkeypatch):
-    real = HeisenbergElement.act_on_poly
-
-    def off_span(self, poly):
-        x = poly.ring.gens()
-        return real(self, poly) + x[0] * x[1]  # x0·x1 occurs in no quadric
-
-    monkeypatch.setattr(HeisenbergElement, "act_on_poly", off_span)
+def _quadric_of_two_weights(monkeypatch):
+    # the symbolic quadrics of f + x0·x1: x0·x1 has twist weight 7 and every
+    # monomial of f weight 0, so no twist image and not shift⁴ f is in the span
+    f = geometry.symbolic_quadrics()[0]
+    x = f.ring.gens()
+    monkeypatch.setattr(geometry, "symbolic_quadrics", lambda: geometry.shifted_quadrics(f + x[0] * x[1]))
 
 
 def _orbit_data_with(**defect):
@@ -173,7 +180,7 @@ def _minors_of_three_quadrics(monkeypatch):
 def _form_through_an_orbit_point(monkeypatch):
     # ℓ = x4 + c·x6 through an orbit point of the default base point mod p
     def through_orbit(rng, p):
-        y = geometry.MinusPlanePoint.rational(*RunConfig().base_point).to_field(GF(p))
+        y = geometry.MinusPlanePoint(GF(p), *RunConfig().base_point)
         v = next(v for v in orbit(y.embed()) if v.coords[4] and v.coords[6]).coords
         return (-v[4] / v[6]).value
 
@@ -183,7 +190,7 @@ def _form_through_an_orbit_point(monkeypatch):
 @pytest.mark.parametrize(
     "mutate, expected",
     [
-        (_image_off_the_span, {"orbit-64-singular": FAIL, "odp-proxy": FAIL}),
+        (_quadric_of_two_weights, {"orbit-64-singular": FAIL, "odp-proxy": FAIL}),
         (
             _orbit_data_with(base_cone_rank="3", cone_rank4=0),
             {"orbit-64-singular": FAIL, "odp-proxy": FAIL},
@@ -222,7 +229,7 @@ def test_orbit_defect_fails_and_exits_1(monkeypatch, tmp_path, capsys, mutate, e
     assert "FAIL" in capsys.readouterr().out
     if mutate is _quotient_of_order_32:
         assert {r["payload"].get("y0_orbit_size") for r in results} == {"32", None}
-        assert {r["payload"].get("y0_cone_rank4") for r in results} == {"32/64", None}
+        assert {r["payload"].get("y0_cone_rank4") for r in results} == {"32/32", None}
     if mutate in (_cone_rank_3, _base_point_fixed_by_an_involution):
         # every candidate is rejected at the source: no point is certified
         candidates = list(registry._candidate_base_points((1, 2, 3)))
@@ -250,21 +257,14 @@ def _verify_fails(tmp_path, capsys, check_id, *flags):
     return result["payload"]
 
 
-def test_ideal_invariance_fails_when_an_image_leaves_the_span(monkeypatch, tmp_path, capsys):
-    _image_off_the_span(monkeypatch)
-    payload = _verify_fails(tmp_path, capsys, "ideal-invariance")
-    assert payload == {f"{g}_q{i}": "not in span" for g in ("shift", "twist") for i in range(4)}
+def _first_coefficient_plus_one(cert):
+    (gi, mult, coeff), *rest = cert.entries
+    return dataclasses.replace(cert, entries=((gi, mult, coeff + 1), *rest))
 
 
 def test_psi_membership_fails_on_a_corrupted_certificate(monkeypatch, tmp_path, capsys):
     real = MembershipProblem.solve_mod
-
-    def corrupted(self, p):
-        cert = real(self, p)
-        (gi, mult, coeff), *rest = cert.entries
-        return dataclasses.replace(cert, entries=((gi, mult, coeff + 1), *rest))
-
-    monkeypatch.setattr(MembershipProblem, "solve_mod", corrupted)
+    monkeypatch.setattr(MembershipProblem, "solve_mod", lambda self, p: _first_coefficient_plus_one(real(self, p)))
     _verify_fails(tmp_path, capsys, "psi-quartic-membership", "--fast")
 
 
@@ -301,10 +301,201 @@ def test_psi_membership_fails_on_a_wrong_target(monkeypatch, tmp_path, capsys, f
         assert payload["qq_not_in_degree"].startswith("no representation over QQ")
 
 
-def test_quartic_check_fails_on_a_singular_quartic(monkeypatch, tmp_path, capsys):
+# ---------------------------------------------------------------------------
+# one mutation per check: a defect in the check's evidence must give FAIL and
+# exit code 1, not a crash and not a PASS
+
+
+def _every_element_commutes(monkeypatch):
+    # a commutation test that accepts every pair: every element is central
+    monkeypatch.setattr(HeisenbergElement, "commutes_with", lambda self, other: True)
+
+
+def _base_quadric_sign_flipped(monkeypatch):
+    # f with +y2²·(x1·x7 + x3·x5) in place of −y2²·(…)
+    def flipped(x, y1, y2, y3):
+        f0, f1, f2 = geometry.standard_quadrics(x)
+        return f0 * (y1 * y3) + f1 * (y2 * y2) + f2 * (y1 * y1 + y3 * y3)
+
+    monkeypatch.setattr(geometry, "base_quadric", flipped)
+
+
+def _named_point_off_the_conics(monkeypatch):
+    real = geometry.named_intersection_points
+
+    def moved(y):
+        first, *rest = real(y)
+        return [dataclasses.replace(first, y2=first.y2 + 1), *rest]
+
+    monkeypatch.setattr(geometry, "named_intersection_points", moved)
+
+
+def _moore_reference_entry_negated(monkeypatch):
+    real = geometry.expected_restricted_moore()
+    rows = [list(row) for row in real.rows]
+    rows[0][1] = -rows[0][1]
+    monkeypatch.setattr(geometry, "expected_restricted_moore", lambda: PolyMatrix(real.ring, rows))
+
+
+def _pfaffian_sign_recorded_as_minus_one(monkeypatch):
+    monkeypatch.setattr(geometry, "RECORDED_PFAFFIAN_SIGN", -1)
+
+
+def _corrupted_rational_certificate(monkeypatch):
+    real = MembershipProblem.solve_rational
+    monkeypatch.setattr(MembershipProblem, "solve_rational", lambda self: _first_coefficient_plus_one(real(self)))
+
+
+def _singular_quartic(monkeypatch):
     # w1⁴ − 8·w0³·w2 is singular at (0:0:1)
     w0, w1, w2 = geometry.conic_ring().gens()
     monkeypatch.setattr(geometry, "quartic_curve_poly", lambda: w1**4 - w0**3 * w2 * 8)
-    payload = _verify_fails(tmp_path, capsys, "quartic-smooth-genus3")
-    assert payload["smooth_over_QQ"] == "False"
-    assert payload["nullstellensatz_certificates"] == "0"
+
+
+def _degrees_2223(monkeypatch):
+    real = geometry.ci_invariants
+    monkeypatch.setattr(geometry, "ci_invariants", lambda n, degrees: real(n, (2, 2, 2, 3)))
+
+
+def _monodromy(matrix):
+    def mutate(monkeypatch):
+        monkeypatch.setattr(registry, "MONODROMY_MATRIX", matrix)
+
+    return mutate
+
+
+def _wedge_of_the_pair_zero(monkeypatch):
+    # e1∧e2 computed as 0: the pair's own wedge counts as a counterexample
+    monkeypatch.setattr(linalg, "_wedge_vv", lambda e1, e2: 0)
+
+
+# check id → mutation → the payload entries it must produce; a row lists the
+# whole payload unless a field holds a long certificate or digest
+MUTATIONS = [
+    ("group-order-512", _generators_of_a_subgroup, {"order": "128", "closed": "False", "lagrange_512": "True"}),
+    ("center-mu8", _every_element_commutes, {"center_order": "512", "center_is_scalar_axis": "False"}),
+    ("quotient-Z8-squared", _every_element_commutes, {"invariant_factors": "1,1", "quotient_order": "1"}),
+    (
+        "commutator-xi",
+        _doubled_cocycle_law,
+        {"commutator": "shift^0*twist^0*zeta8^2", "twist_shift_reorders_with_zeta8": "False"},
+    ),
+    (
+        "ideal-invariance",
+        _quadric_of_two_weights,
+        {
+            "shift_q0": "[0, 1, 0, 0]",
+            "shift_q1": "[0, 0, 1, 0]",
+            "shift_q2": "[0, 0, 0, 1]",
+            "shift_q3": "not in span",
+            **{f"twist_q{i}": "not in span" for i in range(4)},
+        },
+    ),
+    (
+        "base-point-on-V",
+        _base_quadric_sign_flipped,
+        {"symbolic_identities": "2/4", "numeric_at_y": "False", "y": "1,2,3"},
+    ),
+    (
+        "orbit-64-singular",
+        _minors_of_three_quadrics,
+        {
+            "redraws": "0",
+            "y0_point": "1,2,3",
+            "y0_orbit_size": "64",
+            "y0_rank3_points": "64",
+            "y0_base_cone_rank": "4",
+            **{
+                f"hilbert_unlucky_{p}": f"a minor does not vanish at the base point mod {p}"
+                for p in (32609, 32633, 32713)
+            },
+        },
+    ),
+    ("odp-proxy", _quotient_of_order_32, {"y0_cone_rank4": "32/32"}),
+    (
+        "minus-plane-4points",
+        _named_point_off_the_conics,
+        {
+            f"unlucky_{p}": f"a named point is not a solution mod {p}"
+            for p in (17, 89, 97, 113, 137, 193, 233, 241)
+        },
+    ),
+    (
+        "moore-skew",
+        _moore_reference_entry_negated,
+        {"entries_matching_reference": "15/16", "skew_after_swap": "True", "full_corner_entry": "x0*y0 + x4*y4"},
+    ),
+    (
+        "pfaffian-formula",
+        _pfaffian_sign_recorded_as_minus_one,
+        {
+            "sign": "1",
+            "pfaffian_squared_is_det": "True",
+            "pfaffian_terms": "12",
+            "pfaffian_sha256": "96f7ec25133090472a78948f8783161f78ed09455418f52ef6daa0523bf56b6d",
+        },
+    ),
+    # the replay decides the status; the payload records the certificate
+    ("psi-quartic-membership", _corrupted_rational_certificate, {"qq_support": "82"}),
+    (
+        "quartic-smooth-genus3",
+        _singular_quartic,
+        {
+            **{f"gf{p}_sweep_points": str(p * p + p + 1) for p in (17, 41, 73)},
+            **{f"gf{p}_no_common_zero": "False" for p in (17, 41, 73)},
+            "smooth_over_QQ": "False",
+            "nullstellensatz_certificates": "0",
+            "genus": "3",
+        },
+    ),
+    (
+        "topology-numbers",
+        _degrees_2223,
+        {
+            "degree": "24",
+            "c2_hyperplane_degree": "168",
+            "euler_smooth": "-504",
+            "node_identity": "-376",
+            "hilbert_numerator_at_1": "16",
+            "hilbert_coeffs": "1,4,6,4,1",
+        },
+    ),
+    (
+        "monodromy-nilpotent",
+        _monodromy(((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1))),  # rank(M − I) = 2
+        {
+            "rank_M_minus_I": "2",
+            "square_zero": "True",
+            "snf_factors": "1,1",
+            "invariant_sublattice_rank": "2",
+            "wedge2_fixed_dim_mod_2": "4",
+        },
+    ),
+    (
+        "unipotent-log",
+        _monodromy(((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 0), (0, 0, 0, 1))),  # (M − I)² ≠ 0
+        {"log_is_M_minus_I": "False", "additive_on_commuting_pair": "True"},
+    ),
+    ("wedge-lemma", _wedge_of_the_pair_zero, {"cases": "0", "counterexample": "(1, 2, 1)"}),
+    (
+        "torsion-counting",
+        _every_element_commutes,
+        {
+            "snf_8_identity": "8,8,8,8",
+            "lattice_mod_8_order": "4096",
+            "section_subgroup_order": "1",
+            "subgroup_embeds": "True",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("check_id, mutate, expected", MUTATIONS, ids=[row[0] for row in MUTATIONS])
+def test_check_fails_under_its_mutation(monkeypatch, tmp_path, capsys, check_id, mutate, expected):
+    mutate(monkeypatch)
+    payload = _verify_fails(tmp_path, capsys, check_id)
+    assert {k: payload.get(k) for k in expected} == expected
+
+
+def test_every_check_has_a_mutation_row():
+    assert [row[0] for row in MUTATIONS] == list(registry.known_ids())

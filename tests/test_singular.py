@@ -135,7 +135,7 @@ def _block_count(y, p, weight=0):
 def _macaulay_weight0_corank(y, p):
     """429 − rank of the weight-0 block of degree 7 of S over the quadrics and
     the maximal minors (from PolyMatrix.minors), by sparse_solve_mod_p."""
-    system = geo.build_system(y.to_field(GF(p)))
+    system = geo.build_system(geo.MinusPlanePoint(GF(p), *y.coords))
     gens = [g for g in (*system.quadrics, *system.jacobian.minors(4)) if g]
 
     def weight(e):
@@ -205,7 +205,7 @@ def test_singular_scheme_needs_the_square_terms():
 
 def test_maximal_minors_match_polymatrix_minors():
     p = 41
-    system = geo.build_system(Y123.to_field(GF(p)))
+    system = geo.build_system(geo.MinusPlanePoint(GF(p), *Y123.coords))
     quadrics, minors = singular.singular_ideal_mod_p(Y123, p)
     reference = system.jacobian.minors(4)
     assert len(minors) == len(reference) == 70
