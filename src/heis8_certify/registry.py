@@ -6,6 +6,7 @@ one after another, in registry order.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import time
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import geometry
-from .errors import CertifyError, NotInDegree, UnknownCheckId, UnluckyPrime
+from .errors import CertifyError, NotInDegree, UnknownCheckId
 from .exactmath import GF, QQ
 from .heisenberg import CENTRAL, SHIFT, TWIST, HeisenbergElement, center_and_quotient, enumerate_group
 from .linalg import Matrix, exterior_power, smith_normal_form, unipotent_log, wedge_lemma_exhaustive
@@ -210,37 +211,10 @@ def check_odp_proxy(cfg: RunConfig) -> CertificateResult:
     return _result("odp-proxy", ok, ZETA8_FIELD, payload, seed=cfg.seed)
 
 
-# the prime ladder, from which unlucky primes are replaced; denominators
-# occurring in practice are powers of 2, so any odd prime here is usable
-REFERENCE_PRIMES = (17, 41, 73, 89, 97, 113, 137, 193, 233, 241)
-
-
-def _replacement_primes(cfg: RunConfig) -> list:
-    """The ladder primes that may replace an unlucky configured prime, in order."""
-    return [q for q in REFERENCE_PRIMES if q not in cfg.primes]
-
-
 def check_minus_plane(cfg: RunConfig) -> CertificateResult:
     y = geometry.MinusPlanePoint.rational(*cfg.base_point)
-    payload = {}
-    used = []
-    remaining = _replacement_primes(cfg)
-    for p in cfg.primes:
-        candidate = p
-        while True:
-            try:
-                payload.update(geometry.minus_plane_intersection(y, candidate))
-                used.append(candidate)
-                break
-            except UnluckyPrime as exc:
-                payload[f"unlucky_{candidate}"] = str(exc)
-                if not remaining:
-                    return _result("minus-plane-4points", False, QQ.name, payload, seed=cfg.seed)
-                candidate = remaining.pop(0)
-    exact = geometry.minus_plane_intersection_exact(y)
-    payload["exact_membership_of_named_points"] = exact
-    payload["primes_used"] = ",".join(map(str, used))
-    return _result("minus-plane-4points", exact, QQ.name, payload, seed=cfg.seed)
+    ok, payload = geometry.minus_plane_certificate(y)
+    return _result("minus-plane-4points", ok, QQ.name, payload, seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -294,53 +268,39 @@ def check_psi_membership(cfg: RunConfig) -> CertificateResult:
         "target_sha256": problem.target_hash,
         "generators_sha256": problem.generators_hash,
     }
-    ok = True
-    for p in cfg.primes:
-        try:
-            cert = problem.solve_mod(p)
-        except NotInDegree as exc:  # the target is not in the ideal: a FAIL, not a crash
-            payload[f"gf{p}_not_in_degree"] = str(exc)
-            ok = False
-            continue
-        ok = ok and problem.replays(cert)
-        payload[f"gf{p}_support"] = cert.support()
-        payload[f"gf{p}_triples_sha256"] = _sha(cert.triples_text(problem.ring.names))
+    solves = [(f"gf{p}", functools.partial(problem.solve_mod, p)) for p in cfg.primes]
     if cfg.fast:
         payload["rational_solve"] = "skipped (fast mode)"
     else:
+        solves.append(("qq", problem.solve_rational))
+    ok = True
+    for tag, solve in solves:
         try:
-            cert = problem.solve_rational()
-        except NotInDegree as exc:
-            payload["qq_not_in_degree"] = str(exc)
+            cert = solve()
+        except NotInDegree as exc:  # the target is not in the ideal: a FAIL, not a crash
+            payload[f"{tag}_not_in_degree"] = str(exc)
             ok = False
-        else:
-            ok = ok and problem.replays(cert)
-            triples = cert.triples_text(problem.ring.names)
-            payload["qq_support"] = cert.support()
+            continue
+        if not problem.replays(cert):
+            payload[f"{tag}_replay"] = "fails"
+            ok = False
+        triples = cert.triples_text(problem.ring.names)
+        payload[f"{tag}_support"] = cert.support()
+        payload[f"{tag}_triples_sha256"] = _sha(triples)
+        if tag == "qq":  # the binding certificate is reported whole
             payload["qq_triples"] = "; ".join(triples)
-            payload["qq_triples_sha256"] = _sha(triples)
     return _result("psi-quartic-membership", ok, QQ.name, payload, seed=cfg.seed)
 
 
 def check_quartic(cfg: RunConfig) -> CertificateResult:
-    payload = {}
-    sweep_ok = True
-    for p in cfg.primes:
-        good = geometry.quartic_smooth_mod_p(p)
-        payload[f"gf{p}_sweep_points"] = p * p + p + 1
-        payload[f"gf{p}_no_common_zero"] = good
-        sweep_ok = sweep_ok and good
     try:
         certs = geometry.quartic_nullstellensatz_certificates()
     except NotInDegree:  # no degree-7 certificates: the quartic is singular
         certs = []
     smooth = len(certs) == 3
-    payload["smooth_over_QQ"] = smooth
-    payload["nullstellensatz_certificates"] = len(certs)
     genus = geometry.quartic_genus()
-    payload["genus"] = genus
-    ok = sweep_ok and smooth and genus == 3
-    return _result("quartic-smooth-genus3", ok, QQ.name, payload, seed=cfg.seed)
+    payload = {"smooth_over_QQ": smooth, "nullstellensatz_certificates": len(certs), "genus": genus}
+    return _result("quartic-smooth-genus3", smooth and genus == 3, QQ.name, payload, seed=cfg.seed)
 
 
 def check_topology(cfg: RunConfig) -> CertificateResult:

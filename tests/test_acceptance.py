@@ -31,12 +31,15 @@ from heis8_certify.linalg import (
     wedge_lemma_exhaustive,
 )
 from heis8_certify.multipoly import PolyMatrix, PolyRing, pfaffian4
-from heis8_certify.registry import MONODROMY_MATRIX, REFERENCE_PRIMES
+from heis8_certify.registry import MONODROMY_MATRIX
 from heis8_certify.report import normalized_json
 
 from helpers import monomials_of_degree
 
 Y123 = geo.MinusPlanePoint.rational(1, 2, 3)
+
+# primes ≡ 1 mod 8 at which the ψ certificate digests are recorded
+LADDER_PRIMES = (17, 41, 73, 89, 97, 113, 137, 193, 233, 241)
 
 
 class budget:
@@ -105,8 +108,8 @@ def test_acceptance_02_ideal_membership():
     names = problem.ring.names
     gens = list(geo.moore_minor_generators())
     target = geo.psi_quartic_target()
-    assert sorted(PSI_GF_TRIPLES_SHA256) == sorted(REFERENCE_PRIMES)
-    for p in REFERENCE_PRIMES:
+    assert sorted(PSI_GF_TRIPLES_SHA256) == sorted(LADDER_PRIMES)
+    for p in LADDER_PRIMES:
         with budget(f"2 membership-GF({p})", 60.0):
             cert = problem.solve_mod(p)
             field = GF(p)
@@ -136,10 +139,15 @@ def test_acceptance_03_singular_orbit():
 
 def test_acceptance_04_minus_plane_intersection():
     with budget("4 minus-plane", 10.0):
-        for p in (17, 41):
-            payload = geo.minus_plane_intersection(Y123, p)
-            assert payload[f"solutions_mod_{p}"] == "4"
-        assert geo.minus_plane_intersection_exact(Y123)
+        ok, payload = geo.minus_plane_certificate(Y123)
+        assert ok
+        assert payload == {
+            "exact_membership_of_named_points": True,
+            "distinct_named_points": 4,
+            "hilbert_deg2": 4,
+            "hilbert_linear_form": "y1 + 2*y2 + 5*y3",
+            "hilbert_deg3_rank": "10/10",
+        }
 
 
 def test_acceptance_05_topology_numbers():

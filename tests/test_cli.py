@@ -120,7 +120,7 @@ def test_verify_subset_passes_and_is_deterministic(tmp_path):
 # sha256 of normalized_json of the default `verify --json` report: a refactor
 # leaves every byte of it alone, and a change that moves it names the changed
 # field in CHANGES.md and records the new digest here
-DEFAULT_REPORT_SHA256 = "c1fbc1eba06faacf04eab9c9e31c2f5e14b5d5939e5407e5e6718bd83b6a4fcb"
+DEFAULT_REPORT_SHA256 = "cb9bb71c75f47ee584a7f86d53fc6c5c3544d31d62d190a1fdd208e8069bc53d"
 
 
 BASEPOINT_CHECKS = "ideal-invariance,base-point-on-V,orbit-64-singular,odp-proxy,minus-plane-4points"
@@ -129,22 +129,22 @@ REPORT_SHA256 = {
     "psi-quartic-ladder-primes": (
         ("--checks", "psi-quartic-membership,quartic-smooth-genus3", "--primes", "113,137,193,233,241"),
         0,
-        "017169281a1a5dd7053a0927eb00d3414cf1bfeb5a5b106f6a8f43b9a3d8b62a",
+        "f85a4e0a16a6dfe9d4cc27aa51b79b2a4d8f0e200e204c1f4545a044f053edc3",
     ),
     "fast-modular": (
         ("--fast", "--checks", MODULAR_CHECKS, "--primes", "89,97"),
         0,
-        "6b17d54c02133969a568f82f2a18aa023fc560bcb50690ca05ba3ba9eb3e7cf6",
+        "0b4297b222e64cd3c6a56682be8879f35290a42fe5d2f4e740bb1e4a316b8eef",
     ),
     "basepoint-5-3-7": (
         ("--checks", BASEPOINT_CHECKS, "--y=5,-3,7", "--seed", "7"),
         0,
-        "68f8769bdd2847d965763ee16ca4d77a6494a3a2564c89db732f0968f5d0a08b",
+        "9a4f9ece15cbee131d568a0c05098f17d1092b960ddf29bbe397aa19880b83cd",
     ),
     "basepoint-1-0-2": (
         ("--checks", BASEPOINT_CHECKS, "--y=1,0,2", "--seed", "9"),
-        1,  # y2 = 0: minus-plane-4points FAILs
-        "dbefea51b6025457a875b5b9569b3d40e7f80cbd8a7ee526ba7fd712a0c85a9d",
+        1,  # y2 = 0: two named points coincide, and minus-plane-4points FAILs
+        "3fccd501ad18b8010efaee3160b2517016c0eca6e3c7b8f77798dcf6689d8232",
     ),
 }
 # sha256 of the triples of the three quartic Nullstellensatz certificates,

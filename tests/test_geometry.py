@@ -16,6 +16,7 @@ from heis8_certify.errors import (
     DegeneratePoint,
     NotInDegree,
     PointNotOnVariety,
+    UnluckyPrime,
     ZeroPoint,
 )
 from heis8_certify.exactmath import GF, QQ, ModInt, find_order8_root
@@ -295,7 +296,8 @@ def test_orbit_has_64_points_exactly_when_no_involution_fixes_the_base_point():
 
 
 def test_named_points_on_restricted_system_exactly():
-    assert geo.minus_plane_intersection_exact(Y123)
+    ok, payload = geo.minus_plane_certificate(Y123)
+    assert ok and payload["exact_membership_of_named_points"] is True
     named = geo.named_intersection_points(Y123)
     plane_pts = {plane_point(p) for p in named}
     expect = {
@@ -334,14 +336,32 @@ def _restricted_conics(y, p):
     ]
 
 
+def named_points_mod_p(y, p):
+    """The reductions of the four named points mod p, which must stay four
+    distinct points of P²(GF(p)) for a sweep mod p to be comparable."""
+    field = GF(p)
+    named = set()
+    for pt in geo.named_intersection_points(y):
+        reduced = [field.coerce(c) for c in pt.coords]
+        if not any(reduced):
+            raise UnluckyPrime(f"named point vanishes mod {p}")
+        named.add(ProjPoint(field, reduced))
+    if len(named) != 4:
+        raise UnluckyPrime(f"named points collide mod {p}")
+    return named
+
+
 @pytest.mark.parametrize("p,total", [(17, 307), (41, 1723)])
 def test_minus_plane_enumeration(p, total):
-    count, zeros = _brute_force_zeros(_restricted_conics(Y123, p), p)
-    assert count == total
-    solutions, named = geo.minus_plane_solutions_mod_p(Y123, p)
-    assert solutions == named == {ProjPoint(GF(p), pt) for pt in zeros}
-    payload = geo.minus_plane_intersection(Y123, p)
-    assert payload[f"solutions_mod_{p}"] == "4"
+    # the GF(p) oracle for minus_plane_certificate: at base points where it
+    # passes, the zeros mod p are exactly the reductions of the named points
+    for y in (Y123, geo.MinusPlanePoint.rational(5, -3, 7)):
+        assert geo.minus_plane_certificate(y)[0]
+        count, zeros = _brute_force_zeros(_restricted_conics(y, p), p)
+        assert count == total
+        assert geo.minus_plane_solutions_mod_p(y, p) == named_points_mod_p(y, p) == {
+            ProjPoint(GF(p), pt) for pt in zeros
+        }
 
 
 SWEEP_PRIMES = (17, 41, 97)
@@ -403,7 +423,7 @@ def test_sweep_matches_brute_force_enumeration(system):
 @pytest.mark.parametrize("point", [(1, 0, 2), (2, 1, 2)])
 @pytest.mark.parametrize("p", SWEEP_PRIMES)
 def test_sweep_matches_brute_force_at_degenerate_base_points(point, p):
-    # two named points collide here, so minus_plane_intersection is unlucky
+    # two named points collide here, and minus_plane_certificate fails
     conics = _restricted_conics(geo.MinusPlanePoint.rational(*point), p)
     _count, zeros = _brute_force_zeros(conics, p)
     assert set(geo.plane_zeros_mod_p(conics, p)) == zeros
@@ -411,18 +431,17 @@ def test_sweep_matches_brute_force_at_degenerate_base_points(point, p):
 
 def test_minus_plane_rejects_bad_prime():
     with pytest.raises(BadPrime):
-        geo.minus_plane_intersection(Y123, 7)
+        geo.minus_plane_solutions_mod_p(Y123, 7)
 
 
 def test_minus_plane_unlucky_prime_when_named_points_collide():
-    from heis8_certify.errors import UnluckyPrime
-
-    # y1 ≡ y3 mod 17 makes two named points coincide in GF(17)
+    # y1 ≡ y3 mod 17 makes two named points coincide in GF(17): the oracle
+    # cannot compare there, though the certificate over QQ passes
     y = geo.MinusPlanePoint.rational(1, 2, 18)
+    assert geo.minus_plane_certificate(y)[0]
     with pytest.raises(UnluckyPrime):
-        geo.minus_plane_intersection(y, 17)
-    payload = geo.minus_plane_intersection(y, 41)
-    assert payload["solutions_mod_41"] == "4"
+        named_points_mod_p(y, 17)
+    assert geo.minus_plane_solutions_mod_p(y, 41) == named_points_mod_p(y, 41)
 
 
 def test_orbit_mod_p_agrees_with_cyclotomic_reduction():

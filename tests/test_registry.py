@@ -122,10 +122,46 @@ def test_minus_plane_restricts_the_system_once_per_point(monkeypatch):
     builds = []
     real = geometry.build_system
     monkeypatch.setattr(geometry, "build_system", lambda y: builds.append(y.coords) or real(y))
-    result = registry.check_minus_plane(RunConfig())
+    monkeypatch.setattr(geometry, "plane_zeros_mod_p", _no_sweep)
+    result = registry.check_minus_plane(RunConfig(primes=(89, 97)))
     assert result.status == PASS
-    assert builds == [(1, 2, 3)]  # three primes and the exact membership share it
-    assert result.payload["primes_used"] == "17,41,73"
+    assert builds == [(1, 2, 3)]  # the counts and the exact membership share it
+    assert result.prime is None
+    assert result.payload == {
+        "exact_membership_of_named_points": "True",
+        "distinct_named_points": "4",
+        "hilbert_deg2": "4",
+        "hilbert_linear_form": "y1 + 2*y2 + 5*y3",
+        "hilbert_deg3_rank": "10/10",
+    }
+
+
+def _no_sweep(polys, p):
+    raise AssertionError(f"the minus plane was swept mod {p}")
+
+
+@pytest.mark.parametrize(
+    "base_point, status, payload",
+    [
+        # y1 + 2·y2 + 5·y3 vanishes at (−9, −8, 5) itself, so the second form decides
+        (
+            (-9, -8, 5),
+            PASS,
+            {"distinct_named_points": "4", "hilbert_linear_form": "y1 + 3*y2 + 7*y3", "hilbert_deg3_rank": "10/10"},
+        ),
+        # y2 = 0: twist⁴ fixes the point, and the four named points are two
+        (
+            (1, 0, 2),
+            FAIL,
+            {"distinct_named_points": "2", "hilbert_linear_form": "y1 + 2*y2 + 5*y3", "hilbert_deg3_rank": "10/10"},
+        ),
+    ],
+)
+def test_minus_plane_certificate_at_pinned_base_points(monkeypatch, base_point, status, payload):
+    monkeypatch.setattr(geometry, "plane_zeros_mod_p", _no_sweep)
+    result = registry.check_minus_plane(RunConfig(base_point=base_point))
+    assert result.status == status
+    assert result.payload == {"exact_membership_of_named_points": "True", "hilbert_deg2": "4", **payload}
 
 
 def test_degenerate_base_points_redraw_to_the_fixed_witnesses():
@@ -265,7 +301,10 @@ def _first_coefficient_plus_one(cert):
 def test_psi_membership_fails_on_a_corrupted_certificate(monkeypatch, tmp_path, capsys):
     real = MembershipProblem.solve_mod
     monkeypatch.setattr(MembershipProblem, "solve_mod", lambda self, p: _first_coefficient_plus_one(real(self, p)))
-    _verify_fails(tmp_path, capsys, "psi-quartic-membership", "--fast")
+    payload = _verify_fails(tmp_path, capsys, "psi-quartic-membership", "--fast")
+    assert {k: v for k, v in payload.items() if k.endswith("_replay")} == {
+        f"gf{p}_replay": "fails" for p in (17, 41, 73)
+    }
 
 
 @pytest.mark.parametrize("flags", [("--fast",), ()], ids=["fast", "rational"])
@@ -321,6 +360,7 @@ def _base_quadric_sign_flipped(monkeypatch):
 
 
 def _named_point_off_the_conics(monkeypatch):
+    # (1 : 2 : 3) moved to (1 : 3 : 3); a sweep would be an error, not a FAIL
     real = geometry.named_intersection_points
 
     def moved(y):
@@ -328,6 +368,23 @@ def _named_point_off_the_conics(monkeypatch):
         return [dataclasses.replace(first, y2=first.y2 + 1), *rest]
 
     monkeypatch.setattr(geometry, "named_intersection_points", moved)
+    monkeypatch.setattr(geometry, "plane_zeros_mod_p", _no_sweep)
+
+
+def _conics_sharing_a_line(monkeypatch):
+    # (y1 − y3)·y1, (y1 − y3)·y2, …: V(I) is the line y1 = y3 and (0 : 0 : 1),
+    # and four distinct named points on it, three on the line: HF(S/I, 2) = 4
+    # and the named points lie on the conics, so only (b) can see the line
+    real = geometry.minus_plane_conics
+
+    def shared(y):
+        y1, y2, y3 = real(y)[0].ring.gens()
+        return tuple((y1 - y3) * m for m in (y1, y2, y1 + y2, y1 - y2))
+
+    points = [geometry.MinusPlanePoint.rational(*c) for c in ((1, 0, 1), (0, 1, 0), (1, 1, 1), (0, 0, 1))]
+    monkeypatch.setattr(geometry, "minus_plane_conics", shared)
+    monkeypatch.setattr(geometry, "named_intersection_points", lambda y: points)
+    monkeypatch.setattr(geometry, "plane_zeros_mod_p", _no_sweep)
 
 
 def _moore_reference_entry_negated(monkeypatch):
@@ -416,8 +473,23 @@ MUTATIONS = [
         "minus-plane-4points",
         _named_point_off_the_conics,
         {
-            f"unlucky_{p}": f"a named point is not a solution mod {p}"
-            for p in (17, 89, 97, 113, 137, 193, 233, 241)
+            "exact_membership_of_named_points": "False",
+            "distinct_named_points": "4",
+            "hilbert_deg2": "4",
+            "hilbert_linear_form": "y1 + 2*y2 + 5*y3",
+            "hilbert_deg3_rank": "10/10",
+            **{f"unlucky_{p}": None for p in (17, 41, 73, 89)},
+        },
+    ),
+    (
+        "minus-plane-4points",
+        _conics_sharing_a_line,
+        {
+            "exact_membership_of_named_points": "True",
+            "distinct_named_points": "4",
+            "hilbert_deg2": "4",
+            "hilbert_linear_form": "y1 + 2*y2 + 5*y3",
+            "hilbert_deg3_rank": "9/10",
         },
     ),
     (
@@ -436,13 +508,11 @@ MUTATIONS = [
         },
     ),
     # the replay decides the status; the payload records the certificate
-    ("psi-quartic-membership", _corrupted_rational_certificate, {"qq_support": "82"}),
+    ("psi-quartic-membership", _corrupted_rational_certificate, {"qq_replay": "fails", "qq_support": "82"}),
     (
         "quartic-smooth-genus3",
         _singular_quartic,
         {
-            **{f"gf{p}_sweep_points": str(p * p + p + 1) for p in (17, 41, 73)},
-            **{f"gf{p}_no_common_zero": "False" for p in (17, 41, 73)},
             "smooth_over_QQ": "False",
             "nullstellensatz_certificates": "0",
             "genus": "3",
@@ -490,7 +560,14 @@ MUTATIONS = [
 ]
 
 
-@pytest.mark.parametrize("check_id, mutate, expected", MUTATIONS, ids=[row[0] for row in MUTATIONS])
+# a check's first row is named by the check id, a further row by its mutation too
+MUTATION_IDS = [
+    cid if i == [row[0] for row in MUTATIONS].index(cid) else f"{cid}:{mutate.__name__.lstrip('_')}"
+    for i, (cid, mutate, _expected) in enumerate(MUTATIONS)
+]
+
+
+@pytest.mark.parametrize("check_id, mutate, expected", MUTATIONS, ids=MUTATION_IDS)
 def test_check_fails_under_its_mutation(monkeypatch, tmp_path, capsys, check_id, mutate, expected):
     mutate(monkeypatch)
     payload = _verify_fails(tmp_path, capsys, check_id)
@@ -498,4 +575,4 @@ def test_check_fails_under_its_mutation(monkeypatch, tmp_path, capsys, check_id,
 
 
 def test_every_check_has_a_mutation_row():
-    assert [row[0] for row in MUTATIONS] == list(registry.known_ids())
+    assert list(dict.fromkeys(row[0] for row in MUTATIONS)) == list(registry.known_ids())
