@@ -546,8 +546,8 @@ def plane_zeros_mod_p(polys, p: int) -> list:
 
 def minus_plane_solutions_mod_p(y: MinusPlanePoint, p: int) -> set:
     """The common zeros of the restricted conics in P²(GF(p)), by
-    plane_zeros_mod_p.  No check calls it: it is the tests' GF(p) reference
-    for minus_plane_certificate, and a hook of the traced benchmark."""
+    plane_zeros_mod_p: the size a minus-plane-4points FAIL reports, and the
+    tests' GF(p) reference for minus_plane_certificate.  No verdict reads it."""
     if not is_prime_1_mod_8(p):
         raise BadPrime(f"p={p} is not a prime congruent to 1 mod 8")
     field = GF(p)

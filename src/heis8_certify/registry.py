@@ -214,6 +214,8 @@ def check_odp_proxy(cfg: RunConfig) -> CertificateResult:
 def check_minus_plane(cfg: RunConfig) -> CertificateResult:
     y = geometry.MinusPlanePoint.rational(*cfg.base_point)
     ok, payload = geometry.minus_plane_certificate(y)
+    if not ok:  # the certificate rules the four points out; the GF(p) zeros show what is there
+        payload.update({f"gf{p}_zeros": len(geometry.minus_plane_solutions_mod_p(y, p)) for p in cfg.primes})
     return _result("minus-plane-4points", ok, QQ.name, payload, seed=cfg.seed)
 
 

@@ -144,7 +144,7 @@ REPORT_SHA256 = {
     "basepoint-1-0-2": (
         ("--checks", BASEPOINT_CHECKS, "--y=1,0,2", "--seed", "9"),
         1,  # y2 = 0: two named points coincide, and minus-plane-4points FAILs
-        "3fccd501ad18b8010efaee3160b2517016c0eca6e3c7b8f77798dcf6689d8232",
+        "b14081a890a5d99d3aa90100717bb5fc3152619098e142e2efb069a55a58c1dd",
     ),
 }
 # sha256 of the triples of the three quartic Nullstellensatz certificates,

@@ -149,16 +149,21 @@ def _no_sweep(polys, p):
             PASS,
             {"distinct_named_points": "4", "hilbert_linear_form": "y1 + 3*y2 + 7*y3", "hilbert_deg3_rank": "10/10"},
         ),
-        # y2 = 0: twist⁴ fixes the point, and the four named points are two
+        # y2 = 0: twist⁴ fixes the point, and the four named points are two,
+        # which are all the zeros over GF(p) that the FAIL reports
         (
             (1, 0, 2),
             FAIL,
-            {"distinct_named_points": "2", "hilbert_linear_form": "y1 + 2*y2 + 5*y3", "hilbert_deg3_rank": "10/10"},
+            {
+                "distinct_named_points": "2",
+                "hilbert_linear_form": "y1 + 2*y2 + 5*y3",
+                "hilbert_deg3_rank": "10/10",
+                **{f"gf{p}_zeros": "2" for p in (17, 41, 73)},
+            },
         ),
     ],
 )
-def test_minus_plane_certificate_at_pinned_base_points(monkeypatch, base_point, status, payload):
-    monkeypatch.setattr(geometry, "plane_zeros_mod_p", _no_sweep)
+def test_minus_plane_certificate_at_pinned_base_points(base_point, status, payload):
     result = registry.check_minus_plane(RunConfig(base_point=base_point))
     assert result.status == status
     assert result.payload == {"exact_membership_of_named_points": "True", "hilbert_deg2": "4", **payload}
@@ -360,7 +365,8 @@ def _base_quadric_sign_flipped(monkeypatch):
 
 
 def _named_point_off_the_conics(monkeypatch):
-    # (1 : 2 : 3) moved to (1 : 3 : 3); a sweep would be an error, not a FAIL
+    # (1 : 2 : 3) moved to (1 : 3 : 3); the conics still meet in the four
+    # points that were named, and the FAIL reports them over GF(p)
     real = geometry.named_intersection_points
 
     def moved(y):
@@ -368,7 +374,6 @@ def _named_point_off_the_conics(monkeypatch):
         return [dataclasses.replace(first, y2=first.y2 + 1), *rest]
 
     monkeypatch.setattr(geometry, "named_intersection_points", moved)
-    monkeypatch.setattr(geometry, "plane_zeros_mod_p", _no_sweep)
 
 
 def _conics_sharing_a_line(monkeypatch):
@@ -384,7 +389,6 @@ def _conics_sharing_a_line(monkeypatch):
     points = [geometry.MinusPlanePoint.rational(*c) for c in ((1, 0, 1), (0, 1, 0), (1, 1, 1), (0, 0, 1))]
     monkeypatch.setattr(geometry, "minus_plane_conics", shared)
     monkeypatch.setattr(geometry, "named_intersection_points", lambda y: points)
-    monkeypatch.setattr(geometry, "plane_zeros_mod_p", _no_sweep)
 
 
 def _moore_reference_entry_negated(monkeypatch):
@@ -478,6 +482,7 @@ MUTATIONS = [
             "hilbert_deg2": "4",
             "hilbert_linear_form": "y1 + 2*y2 + 5*y3",
             "hilbert_deg3_rank": "10/10",
+            **{f"gf{p}_zeros": "4" for p in (17, 41, 73)},
             **{f"unlucky_{p}": None for p in (17, 41, 73, 89)},
         },
     ),
@@ -490,6 +495,8 @@ MUTATIONS = [
             "hilbert_deg2": "4",
             "hilbert_linear_form": "y1 + 2*y2 + 5*y3",
             "hilbert_deg3_rank": "9/10",
+            # the line's p + 1 points and (0 : 0 : 1)
+            **{f"gf{p}_zeros": str(p + 2) for p in (17, 41, 73)},
         },
     ),
     (
