@@ -453,8 +453,8 @@ def minus_plane_certificate(y: MinusPlanePoint) -> tuple:
         finite of length at most 4;
     (c) the four named points lie on the conics and are projectively
         distinct.
-    Four distinct points in a scheme of length at most 4 are all of it,
-    each of length 1.  Returns whether (a)–(c) hold, and the payload.
+    Four distinct points in a scheme of length at most 4 are all of it, each
+    of length 1; (b) and (c) imply (a).  Returns (ok, payload).
     """
     conics = minus_plane_conics(y)
     named = named_intersection_points(y)
@@ -546,8 +546,8 @@ def plane_zeros_mod_p(polys, p: int) -> list:
 
 def minus_plane_solutions_mod_p(y: MinusPlanePoint, p: int) -> set:
     """The common zeros of the restricted conics in P²(GF(p)), by
-    plane_zeros_mod_p: the size a minus-plane-4points FAIL reports, and the
-    tests' GF(p) reference for minus_plane_certificate.  No verdict reads it."""
+    plane_zeros_mod_p: the tests' GF(p) reference for minus_plane_certificate,
+    and the count mod 17 a degenerate-line FAIL reports.  No verdict reads it."""
     if not is_prime_1_mod_8(p):
         raise BadPrime(f"p={p} is not a prime congruent to 1 mod 8")
     field = GF(p)

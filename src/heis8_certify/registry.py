@@ -6,12 +6,11 @@ one after another, in registry order.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import geometry
 from .errors import CertifyError, NotInDegree, UnknownCheckId
@@ -214,8 +213,8 @@ def check_odp_proxy(cfg: RunConfig) -> CertificateResult:
 def check_minus_plane(cfg: RunConfig) -> CertificateResult:
     y = geometry.MinusPlanePoint.rational(*cfg.base_point)
     ok, payload = geometry.minus_plane_certificate(y)
-    if not ok:  # the certificate rules the four points out; the GF(p) zeros show what is there
-        payload.update({f"gf{p}_zeros": len(geometry.minus_plane_solutions_mod_p(y, p)) for p in cfg.primes})
+    if payload["distinct_named_points"] < 4:  # named points collide: count the zeros mod 17 instead
+        payload["gf17_zeros"] = len(geometry.minus_plane_solutions_mod_p(y, 17))
     return _result("minus-plane-4points", ok, QQ.name, payload, seed=cfg.seed)
 
 
@@ -270,7 +269,7 @@ def check_psi_membership(cfg: RunConfig) -> CertificateResult:
         "target_sha256": problem.target_hash,
         "generators_sha256": problem.generators_hash,
     }
-    solves = [(f"gf{p}", functools.partial(problem.solve_mod, p)) for p in cfg.primes]
+    solves = [(f"gf{p}", partial(problem.solve_mod, p)) for p in cfg.primes]
     if cfg.fast:
         payload["rational_solve"] = "skipped (fast mode)"
     else:

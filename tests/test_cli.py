@@ -144,7 +144,7 @@ REPORT_SHA256 = {
     "basepoint-1-0-2": (
         ("--checks", BASEPOINT_CHECKS, "--y=1,0,2", "--seed", "9"),
         1,  # y2 = 0: two named points coincide, and minus-plane-4points FAILs
-        "b14081a890a5d99d3aa90100717bb5fc3152619098e142e2efb069a55a58c1dd",
+        "7be60def1c91c2b3b920a5d7fb3ab62ab3add25c7c1bb4ce73e0b68055afac17",
     ),
 }
 # sha256 of the triples of the three quartic Nullstellensatz certificates,

@@ -150,7 +150,7 @@ def _no_sweep(polys, p):
             {"distinct_named_points": "4", "hilbert_linear_form": "y1 + 3*y2 + 7*y3", "hilbert_deg3_rank": "10/10"},
         ),
         # y2 = 0: twist⁴ fixes the point, and the four named points are two,
-        # which are all the zeros over GF(p) that the FAIL reports
+        # which are all the zeros mod 17 that the FAIL reports
         (
             (1, 0, 2),
             FAIL,
@@ -158,14 +158,18 @@ def _no_sweep(polys, p):
                 "distinct_named_points": "2",
                 "hilbert_linear_form": "y1 + 2*y2 + 5*y3",
                 "hilbert_deg3_rank": "10/10",
-                **{f"gf{p}_zeros": "2" for p in (17, 41, 73)},
+                "gf17_zeros": "2",
             },
         ),
     ],
 )
-def test_minus_plane_certificate_at_pinned_base_points(base_point, status, payload):
+def test_minus_plane_certificate_at_pinned_base_points(monkeypatch, base_point, status, payload):
+    swept = []
+    real = geometry.plane_zeros_mod_p
+    monkeypatch.setattr(geometry, "plane_zeros_mod_p", lambda polys, p: swept.append(p) or real(polys, p))
     result = registry.check_minus_plane(RunConfig(base_point=base_point))
     assert result.status == status
+    assert swept == ([17] if status == FAIL else [])  # only colliding named points are counted
     assert result.payload == {"exact_membership_of_named_points": "True", "hilbert_deg2": "4", **payload}
 
 
@@ -365,8 +369,7 @@ def _base_quadric_sign_flipped(monkeypatch):
 
 
 def _named_point_off_the_conics(monkeypatch):
-    # (1 : 2 : 3) moved to (1 : 3 : 3); the conics still meet in the four
-    # points that were named, and the FAIL reports them over GF(p)
+    # (1 : 2 : 3) moved to (1 : 3 : 3); a sweep would be an error, not a FAIL
     real = geometry.named_intersection_points
 
     def moved(y):
@@ -374,6 +377,7 @@ def _named_point_off_the_conics(monkeypatch):
         return [dataclasses.replace(first, y2=first.y2 + 1), *rest]
 
     monkeypatch.setattr(geometry, "named_intersection_points", moved)
+    monkeypatch.setattr(geometry, "plane_zeros_mod_p", _no_sweep)
 
 
 def _conics_sharing_a_line(monkeypatch):
@@ -389,6 +393,7 @@ def _conics_sharing_a_line(monkeypatch):
     points = [geometry.MinusPlanePoint.rational(*c) for c in ((1, 0, 1), (0, 1, 0), (1, 1, 1), (0, 0, 1))]
     monkeypatch.setattr(geometry, "minus_plane_conics", shared)
     monkeypatch.setattr(geometry, "named_intersection_points", lambda y: points)
+    monkeypatch.setattr(geometry, "plane_zeros_mod_p", _no_sweep)
 
 
 def _moore_reference_entry_negated(monkeypatch):
@@ -482,7 +487,6 @@ MUTATIONS = [
             "hilbert_deg2": "4",
             "hilbert_linear_form": "y1 + 2*y2 + 5*y3",
             "hilbert_deg3_rank": "10/10",
-            **{f"gf{p}_zeros": "4" for p in (17, 41, 73)},
             **{f"unlucky_{p}": None for p in (17, 41, 73, 89)},
         },
     ),
@@ -495,8 +499,6 @@ MUTATIONS = [
             "hilbert_deg2": "4",
             "hilbert_linear_form": "y1 + 2*y2 + 5*y3",
             "hilbert_deg3_rank": "9/10",
-            # the line's p + 1 points and (0 : 0 : 1)
-            **{f"gf{p}_zeros": str(p + 2) for p in (17, 41, 73)},
         },
     ),
     (
