@@ -6,7 +6,3 @@ and prime fields); the only floating point in the package is wall-clock
 timing.
 """
 from .report import VERSION as __version__  # noqa: F401
-
-from . import exactmath, geometry, heisenberg, linalg, multipoly  # noqa: F401
-from .exactmath import GF, QQ, ModInt  # noqa: F401
-from .report import CertificateResult, Report, RunConfig  # noqa: F401

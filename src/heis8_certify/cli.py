@@ -61,7 +61,6 @@ def main(argv=None) -> int:
             primes=_parse_int_list(args.primes),
             seed=args.seed,
             base_point=tuple(_parse_int_list(args.y)),
-            json_path=args.json_path,
             fast=args.fast,
         )
         validate_config(config, known_ids())
@@ -71,8 +70,8 @@ def main(argv=None) -> int:
 
     report = run_checks(config)
     sys.stdout.write(report.to_text())
-    if config.json_path:
-        with open(config.json_path, "w") as fh:
+    if args.json_path:
+        with open(args.json_path, "w") as fh:
             fh.write(report.to_json())
     return 0 if report.status == PASS else 1
 

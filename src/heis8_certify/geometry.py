@@ -19,8 +19,7 @@ regression-tested:
   skew matrix has Pfaffian exactly  w0·A + w1·B + w2·C  (recorded sign +1),
   where w0 = 2·x1·x3, w1 = −x2², w2 = x1²+x3² and A, B, C are the conic-plane
   pullbacks A = (y1²−y3²+y5²−y7²)/2, B = (y0−y4)(y2−y6), C = y3·y7−y1·y5;
-* the ψ target is the plane quartic (quartic_curve_poly) under w ↦ (A, B, C);
-* the prime rule (p prime, p ≡ 1 mod 8) is exactmath.is_prime_1_mod_8.
+* the ψ target is the plane quartic (quartic_curve_poly) under w ↦ (A, B, C).
 """
 from __future__ import annotations
 
@@ -29,13 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .errors import (
-    BadPrime,
-    DegeneratePoint,
-    PointNotOnVariety,
-    ZeroPoint,
-)
-from .exactmath import GF, QQ, is_prime_1_mod_8
+from .errors import DegeneratePoint, PointNotOnVariety, ZeroPoint
+from .exactmath import GF, QQ
 from .heisenberg import SHIFT, TWIST, HeisenbergElement, ProjPoint, center_and_quotient
 from .linalg import Matrix, MembershipProblem, graded_membership, smith_normal_form
 from .multipoly import (
@@ -441,8 +435,7 @@ def _plane_degree_rank(polys, degree: int) -> int:
 def minus_plane_certificate(y: MinusPlanePoint) -> tuple:
     """That V meets the minus plane in exactly the four named points, each
     reduced, decided over QQ.  With I the ideal of the restricted conics in
-    S = QQ[y1, y2, y3]:
-    (a) HF(S/I, 2) = 4: the four conics span 2 of the 6 dimensions of S_2;
+    S = QQ[y1, y2, y3], two parts are counted:
     (b) (I + ℓ)_3 = S_3, for ℓ the first PLANE_LINEAR_FORMS form through no
         named point, else the last (y1 + 2·y2 + 5·y3 alone meets one at some
         base points, (−9, −8, 5) among them; a form through a point of V(I)
@@ -454,7 +447,11 @@ def minus_plane_certificate(y: MinusPlanePoint) -> tuple:
     (c) the four named points lie on the conics and are projectively
         distinct.
     Four distinct points in a scheme of length at most 4 are all of it, each
-    of length 1; (b) and (c) imply (a).  Returns (ok, payload).
+    of length 1.  (b) and (c) also imply (a), HF(S/I, 2) = 4, which is
+    therefore not counted: under (b) the conics span at least 2 dimensions of
+    S_2 (one conic q gives dim (q·S_1 + ℓ·S_2) ≤ 3 + 6 < 10), and under (c)
+    at most 2, as four distinct points impose independent conditions on
+    conics.  Returns (ok, payload).
     """
     conics = minus_plane_conics(y)
     named = named_intersection_points(y)
@@ -465,91 +462,35 @@ def minus_plane_certificate(y: MinusPlanePoint) -> tuple:
     payload = {
         "exact_membership_of_named_points": all(not c.eval(pt.coords) for pt in named for c in conics),
         "distinct_named_points": len({ProjPoint(QQ, pt.coords) for pt in named}),
-        "hilbert_deg2": 6 - _plane_degree_rank(conics, 2),
         "hilbert_linear_form": ell.text(),
         "hilbert_deg3_rank": f"{rank3}/10",
     }
     ok = payload["exact_membership_of_named_points"] and payload["distinct_named_points"] == 4
-    return ok and payload["hilbert_deg2"] == 4 and rank3 == 10, payload
-
-
-def _trim(f: list) -> list:
-    while f and not f[-1]:
-        f.pop()
-    return f
-
-
-def _gcd_mod_p(f: list, g: list, p: int) -> list:
-    """gcd of two univariate polynomials mod p, as coefficient lists (the
-    t^k coefficient at index k, no trailing zeros), up to a unit; [] is 0."""
-    while g:
-        f = f[:]
-        inv = pow(g[-1], -1, p)
-        while len(f) >= len(g):
-            q = f[-1] * inv % p
-            shift = len(f) - len(g)
-            for i, c in enumerate(g):
-                f[shift + i] = (f[shift + i] - q * c) % p
-            _trim(f)
-        f, g = g, f
-    return f
+    return ok and rank3 == 10, payload
 
 
 def plane_zeros_mod_p(polys, p: int) -> list:
-    """All common zeros in P²(GF(p)) of plane polynomials over GF(p), found
-    line by line through the pencil at (0:0:1).
+    """All common zeros in P²(GF(p)) of plane polynomials over GF(p): each of
+    the p²+p+1 points, first nonzero coordinate 1, evaluated in every
+    polynomial on the integer values of its coefficients.
 
-    Every other point lies on exactly one line of the pencil, as (1:a:t)
-    for one a in GF(p) or as (0:1:t).  On each line the polynomials restrict
-    to univariate polynomials in t, and their common zeros there are the
-    roots in GF(p) of the gcd of the restrictions: a line is evaluated point
-    by point only when that gcd is nonconstant, and lies wholly in the zero
-    set when every restriction vanishes.  (0:0:1) is checked by itself.
-
-    Returns the zeros as coordinate triples with first nonzero coordinate 1:
-    (1:a:t) by increasing (a, t), then (0:1:t) by t, then (0:0:1).
+    Returns the zeros as coordinate triples, (1:a:t) by increasing (a, t),
+    then (0:1:t) by t, then (0:0:1).
     """
     terms = [[(e, c.value) for e, c in f.sorted_terms()] for f in polys]
-    lengths = [1 + max((e[2] for e, _ in f), default=0) for f in terms]
-
-    def line_zeros(restrictions):
-        g = []
-        for r in restrictions:
-            g = _gcd_mod_p(g, _trim(r), p)
-            if len(g) == 1:
-                return []
-        roots = []
-        for t in range(p):
-            acc = 0
-            for c in reversed(g):
-                acc = (acc * t + c) % p
-            if not acc:
-                roots.append(t)
-        return roots
-
-    def restrict(x0, x1):
-        """Each polynomial at (x0 : x1 : t), as a coefficient list in t."""
-        out = []
-        for f, n in zip(terms, lengths):
-            r = [0] * n
-            for (e0, e1, e2), c in f:
-                r[e2] = (r[e2] + c * pow(x0, e0, p) * pow(x1, e1, p)) % p
-            out.append(r)
-        return out
-
-    zeros = [(1, a, t) for a in range(p) for t in line_zeros(restrict(1, a))]
-    zeros += [(0, 1, t) for t in line_zeros(restrict(0, 1))]
-    if not any(sum(r) % p for r in restrict(0, 0)):  # each polynomial at (0:0:1)
-        zeros.append((0, 0, 1))
-    return zeros
+    points = [(1, a, t) for a in range(p) for t in range(p)]
+    points += [(0, 1, t) for t in range(p)] + [(0, 0, 1)]
+    return [
+        pt
+        for pt in points
+        if all(sum(c * pt[0] ** e0 * pt[1] ** e1 * pt[2] ** e2 for (e0, e1, e2), c in f) % p == 0 for f in terms)
+    ]
 
 
 def minus_plane_solutions_mod_p(y: MinusPlanePoint, p: int) -> set:
     """The common zeros of the restricted conics in P²(GF(p)), by
     plane_zeros_mod_p: the tests' GF(p) reference for minus_plane_certificate,
     and the count mod 17 a degenerate-line FAIL reports.  No verdict reads it."""
-    if not is_prime_1_mod_8(p):
-        raise BadPrime(f"p={p} is not a prime congruent to 1 mod 8")
     field = GF(p)
     ring_p = plane_ring(field)
     conics_p = [c.map_coefficients(field.coerce, ring_p) for c in minus_plane_conics(y)]

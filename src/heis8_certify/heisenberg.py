@@ -195,23 +195,7 @@ class ProjPoint:
 
 def orbit(v: ProjPoint):
     """Distinct projective points of the group orbit (the center acts by
-    scalars, so representatives shift^a twist^b suffice).  First-seen order.
-
-    Points are told apart by their canonical representatives.  An image's
-    lead coordinate is ξ^k·v_j with v_j ≠ 0, so one inversion per nonzero
-    coordinate of v serves all 64 images."""
-    field = v.field
-    inverses = {j: field.one / c for j, c in enumerate(v.coords) if c}
-    seen = set()
-    out = []
-    for a, b in itertools.product(range(8), repeat=2):
-        g = HeisenbergElement(a, b, 0)
-        w = g.act_on_point(v)
-        perm, exps = g.inverse().substitution()
-        i = next(i for i, c in enumerate(w.coords) if c)
-        inv = field.root_of_unity(-exps[i]) * inverses[perm[i]]
-        key = tuple(c * inv for c in w.coords)
-        if key not in seen:
-            seen.add(key)
-            out.append(w)
-    return out
+    scalars, so the 64 images shift^a·twist^b·v suffice), by ProjPoint
+    equality in first-seen order of (a, b)."""
+    images = (HeisenbergElement(a, b, 0).act_on_point(v) for a, b in itertools.product(range(8), repeat=2))
+    return list(dict.fromkeys(images))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     ArityMismatch,
@@ -210,7 +209,7 @@ class SparsePoly:
         target = ring if ring is not None else images[0].ring
         acc = target.zero()
         for e, c in self.terms.items():
-            t = target.constant(c if isinstance(c, (int, Fraction)) else c)
+            t = target.constant(c)
             for i, ei in enumerate(e):
                 if ei:
                     t = t * images[i] ** ei
@@ -310,10 +309,6 @@ class PolyMatrix:
 
     def __getitem__(self, ij):
         return self.rows[ij[0]][ij[1]]
-
-    def transpose(self) -> "PolyMatrix":
-        m, n = self.shape
-        return PolyMatrix(self.ring, [[self.rows[i][j] for i in range(m)] for j in range(n)])
 
     def map_entries(self, fn) -> "PolyMatrix":
         mapped = [[fn(e) for e in row] for row in self.rows]

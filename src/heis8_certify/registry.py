@@ -28,13 +28,12 @@ ORBIT_POINTS = 64
 ZETA8_FIELD = "QQ(zeta8)"
 
 
-def _result(cid, ok, field, payload, prime=None, seed=None):
+def _result(cid, ok, field, payload, prime=None):
     return CertificateResult(
         id=cid,
         status=PASS if ok else FAIL,
         field=field,
         prime=prime,
-        seed=seed,
         payload=payload,
     )
 
@@ -117,7 +116,7 @@ def check_ideal_invariance(cfg: RunConfig) -> CertificateResult:
         for label, sol in images
     }
     ok = all(sol is not None for _label, sol in images)
-    return _result("ideal-invariance", ok, ZETA8_FIELD, payload, seed=cfg.seed)
+    return _result("ideal-invariance", ok, ZETA8_FIELD, payload)
 
 
 def check_base_point(cfg: RunConfig) -> CertificateResult:
@@ -188,7 +187,7 @@ def check_orbit_singular(cfg: RunConfig) -> CertificateResult:
     payload = {"redraws": len(rejected)}
     if y is None:
         payload["rejected"] = "; ".join(rejected)
-        return _result("orbit-64-singular", False, ZETA8_FIELD, payload, seed=cfg.seed)
+        return _result("orbit-64-singular", False, ZETA8_FIELD, payload)
     payload["y0_point"] = ",".join(str(c) for c in y.coords)
     for k in ("orbit_size", "rank3_points", "base_cone_rank"):
         payload[f"y0_{k}"] = data[k]
@@ -197,17 +196,17 @@ def check_orbit_singular(cfg: RunConfig) -> CertificateResult:
     hilbert, prime = singular.singular_scheme_certificate(y, cfg.seed, ORBIT_POINTS)
     payload.update(hilbert)
     ok = data["cone_rank4"] == ORBIT_POINTS and hilbert.get("hilbert_deg7_bound") == str(ORBIT_POINTS)
-    return _result("orbit-64-singular", ok, ZETA8_FIELD, payload, prime=prime, seed=cfg.seed)
+    return _result("orbit-64-singular", ok, ZETA8_FIELD, payload, prime=prime)
 
 
 def check_odp_proxy(cfg: RunConfig) -> CertificateResult:
     y, data, rejected = _generic_point(cfg.base_point)
     if y is None:
-        return _result("odp-proxy", False, ZETA8_FIELD, {"rejected": "; ".join(rejected)}, seed=cfg.seed)
+        return _result("odp-proxy", False, ZETA8_FIELD, {"rejected": "; ".join(rejected)})
     ok = data["cone_rank4"] == ORBIT_POINTS
     # points carried out of the certified orbit size, the quotient order
     payload = {"y0_cone_rank4": f"{data['cone_rank4']}/{data['orbit_size']}"}
-    return _result("odp-proxy", ok, ZETA8_FIELD, payload, seed=cfg.seed)
+    return _result("odp-proxy", ok, ZETA8_FIELD, payload)
 
 
 def check_minus_plane(cfg: RunConfig) -> CertificateResult:
@@ -215,7 +214,7 @@ def check_minus_plane(cfg: RunConfig) -> CertificateResult:
     ok, payload = geometry.minus_plane_certificate(y)
     if payload["distinct_named_points"] < 4:  # named points collide: count the zeros mod 17 instead
         payload["gf17_zeros"] = len(geometry.minus_plane_solutions_mod_p(y, 17))
-    return _result("minus-plane-4points", ok, QQ.name, payload, seed=cfg.seed)
+    return _result("minus-plane-4points", ok, QQ.name, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +289,7 @@ def check_psi_membership(cfg: RunConfig) -> CertificateResult:
         payload[f"{tag}_triples_sha256"] = _sha(triples)
         if tag == "qq":  # the binding certificate is reported whole
             payload["qq_triples"] = "; ".join(triples)
-    return _result("psi-quartic-membership", ok, QQ.name, payload, seed=cfg.seed)
+    return _result("psi-quartic-membership", ok, QQ.name, payload)
 
 
 def check_quartic(cfg: RunConfig) -> CertificateResult:
@@ -301,7 +300,7 @@ def check_quartic(cfg: RunConfig) -> CertificateResult:
     smooth = len(certs) == 3
     genus = geometry.quartic_genus()
     payload = {"smooth_over_QQ": smooth, "nullstellensatz_certificates": len(certs), "genus": genus}
-    return _result("quartic-smooth-genus3", smooth and genus == 3, QQ.name, payload, seed=cfg.seed)
+    return _result("quartic-smooth-genus3", smooth and genus == 3, QQ.name, payload)
 
 
 def check_topology(cfg: RunConfig) -> CertificateResult:
@@ -466,8 +465,7 @@ def run_checks(config: RunConfig) -> Report:
                 payload={"error": f"{type(exc).__name__}: {exc}"},
             )
         result.elapsed_ms = int((time.perf_counter() - t0) * 1000)
-        if result.seed is None:
-            result.seed = config.seed
+        result.seed = config.seed
         return result
 
     t0 = time.perf_counter()

@@ -53,7 +53,6 @@ class RunConfig:
     primes: tuple = (17, 41, 73)
     seed: int = 42
     base_point: tuple = (1, 2, 3)
-    json_path: str | None = None
     fast: bool = False
 
     def to_json_dict(self) -> dict:

@@ -144,7 +144,6 @@ def test_acceptance_04_minus_plane_intersection():
         assert payload == {
             "exact_membership_of_named_points": True,
             "distinct_named_points": 4,
-            "hilbert_deg2": 4,
             "hilbert_linear_form": "y1 + 2*y2 + 5*y3",
             "hilbert_deg3_rank": "10/10",
         }

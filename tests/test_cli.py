@@ -120,7 +120,7 @@ def test_verify_subset_passes_and_is_deterministic(tmp_path):
 # sha256 of normalized_json of the default `verify --json` report: a refactor
 # leaves every byte of it alone, and a change that moves it names the changed
 # field in CHANGES.md and records the new digest here
-DEFAULT_REPORT_SHA256 = "cb9bb71c75f47ee584a7f86d53fc6c5c3544d31d62d190a1fdd208e8069bc53d"
+DEFAULT_REPORT_SHA256 = "fb5bf1da2d871daf237bb5448d1dac0f74d076c6190a245c4ff8b9488a3f0fc6"
 
 
 BASEPOINT_CHECKS = "ideal-invariance,base-point-on-V,orbit-64-singular,odp-proxy,minus-plane-4points"
@@ -134,17 +134,17 @@ REPORT_SHA256 = {
     "fast-modular": (
         ("--fast", "--checks", MODULAR_CHECKS, "--primes", "89,97"),
         0,
-        "0b4297b222e64cd3c6a56682be8879f35290a42fe5d2f4e740bb1e4a316b8eef",
+        "2c37a63ed838b3e2ff1bee494a6d74ae5945ce851313c19f2035e7d2321b19b9",
     ),
     "basepoint-5-3-7": (
         ("--checks", BASEPOINT_CHECKS, "--y=5,-3,7", "--seed", "7"),
         0,
-        "9a4f9ece15cbee131d568a0c05098f17d1092b960ddf29bbe397aa19880b83cd",
+        "8da72edcc96cfa24153fd7bd5edc6171874c9d03b3177bdd53fb10ccc3315bc2",
     ),
     "basepoint-1-0-2": (
         ("--checks", BASEPOINT_CHECKS, "--y=1,0,2", "--seed", "9"),
         1,  # y2 = 0: two named points coincide, and minus-plane-4points FAILs
-        "7be60def1c91c2b3b920a5d7fb3ab62ab3add25c7c1bb4ce73e0b68055afac17",
+        "4710a439285d1033de1f4a58625d4a0f7cea95caf5889041d915c40ab07faf79",
     ),
 }
 # sha256 of the triples of the three quartic Nullstellensatz certificates,

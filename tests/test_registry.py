@@ -130,7 +130,6 @@ def test_minus_plane_restricts_the_system_once_per_point(monkeypatch):
     assert result.payload == {
         "exact_membership_of_named_points": "True",
         "distinct_named_points": "4",
-        "hilbert_deg2": "4",
         "hilbert_linear_form": "y1 + 2*y2 + 5*y3",
         "hilbert_deg3_rank": "10/10",
     }
@@ -170,7 +169,7 @@ def test_minus_plane_certificate_at_pinned_base_points(monkeypatch, base_point, 
     result = registry.check_minus_plane(RunConfig(base_point=base_point))
     assert result.status == status
     assert swept == ([17] if status == FAIL else [])  # only colliding named points are counted
-    assert result.payload == {"exact_membership_of_named_points": "True", "hilbert_deg2": "4", **payload}
+    assert result.payload == {"exact_membership_of_named_points": "True", **payload}
 
 
 def test_degenerate_base_points_redraw_to_the_fixed_witnesses():
@@ -382,8 +381,8 @@ def _named_point_off_the_conics(monkeypatch):
 
 def _conics_sharing_a_line(monkeypatch):
     # (y1 − y3)·y1, (y1 − y3)·y2, …: V(I) is the line y1 = y3 and (0 : 0 : 1),
-    # and four distinct named points on it, three on the line: HF(S/I, 2) = 4
-    # and the named points lie on the conics, so only (b) can see the line
+    # and four distinct named points on it, three on the line: they lie on the
+    # conics, so (c) passes and only (b) can see the line
     real = geometry.minus_plane_conics
 
     def shared(y):
@@ -484,7 +483,6 @@ MUTATIONS = [
         {
             "exact_membership_of_named_points": "False",
             "distinct_named_points": "4",
-            "hilbert_deg2": "4",
             "hilbert_linear_form": "y1 + 2*y2 + 5*y3",
             "hilbert_deg3_rank": "10/10",
             **{f"unlucky_{p}": None for p in (17, 41, 73, 89)},
@@ -496,7 +494,6 @@ MUTATIONS = [
         {
             "exact_membership_of_named_points": "True",
             "distinct_named_points": "4",
-            "hilbert_deg2": "4",
             "hilbert_linear_form": "y1 + 2*y2 + 5*y3",
             "hilbert_deg3_rank": "9/10",
         },
