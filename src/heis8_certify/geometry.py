@@ -24,9 +24,9 @@ regression-tested:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .errors import DegeneratePoint, PointNotOnVariety, ZeroPoint
 from .exactmath import GF, QQ
@@ -84,20 +84,20 @@ def minus_plane_coords(zero, a, b, c) -> tuple:
     return (zero, a, b, c, zero, -c, -b, -a)
 
 
-@dataclass(frozen=True)
 class MinusPlanePoint:
-    """A point (y1 : y2 : y3) of the minus plane, over any coefficient field."""
+    """A point (y1 : y2 : y3) of the minus plane, over any coefficient field;
+    treated as immutable."""
 
-    field: object
-    y1: object
-    y2: object
-    y3: object
+    __slots__ = ("field", "y1", "y2", "y3")
 
-    def __post_init__(self):
-        for name in ("y1", "y2", "y3"):
-            object.__setattr__(self, name, self.field.coerce(getattr(self, name)))
+    def __init__(self, field, y1, y2, y3):
+        self.field = field
+        self.y1, self.y2, self.y3 = field.coerce(y1), field.coerce(y2), field.coerce(y3)
         if not (self.y1 or self.y2 or self.y3):
             raise ZeroPoint("minus-plane point with all coordinates zero")
+
+    def __repr__(self):
+        return f"MinusPlanePoint(field={self.field!r}, y1={self.y1!r}, y2={self.y2!r}, y3={self.y3!r})"
 
     @classmethod
     def rational(cls, y1, y2, y3) -> "MinusPlanePoint":
@@ -140,15 +140,15 @@ def shifted_quadrics(f) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class VarietySystem:
     """The four quadrics f, shift(f), shift²(f), shift³(f) at a base point,
     together with their 4×8 Jacobian."""
 
-    point: MinusPlanePoint
-    ring: PolyRing
-    quadrics: tuple
-    jacobian: PolyMatrix
+    def __init__(self, point: MinusPlanePoint, ring: PolyRing, quadrics: tuple, jacobian: PolyMatrix):
+        self.point = point
+        self.ring = ring
+        self.quadrics = quadrics
+        self.jacobian = jacobian
 
     @cached_property
     def hessians(self):
@@ -403,8 +403,8 @@ def restrict_to_minus_plane(q: SparsePoly) -> SparsePoly:
 @lru_cache(maxsize=None)
 def minus_plane_conics(y: MinusPlanePoint) -> tuple:
     """The four quadrics at y restricted to the minus plane, over y's field.
-    Memoized per point: minus_plane_certificate reads them for its counts
-    and its membership test."""
+    Memoized per point object: minus-plane-4points reads them for its
+    certificate and, on a degenerate line, for its count mod 17."""
     return tuple(restrict_to_minus_plane(q) for q in build_system(y).quadrics)
 
 
@@ -568,8 +568,7 @@ def conic_pullbacks(ring: PolyRing, offset: int):
     return a, b, c
 
 
-@dataclass(frozen=True)
-class MooreData:
+class MooreData(NamedTuple):
     full: PolyMatrix
     restricted: PolyMatrix
     skew: PolyMatrix

@@ -16,8 +16,8 @@ of the action.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import ZeroPoint
 from .linalg import smith_normal_form
@@ -121,8 +121,7 @@ def enumerate_group():
     ]
 
 
-@dataclass(frozen=True)
-class CenterAndQuotient:
+class CenterAndQuotient(NamedTuple):
     center: tuple
     quotient_order: int
     invariant_factors: tuple

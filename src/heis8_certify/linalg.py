@@ -3,12 +3,11 @@ and graded ideal membership by linear algebra on monomial multipliers.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 import operator
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     BadSize,
@@ -272,8 +271,7 @@ def _wedge_vf(v: int, f: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class WedgeLemmaSweep:
+class WedgeLemmaSweep(NamedTuple):
     passed: bool
     cases: int
     counterexample: tuple | None
@@ -307,8 +305,7 @@ def wedge_lemma_exhaustive() -> WedgeLemmaSweep:
 # graded ideal membership
 
 
-@dataclass(frozen=True)
-class MembershipCertificate:
+class MembershipCertificate(NamedTuple):
     """target = Σ coefficient · multiplier · generator, replayable exactly.
 
     entries are (generator index, multiplier exponent tuple, coefficient) in
@@ -348,10 +345,13 @@ def replay_certificate(cert: MembershipCertificate, generators) -> SparsePoly:
     return SparsePoly(ring, {e: c for e, c in acc.items() if c})
 
 
-def _canonical_hash(polys) -> str:
+def sha256_lines(parts) -> str:
+    """The SHA-256 hex digest of the parts, each written as a line."""
+    import hashlib  # only a run that reports a digest loads OpenSSL
+
     h = hashlib.sha256()
-    for p in polys:
-        h.update(p.text().encode())
+    for s in parts:
+        h.update(str(s).encode())
         h.update(b"\n")
     return h.hexdigest()
 
@@ -462,8 +462,7 @@ def _monomial_count(nvars: int, degree: int) -> int:
     return math.comb(nvars + degree - 1, degree)
 
 
-@dataclass(frozen=True)
-class _Block:
+class _Block(NamedTuple):
     """One connected component of a membership system that meets the target,
     in local coordinates: its rows (descending grevlex), its columns
     ((generator index, multiplier), canonical order), and its integer system
@@ -542,8 +541,8 @@ class MembershipProblem:
                 self._block_generators.append(gi)
                 seen.update((key, frozenset((-g).terms.items())))
         self._blocks = None
-        self.target_hash = _canonical_hash([target])
-        self.generators_hash = _canonical_hash(generators)
+        self.target_hash = sha256_lines([target.text()])
+        self.generators_hash = sha256_lines(g.text() for g in generators)
 
     @staticmethod
     def _den(c):

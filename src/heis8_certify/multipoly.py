@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     ArityMismatch,
@@ -390,8 +390,7 @@ def truncated_product(factors, order: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class CompleteIntersectionInvariants:
+class CompleteIntersectionInvariants(NamedTuple):
     dimension: int
     degree: int
     chern: tuple          # coefficients c_0..c_dim of the total Chern class, in H-powers

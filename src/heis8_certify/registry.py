@@ -6,17 +6,16 @@ one after another, in registry order.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 import time
-from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 from . import geometry
 from .errors import CertifyError, NotInDegree, UnknownCheckId
 from .exactmath import GF, QQ
 from .heisenberg import CENTRAL, SHIFT, TWIST, HeisenbergElement, center_and_quotient, enumerate_group
-from .linalg import Matrix, exterior_power, smith_normal_form, unipotent_log, wedge_lemma_exhaustive
+from .linalg import Matrix, exterior_power, sha256_lines, smith_normal_form, unipotent_log, wedge_lemma_exhaustive
 from .report import FAIL, PASS, VERSION, CertificateResult, Report, RunConfig
 
 MONODROMY_MATRIX = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
@@ -36,14 +35,6 @@ def _result(cid, ok, field, payload, prime=None):
         prime=prime,
         payload=payload,
     )
-
-
-def _sha(parts) -> str:
-    h = hashlib.sha256()
-    for s in parts:
-        h.update(str(s).encode())
-        h.update(b"\n")
-    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +244,7 @@ def check_pfaffian(cfg: RunConfig) -> CertificateResult:
             "sign": data.sign,
             "pfaffian_squared_is_det": square_ok,
             "pfaffian_terms": len(data.pfaffian.terms),
-            "pfaffian_sha256": _sha([data.pfaffian.text()]),
+            "pfaffian_sha256": sha256_lines([data.pfaffian.text()]),
         },
     )
 
@@ -286,7 +277,7 @@ def check_psi_membership(cfg: RunConfig) -> CertificateResult:
             ok = False
         triples = cert.triples_text(problem.ring.names)
         payload[f"{tag}_support"] = cert.support()
-        payload[f"{tag}_triples_sha256"] = _sha(triples)
+        payload[f"{tag}_triples_sha256"] = sha256_lines(triples)
         if tag == "qq":  # the binding certificate is reported whole
             payload["qq_triples"] = "; ".join(triples)
     return _result("psi-quartic-membership", ok, QQ.name, payload)
@@ -402,8 +393,7 @@ def check_torsion(cfg: RunConfig) -> CertificateResult:
     )
 
 
-@dataclass(frozen=True)
-class CheckSpec:
+class CheckSpec(NamedTuple):
     id: str
     claim: str
     runner: object

@@ -9,7 +9,7 @@ fields; ``normalized_json`` zeroes those for comparisons.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EmptySelection, InvalidPrime, InvalidSeed, UnknownCheckId, ZeroPoint
 from .exactmath import is_prime_1_mod_8
@@ -20,20 +20,18 @@ PASS = "pass"
 FAIL = "fail"
 
 
-@dataclass
 class CertificateResult:
-    id: str
-    status: str
-    field: str
-    prime: int | None = None
-    seed: int | None = None
-    elapsed_ms: int = 0
-    payload: dict = None
+    """One check's verdict and its evidence, every payload value a string;
+    the runner fills in the elapsed time."""
 
-    def __post_init__(self):
-        if self.payload is None:
-            self.payload = {}
-        self.payload = {str(k): str(v) for k, v in self.payload.items()}
+    def __init__(self, id, status, field, prime=None, seed=None, elapsed_ms=0, payload=None):
+        self.id = id
+        self.status = status
+        self.field = field
+        self.prime = prime
+        self.seed = seed
+        self.elapsed_ms = elapsed_ms
+        self.payload = {str(k): str(v) for k, v in (payload or {}).items()}
 
     def to_json_dict(self) -> dict:
         return {
@@ -47,8 +45,7 @@ class CertificateResult:
         }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     checks: tuple = ("all",)
     primes: tuple = (17, 41, 73)
     seed: int = 42
@@ -86,12 +83,12 @@ def validate_config(config: RunConfig, known_ids) -> None:
         raise ZeroPoint(f"base point {config.base_point} must be a nonzero integer triple")
 
 
-@dataclass
 class Report:
-    version: str
-    config: RunConfig
-    results: list
-    total_elapsed_ms: int = 0
+    def __init__(self, version, config: RunConfig, results: list, total_elapsed_ms=0):
+        self.version = version
+        self.config = config
+        self.results = results
+        self.total_elapsed_ms = total_elapsed_ms
 
     @property
     def status(self) -> str:

@@ -217,3 +217,47 @@ def test_numpy_is_imported_only_by_runs_that_sample(args):
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=600, env=env
     )
     assert out.stdout.splitlines()[-1] == "False None 0"
+
+
+# modules a fresh process should not pay for: OpenSSL's libcrypto behind
+# hashlib, and dataclasses with the inspect/ast machinery it imports
+HEAVY_MODULES = ("hashlib", "_hashlib", "dataclasses", "inspect")
+# sha256 of the Pfaffian's canonical text, as recorded in perfbench/expected_hashes.json
+PFAFFIAN_SHA256 = "96f7ec25133090472a78948f8783161f78ed09455418f52ef6daa0523bf56b6d"
+
+
+def fresh_run(*args):
+    """Run `python -m heis8_certify args` through runpy in a fresh interpreter
+    (pytest has the heavy modules loaded already); return its exit code and
+    which of HEAVY_MODULES it loaded."""
+    probe = (
+        "import runpy, sys\n"
+        f"sys.argv = ['heis8_certify', *{list(args)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('heis8_certify', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        f"    print(exc.code, *(m for m in {HEAVY_MODULES!r} if m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=600)
+    code, *loaded = out.stdout.splitlines()[-1].split()
+    return int(code), loaded
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (("list",), 0),
+        (("verify", "--checks", BASEPOINT_CHECKS, "--y=1,0,2"), 1),
+    ],
+    ids=["list", "verify-basepoints"],
+)
+def test_fresh_runs_without_a_digest_load_neither_hashlib_nor_dataclasses(args, code):
+    assert fresh_run(*args) == (code, [])
+
+
+def test_a_run_that_reports_a_digest_loads_hashlib(tmp_path):
+    out = tmp_path / "report.json"
+    code, loaded = fresh_run("verify", "--checks", "pfaffian-formula", "--json", str(out))
+    assert (code, loaded) == (0, ["hashlib", "_hashlib"])
+    (result,) = json.loads(out.read_text())["results"]
+    assert result["payload"]["pfaffian_sha256"] == PFAFFIAN_SHA256

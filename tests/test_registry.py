@@ -4,7 +4,6 @@ every check has a mutation in MUTATIONS (a defect in its evidence) that gives
 FAIL with exit code 1 and no crash.  A defect that rejects every candidate
 base point leaves no point certified: both orbit checks FAIL and record the
 rejections."""
-import dataclasses
 import json
 import re
 
@@ -206,13 +205,13 @@ def _cone_rank_3(monkeypatch):
 def _base_point_fixed_by_an_involution(monkeypatch):
     # y2 dropped from the embedding: twist⁴ fixes (0 : a : 0 : c : 0 : −c : 0 : −a)
     real = geometry.MinusPlanePoint.embed
-    monkeypatch.setattr(geometry.MinusPlanePoint, "embed", lambda y: real(dataclasses.replace(y, y2=0)))
+    monkeypatch.setattr(geometry.MinusPlanePoint, "embed", lambda y: real(geometry.MinusPlanePoint(y.field, y.y1, 0, y.y3)))
 
 
 def _quotient_of_order_32(monkeypatch):
     # the orbit size and the points carried are the quotient order, not a literal
     real = heisenberg.center_and_quotient()
-    monkeypatch.setattr(geometry, "center_and_quotient", lambda: dataclasses.replace(real, quotient_order=32))
+    monkeypatch.setattr(geometry, "center_and_quotient", lambda: real._replace(quotient_order=32))
 
 
 def _minors_of_three_quadrics(monkeypatch):
@@ -303,7 +302,7 @@ def _verify_fails(tmp_path, capsys, check_id, *flags):
 
 def _first_coefficient_plus_one(cert):
     (gi, mult, coeff), *rest = cert.entries
-    return dataclasses.replace(cert, entries=((gi, mult, coeff + 1), *rest))
+    return cert._replace(entries=((gi, mult, coeff + 1), *rest))
 
 
 def test_psi_membership_fails_on_a_corrupted_certificate(monkeypatch, tmp_path, capsys):
@@ -373,7 +372,7 @@ def _named_point_off_the_conics(monkeypatch):
 
     def moved(y):
         first, *rest = real(y)
-        return [dataclasses.replace(first, y2=first.y2 + 1), *rest]
+        return [geometry.MinusPlanePoint(first.field, first.y1, first.y2 + 1, first.y3), *rest]
 
     monkeypatch.setattr(geometry, "named_intersection_points", moved)
     monkeypatch.setattr(geometry, "plane_zeros_mod_p", _no_sweep)
