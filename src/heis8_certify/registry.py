@@ -175,7 +175,7 @@ def check_orbit_singular(cfg: RunConfig) -> CertificateResult:
     rejections recorded.
     """
     y, data, rejected = _generic_point(cfg.base_point)
-    payload = {"redraws": len(rejected)}
+    payload = {"rejected_candidates": len(rejected)}
     if y is None:
         payload["rejected"] = "; ".join(rejected)
         return _result("orbit-64-singular", False, ZETA8_FIELD, payload)
@@ -455,7 +455,6 @@ def run_checks(config: RunConfig) -> Report:
                 payload={"error": f"{type(exc).__name__}: {exc}"},
             )
         result.elapsed_ms = int((time.perf_counter() - t0) * 1000)
-        result.seed = config.seed
         return result
 
     t0 = time.perf_counter()

@@ -24,12 +24,11 @@ class CertificateResult:
     """One check's verdict and its evidence, every payload value a string;
     the runner fills in the elapsed time."""
 
-    def __init__(self, id, status, field, prime=None, seed=None, elapsed_ms=0, payload=None):
+    def __init__(self, id, status, field, prime=None, elapsed_ms=0, payload=None):
         self.id = id
         self.status = status
         self.field = field
         self.prime = prime
-        self.seed = seed
         self.elapsed_ms = elapsed_ms
         self.payload = {str(k): str(v) for k, v in (payload or {}).items()}
 
@@ -39,7 +38,6 @@ class CertificateResult:
             "status": self.status,
             "field": self.field,
             "prime": self.prime,
-            "seed": self.seed,
             "elapsed_ms": self.elapsed_ms,
             "payload": dict(sorted(self.payload.items())),
         }

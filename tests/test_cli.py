@@ -113,14 +113,14 @@ def test_verify_subset_passes_and_is_deterministic(tmp_path):
         "wedge-lemma",
     ]  # registry order, not selection order
     for r in data["results"]:
-        assert set(r) == {"id", "status", "field", "prime", "seed", "elapsed_ms", "payload"}
+        assert set(r) == {"id", "status", "field", "prime", "elapsed_ms", "payload"}
         assert all(isinstance(v, str) for v in r["payload"].values())
 
 
 # sha256 of normalized_json of the default `verify --json` report: a refactor
 # leaves every byte of it alone, and a change that moves it names the changed
 # field in CHANGES.md and records the new digest here
-DEFAULT_REPORT_SHA256 = "fb5bf1da2d871daf237bb5448d1dac0f74d076c6190a245c4ff8b9488a3f0fc6"
+DEFAULT_REPORT_SHA256 = "3b23d445a8443f246c7018a273986b53f41735a2a6f25bd3fe392cf902a4fcfc"
 
 
 BASEPOINT_CHECKS = "ideal-invariance,base-point-on-V,orbit-64-singular,odp-proxy,minus-plane-4points"
@@ -129,22 +129,22 @@ REPORT_SHA256 = {
     "psi-quartic-ladder-primes": (
         ("--checks", "psi-quartic-membership,quartic-smooth-genus3", "--primes", "113,137,193,233,241"),
         0,
-        "f85a4e0a16a6dfe9d4cc27aa51b79b2a4d8f0e200e204c1f4545a044f053edc3",
+        "d306be8018a471555514dbbfb4ce88b9be3f84fdcd8f62e08f7017b8a4451c5e",
     ),
     "fast-modular": (
         ("--fast", "--checks", MODULAR_CHECKS, "--primes", "89,97"),
         0,
-        "2c37a63ed838b3e2ff1bee494a6d74ae5945ce851313c19f2035e7d2321b19b9",
+        "67da52f0ce57c6bf95386413f67354acfc9586b683839efdf585c82d77c3f26d",
     ),
     "basepoint-5-3-7": (
         ("--checks", BASEPOINT_CHECKS, "--y=5,-3,7", "--seed", "7"),
         0,
-        "8da72edcc96cfa24153fd7bd5edc6171874c9d03b3177bdd53fb10ccc3315bc2",
+        "e95f6f796572deccad2c55f5185fe969be9577feb8d69d786b384d46f0884927",
     ),
     "basepoint-1-0-2": (
         ("--checks", BASEPOINT_CHECKS, "--y=1,0,2", "--seed", "9"),
         1,  # y2 = 0: two named points coincide, and minus-plane-4points FAILs
-        "4710a439285d1033de1f4a58625d4a0f7cea95caf5889041d915c40ab07faf79",
+        "2b4fa39050721cc871d0d8ec2d039cd37c3c7d7e0553d7d09589d9466aea16ea",
     ),
 }
 # sha256 of the triples of the three quartic Nullstellensatz certificates,

@@ -101,7 +101,7 @@ def test_orbit_sweep_runs_once_per_point_and_payload_is_unchanged(monkeypatch):
     orbit, odp = report.results
     assert (orbit.status, odp.status) == (PASS, PASS)
     assert orbit.payload == {
-        "redraws": "0",
+        "rejected_candidates": "0",
         "y0_point": "1,2,3",
         "y0_orbit_size": "64",
         "y0_rank3_points": "64",
@@ -464,7 +464,7 @@ MUTATIONS = [
         "orbit-64-singular",
         _minors_of_three_quadrics,
         {
-            "redraws": "0",
+            "rejected_candidates": "0",
             "y0_point": "1,2,3",
             "y0_orbit_size": "64",
             "y0_rank3_points": "64",
