@@ -347,7 +347,7 @@ def replay_certificate(cert: MembershipCertificate, generators) -> SparsePoly:
 
 def sha256_lines(parts) -> str:
     """The SHA-256 hex digest of the parts, each written as a line."""
-    import hashlib  # only a run that reports a digest loads OpenSSL
+    import hashlib  # imported on first use: only runs that hash load OpenSSL
 
     h = hashlib.sha256()
     for s in parts:

@@ -459,6 +459,4 @@ def run_checks(config: RunConfig) -> Report:
 
     t0 = time.perf_counter()
     results = [run_one(spec) for spec in specs]
-    report = Report(version=VERSION, config=config, results=results)
-    report.total_elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    return report
+    return Report(VERSION, config, results, int((time.perf_counter() - t0) * 1000))

@@ -24,12 +24,12 @@ class CertificateResult:
     """One check's verdict and its evidence, every payload value a string;
     the runner fills in the elapsed time."""
 
-    def __init__(self, id, status, field, prime=None, elapsed_ms=0, payload=None):
+    def __init__(self, id, status, field, prime=None, payload=None):
         self.id = id
         self.status = status
         self.field = field
         self.prime = prime
-        self.elapsed_ms = elapsed_ms
+        self.elapsed_ms = 0
         self.payload = {str(k): str(v) for k, v in (payload or {}).items()}
 
     def to_json_dict(self) -> dict:
@@ -82,7 +82,7 @@ def validate_config(config: RunConfig, known_ids) -> None:
 
 
 class Report:
-    def __init__(self, version, config: RunConfig, results: list, total_elapsed_ms=0):
+    def __init__(self, version, config: RunConfig, results: list, total_elapsed_ms: int):
         self.version = version
         self.config = config
         self.results = results
