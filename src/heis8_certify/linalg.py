@@ -316,8 +316,6 @@ class MembershipCertificate(NamedTuple):
     prime: int | None
     degree: int
     entries: tuple
-    target_hash: str
-    generators_hash: str
 
     def support(self) -> int:
         return len(self.entries)
@@ -343,17 +341,6 @@ def replay_certificate(cert: MembershipCertificate, generators) -> SparsePoly:
             v = acc.get(e)
             acc[e] = c * coeff if v is None else v + c * coeff
     return SparsePoly(ring, {e: c for e, c in acc.items() if c})
-
-
-def sha256_lines(parts) -> str:
-    """The SHA-256 hex digest of the parts, each written as a line."""
-    import hashlib  # imported on first use: only runs that hash load OpenSSL
-
-    h = hashlib.sha256()
-    for s in parts:
-        h.update(str(s).encode())
-        h.update(b"\n")
-    return h.hexdigest()
 
 
 MERSENNE_EXPONENTS = (521, 607, 1279, 2203, 2281)  # 2^k − 1 is prime
@@ -541,8 +528,6 @@ class MembershipProblem:
                 self._block_generators.append(gi)
                 seen.update((key, frozenset((-g).terms.items())))
         self._blocks = None
-        self.target_hash = sha256_lines([target.text()])
-        self.generators_hash = sha256_lines(g.text() for g in generators)
 
     @staticmethod
     def _den(c):
@@ -721,8 +706,6 @@ class MembershipProblem:
             prime=prime,
             degree=self.degree,
             entries=tuple(entries),
-            target_hash=self.target_hash,
-            generators_hash=self.generators_hash,
         )
 
     def replays(self, cert: MembershipCertificate) -> bool:

@@ -15,7 +15,7 @@ from . import geometry
 from .errors import CertifyError, NotInDegree, UnknownCheckId
 from .exactmath import GF, QQ
 from .heisenberg import CENTRAL, SHIFT, TWIST, HeisenbergElement, center_and_quotient, enumerate_group
-from .linalg import Matrix, exterior_power, sha256_lines, smith_normal_form, unipotent_log, wedge_lemma_exhaustive
+from .linalg import Matrix, exterior_power, smith_normal_form, unipotent_log, wedge_lemma_exhaustive
 from .report import FAIL, PASS, VERSION, CertificateResult, Report, RunConfig
 
 MONODROMY_MATRIX = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
@@ -35,6 +35,17 @@ def _result(cid, ok, field, payload, prime=None):
         prime=prime,
         payload=payload,
     )
+
+
+def _sha256_lines(parts) -> str:
+    """The SHA-256 hex digest of the parts, each written as a line."""
+    import hashlib  # only the checks that report a digest load it, and OpenSSL with it
+
+    h = hashlib.sha256()
+    for s in parts:
+        h.update(str(s).encode())
+        h.update(b"\n")
+    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +255,7 @@ def check_pfaffian(cfg: RunConfig) -> CertificateResult:
             "sign": data.sign,
             "pfaffian_squared_is_det": square_ok,
             "pfaffian_terms": len(data.pfaffian.terms),
-            "pfaffian_sha256": sha256_lines([data.pfaffian.text()]),
+            "pfaffian_sha256": _sha256_lines([data.pfaffian.text()]),
         },
     )
 
@@ -256,8 +267,8 @@ def check_psi_membership(cfg: RunConfig) -> CertificateResult:
         "system_rows": nrows,
         "system_cols": ncols,
         "target_degree": problem.degree,
-        "target_sha256": problem.target_hash,
-        "generators_sha256": problem.generators_hash,
+        "target_sha256": _sha256_lines([problem.target.text()]),
+        "generators_sha256": _sha256_lines(g.text() for g in problem.generators),
     }
     solves = [(f"gf{p}", partial(problem.solve_mod, p)) for p in cfg.primes]
     if cfg.fast:
@@ -277,7 +288,7 @@ def check_psi_membership(cfg: RunConfig) -> CertificateResult:
             ok = False
         triples = cert.triples_text(problem.ring.names)
         payload[f"{tag}_support"] = cert.support()
-        payload[f"{tag}_triples_sha256"] = sha256_lines(triples)
+        payload[f"{tag}_triples_sha256"] = _sha256_lines(triples)
         if tag == "qq":  # the binding certificate is reported whole
             payload["qq_triples"] = "; ".join(triples)
     return _result("psi-quartic-membership", ok, QQ.name, payload)

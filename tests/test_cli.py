@@ -248,8 +248,9 @@ def fresh_run(*args):
     [
         (("list",), 0),
         (("verify", "--checks", BASEPOINT_CHECKS, "--y=1,0,2"), 1),
+        (("verify", "--checks", "quartic-smooth-genus3"), 0),
     ],
-    ids=["list", "verify-basepoints"],
+    ids=["list", "verify-basepoints", "verify-quartic"],
 )
 def test_fresh_runs_without_a_digest_load_neither_hashlib_nor_dataclasses(args, code):
     assert fresh_run(*args) == (code, [])
