@@ -39,7 +39,7 @@ def _result(cid, ok, field, payload, prime=None):
 
 def _sha256_lines(parts) -> str:
     """The SHA-256 hex digest of the parts, each written as a line."""
-    import hashlib  # only the checks that report a digest load it, and OpenSSL with it
+    import hashlib  # loads OpenSSL: only checks that report a digest need it
 
     h = hashlib.sha256()
     for s in parts:

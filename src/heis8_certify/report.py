@@ -24,13 +24,13 @@ class CertificateResult:
     """One check's verdict and its evidence, every payload value a string;
     the runner fills in the elapsed time."""
 
-    def __init__(self, id, status, field, prime=None, payload=None):
+    def __init__(self, id, status, field, payload, prime=None):
         self.id = id
         self.status = status
         self.field = field
         self.prime = prime
         self.elapsed_ms = 0
-        self.payload = {str(k): str(v) for k, v in (payload or {}).items()}
+        self.payload = {str(k): str(v) for k, v in payload.items()}
 
     def to_json_dict(self) -> dict:
         return {
