@@ -3,6 +3,9 @@
 Every check is a pure function RunConfig → CertificateResult, deterministic
 given (primes, seed, base point).  The runner executes the selected checks
 one after another, in registry order.
+
+The table itself needs no arithmetic: each check imports the math modules it
+uses when it runs, so `list` and the configuration path load none of them.
 """
 from __future__ import annotations
 
@@ -11,11 +14,7 @@ import time
 from functools import lru_cache, partial
 from typing import NamedTuple
 
-from . import geometry
 from .errors import CertifyError, NotInDegree, UnknownCheckId
-from .exactmath import GF, QQ
-from .heisenberg import CENTRAL, SHIFT, TWIST, HeisenbergElement, center_and_quotient, enumerate_group
-from .linalg import Matrix, exterior_power, smith_normal_form, unipotent_log, wedge_lemma_exhaustive
 from .report import FAIL, PASS, VERSION, CertificateResult, Report, RunConfig
 
 MONODROMY_MATRIX = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
@@ -54,6 +53,8 @@ def _sha256_lines(parts) -> str:
 
 def check_group_order(cfg: RunConfig) -> CertificateResult:
     """Closing {1} under right multiplication by shift and twist gives the group they generate."""
+    from .heisenberg import SHIFT, TWIST, HeisenbergElement, enumerate_group
+
     elements = enumerate_group()
     generated = frontier = {HeisenbergElement.identity()}
     while frontier:
@@ -70,6 +71,8 @@ def check_group_order(cfg: RunConfig) -> CertificateResult:
 
 
 def check_center(cfg: RunConfig) -> CertificateResult:
+    from .heisenberg import center_and_quotient
+
     cq = center_and_quotient()
     is_central_axis = all(g.a == 0 and g.b == 0 for g in cq.center)
     ok = len(cq.center) == 8 and is_central_axis
@@ -82,6 +85,8 @@ def check_center(cfg: RunConfig) -> CertificateResult:
 
 
 def check_quotient(cfg: RunConfig) -> CertificateResult:
+    from .heisenberg import center_and_quotient
+
     cq = center_and_quotient()
     ok = cq.invariant_factors == (8, 8) and cq.quotient_order == 64
     return _result(
@@ -96,6 +101,8 @@ def check_quotient(cfg: RunConfig) -> CertificateResult:
 
 
 def check_commutator(cfg: RunConfig) -> CertificateResult:
+    from .heisenberg import CENTRAL, SHIFT, TWIST
+
     commutator = TWIST * SHIFT * TWIST.inverse() * SHIFT.inverse()
     reorder = TWIST * SHIFT == CENTRAL * (SHIFT * TWIST)
     ok = commutator == CENTRAL and reorder
@@ -112,6 +119,8 @@ def check_commutator(cfg: RunConfig) -> CertificateResult:
 
 
 def check_ideal_invariance(cfg: RunConfig) -> CertificateResult:
+    from . import geometry
+
     images = geometry.quadric_span_images()
     payload = {
         label: "not in span" if sol is None else "[" + ", ".join(sol) + "]"
@@ -122,6 +131,9 @@ def check_ideal_invariance(cfg: RunConfig) -> CertificateResult:
 
 
 def check_base_point(cfg: RunConfig) -> CertificateResult:
+    from . import geometry
+    from .exactmath import QQ
+
     residues = geometry.symbolic_base_identities()
     symbolic_ok = all(not r for r in residues)
     y = geometry.MinusPlanePoint.rational(*cfg.base_point)
@@ -152,6 +164,8 @@ def _generic_point(base_point):
     """(y, orbit data, rejections) for the first candidate base point that
     passes the orbit gauntlet (memoized); y and data are None when every
     candidate is rejected."""
+    from . import geometry
+
     rejected = []
     for cand in _candidate_base_points(base_point):
         y = geometry.MinusPlanePoint.rational(*cand)
@@ -212,6 +226,9 @@ def check_odp_proxy(cfg: RunConfig) -> CertificateResult:
 
 
 def check_minus_plane(cfg: RunConfig) -> CertificateResult:
+    from . import geometry
+    from .exactmath import QQ
+
     y = geometry.MinusPlanePoint.rational(*cfg.base_point)
     ok, payload = geometry.minus_plane_certificate(y)
     if payload["distinct_named_points"] < 4:  # named points collide: count the zeros mod 17 instead
@@ -224,6 +241,9 @@ def check_minus_plane(cfg: RunConfig) -> CertificateResult:
 
 
 def check_moore_skew(cfg: RunConfig) -> CertificateResult:
+    from . import geometry
+    from .exactmath import QQ
+
     data = geometry.moore_pipeline()
     expected = geometry.expected_restricted_moore()
     matches = sum(
@@ -244,6 +264,9 @@ def check_moore_skew(cfg: RunConfig) -> CertificateResult:
 
 
 def check_pfaffian(cfg: RunConfig) -> CertificateResult:
+    from . import geometry
+    from .exactmath import QQ
+
     data = geometry.moore_pipeline()
     sign_ok = data.sign == geometry.RECORDED_PFAFFIAN_SIGN
     square_ok = data.pfaffian * data.pfaffian == data.skew.det()
@@ -261,6 +284,9 @@ def check_pfaffian(cfg: RunConfig) -> CertificateResult:
 
 
 def check_psi_membership(cfg: RunConfig) -> CertificateResult:
+    from . import geometry
+    from .exactmath import QQ
+
     problem = geometry.psi_membership_problem()
     nrows, ncols = problem.shape
     payload = {
@@ -295,6 +321,9 @@ def check_psi_membership(cfg: RunConfig) -> CertificateResult:
 
 
 def check_quartic(cfg: RunConfig) -> CertificateResult:
+    from . import geometry
+    from .exactmath import QQ
+
     try:
         certs = geometry.quartic_nullstellensatz_certificates()
     except NotInDegree:  # no degree-7 certificates: the quartic is singular
@@ -306,6 +335,9 @@ def check_quartic(cfg: RunConfig) -> CertificateResult:
 
 
 def check_topology(cfg: RunConfig) -> CertificateResult:
+    from . import geometry
+    from .exactmath import QQ
+
     data = geometry.topology_numbers()
     ok = (
         data["degree"] == 16
@@ -322,6 +354,9 @@ def check_topology(cfg: RunConfig) -> CertificateResult:
 
 
 def check_monodromy(cfg: RunConfig) -> CertificateResult:
+    from .exactmath import GF, QQ
+    from .linalg import Matrix, exterior_power, smith_normal_form
+
     m = Matrix(QQ, MONODROMY_MATRIX)
     n = m - Matrix.identity(QQ, 4)
     rank_n = n.rank()
@@ -346,6 +381,9 @@ def check_monodromy(cfg: RunConfig) -> CertificateResult:
 
 
 def check_unipotent_log(cfg: RunConfig) -> CertificateResult:
+    from .exactmath import QQ
+    from .linalg import Matrix, unipotent_log
+
     m = Matrix(QQ, MONODROMY_MATRIX)
     n = m - Matrix.identity(QQ, 4)
     log_ok = unipotent_log(MONODROMY_MATRIX) == n
@@ -364,6 +402,8 @@ def check_unipotent_log(cfg: RunConfig) -> CertificateResult:
 
 
 def check_wedge_lemma(cfg: RunConfig) -> CertificateResult:
+    from .linalg import wedge_lemma_exhaustive
+
     sweep = wedge_lemma_exhaustive()
     return _result(
         "wedge-lemma",
@@ -378,6 +418,9 @@ def check_torsion(cfg: RunConfig) -> CertificateResult:
     H/center inside it: a finite abelian group embeds in another exactly when
     it has no more invariant factors and, matched from the largest down, each
     of its factors divides the other's."""
+    from .heisenberg import center_and_quotient
+    from .linalg import smith_normal_form
+
     factors = smith_normal_form([[8 if i == j else 0 for j in range(4)] for i in range(4)])
     order = math.prod(factors)
     cq = center_and_quotient()

@@ -12,7 +12,6 @@ import json
 from typing import NamedTuple
 
 from .errors import EmptySelection, InvalidPrime, InvalidSeed, UnknownCheckId, ZeroPoint
-from .exactmath import is_prime_1_mod_8
 
 VERSION = "0.1.0"
 
@@ -62,6 +61,8 @@ class RunConfig(NamedTuple):
 
 def validate_config(config: RunConfig, known_ids) -> None:
     """Raise on a configuration that is malformed or would certify nothing."""
+    from .exactmath import is_prime_1_mod_8  # with fractions and decimal: verify only
+
     if not config.primes:
         raise InvalidPrime("no primes given")
     for p in config.primes:

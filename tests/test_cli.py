@@ -81,11 +81,11 @@ def test_config_that_certifies_nothing_exits_2(capsys, flags, error):
 
 def test_forced_failure_exits_1(monkeypatch, capsys):
     # the Smith normal form of 2·(8·I) has factors 16, so torsion-counting fails
-    from heis8_certify import cli, registry
+    from heis8_certify import cli, linalg
 
-    real = registry.smith_normal_form
+    real = linalg.smith_normal_form
     monkeypatch.setattr(
-        registry, "smith_normal_form", lambda mat: real([[2 * v for v in row] for row in mat])
+        linalg, "smith_normal_form", lambda mat: real([[2 * v for v in row] for row in mat])
     )
     assert cli.main(["verify", "--checks", "torsion-counting"]) == 1
     assert "FAIL torsion-counting" in capsys.readouterr().out
@@ -226,17 +226,17 @@ HEAVY_MODULES = ("hashlib", "_hashlib", "dataclasses", "inspect")
 PFAFFIAN_SHA256 = "96f7ec25133090472a78948f8783161f78ed09455418f52ef6daa0523bf56b6d"
 
 
-def fresh_run(*args):
+def fresh_run(*args, modules=HEAVY_MODULES):
     """Run `python -m heis8_certify args` through runpy in a fresh interpreter
     (pytest has the heavy modules loaded already); return its exit code and
-    which of HEAVY_MODULES it loaded."""
+    which of `modules` it loaded."""
     probe = (
         "import runpy, sys\n"
         f"sys.argv = ['heis8_certify', *{list(args)!r}]\n"
         "try:\n"
         "    runpy.run_module('heis8_certify', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
-        f"    print(exc.code, *(m for m in {HEAVY_MODULES!r} if m in sys.modules))\n"
+        f"    print(exc.code, *(m for m in {modules!r} if m in sys.modules))\n"
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=600)
     code, *loaded = out.stdout.splitlines()[-1].split()
@@ -254,6 +254,23 @@ def fresh_run(*args):
 )
 def test_fresh_runs_without_a_digest_load_neither_hashlib_nor_dataclasses(args, code):
     assert fresh_run(*args) == (code, [])
+
+
+# the package's math modules, and the fractions/decimal pair exactmath imports
+MATH_MODULES = (
+    *(f"heis8_certify.{m}" for m in ("exactmath", "multipoly", "linalg", "heisenberg", "geometry", "singular")),
+    "fractions",
+    "decimal",
+)
+
+
+def test_fresh_list_loads_no_math_module():
+    assert fresh_run("list", modules=MATH_MODULES) == (0, [])
+
+
+def test_a_fresh_group_check_loads_heisenberg_but_no_geometry():
+    modules = ("heis8_certify.heisenberg", "heis8_certify.geometry", "heis8_certify.singular")
+    assert fresh_run("verify", "--checks", "commutator-xi", modules=modules) == (0, [modules[0]])
 
 
 def test_a_run_that_reports_a_digest_loads_hashlib(tmp_path):

@@ -44,7 +44,7 @@ def test_group_order_passes_with_the_generators():
 
 def _generators_of_a_subgroup(monkeypatch):
     # shift² and twist generate a subgroup of order 4·8·4 = 128
-    monkeypatch.setattr(registry, "SHIFT", SHIFT**2)
+    monkeypatch.setattr(heisenberg, "SHIFT", SHIFT**2)
 
 
 def test_group_order_fails_when_the_generators_span_a_subgroup(monkeypatch):
