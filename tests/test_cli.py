@@ -262,15 +262,19 @@ MATH_MODULES = (
     "fractions",
     "decimal",
 )
+ORBIT_MODULES = ("heis8_certify.heisenberg", "heis8_certify.geometry", "heis8_certify.singular")
 
 
-def test_fresh_list_loads_no_math_module():
-    assert fresh_run("list", modules=MATH_MODULES) == (0, [])
-
-
-def test_a_fresh_group_check_loads_heisenberg_but_no_geometry():
-    modules = ("heis8_certify.heisenberg", "heis8_certify.geometry", "heis8_certify.singular")
-    assert fresh_run("verify", "--checks", "commutator-xi", modules=modules) == (0, [modules[0]])
+@pytest.mark.parametrize(
+    "args, modules, loaded",
+    [
+        (("list",), MATH_MODULES, []),
+        (("verify", "--checks", "commutator-xi"), ORBIT_MODULES, ["heis8_certify.heisenberg"]),
+    ],
+    ids=["list", "verify-commutator"],
+)
+def test_fresh_runs_load_only_the_math_modules_their_checks_use(args, modules, loaded):
+    assert fresh_run(*args, modules=modules) == (0, loaded)
 
 
 def test_a_run_that_reports_a_digest_loads_hashlib(tmp_path):
