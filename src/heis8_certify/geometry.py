@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DegeneratePoint, PointNotOnVariety, ZeroPoint
@@ -140,28 +140,23 @@ def shifted_quadrics(f) -> tuple:
     return tuple(out)
 
 
-class VarietySystem:
-    """The four quadrics f, shift(f), shift²(f), shift³(f) at a base point,
-    together with their 4×8 Jacobian."""
+class VarietySystem(NamedTuple):
+    """The four quadrics f, shift(f), shift²(f), shift³(f) at a base point."""
 
-    def __init__(self, point: MinusPlanePoint, ring: PolyRing, quadrics: tuple, jacobian: PolyMatrix):
-        self.point = point
-        self.ring = ring
-        self.quadrics = quadrics
-        self.jacobian = jacobian
+    ring: PolyRing
+    quadrics: tuple
 
-    @cached_property
-    def hessians(self):
-        """Constant 8×8 second-derivative matrices of the four quadrics."""
-        out = []
-        zero_pt = [self.ring.field.zero] * 8
-        for q in self.quadrics:
-            rows = []
-            for i in range(8):
-                qi = q.partial(i)
-                rows.append([qi.partial(j).eval(zero_pt) for j in range(8)])
-            out.append(rows)
-        return out
+
+def quadric_hessian(q: SparsePoly) -> list:
+    """The constant 8×8 second-derivative matrix of a quadric, read off its
+    coefficients: c·x_i·x_j puts c at (i, j) and (j, i), and c·x_i² puts 2·c
+    at (i, i)."""
+    h = [[q.ring.field.zero] * 8 for _ in range(8)]
+    for e, c in q.terms.items():
+        i, j = [k for k in range(8) for _ in range(e[k])]
+        h[i][j] += c
+        h[j][i] += c
+    return h
 
 
 def build_system(y: MinusPlanePoint) -> VarietySystem:
@@ -173,8 +168,7 @@ def build_system(y: MinusPlanePoint) -> VarietySystem:
             raise DegeneratePoint(f"quadric of degree {q.homogeneous_degree()} at {y}")
         if q.eval(embedded):
             raise DegeneratePoint(f"base point {y} does not satisfy its own quadrics")
-    jac = PolyMatrix(ring, [[q.partial(j) for j in range(8)] for q in quadrics])
-    return VarietySystem(y, ring, quadrics, jac)
+    return VarietySystem(ring, quadrics)
 
 
 @lru_cache(maxsize=1)
@@ -205,42 +199,30 @@ def odp_normal_hessian_rank(system: VarietySystem, v: ProjPoint) -> int:
     """Rank of the quadratic cone on the 4-dimensional normal slice.
 
     At a corank-1 point the four quadrics admit (up to scale) one linear
-    combination L with dL(v) = 0; restricting the constant Hessian of L to
-    the tangent space of the three transverse equations gives the quadratic
-    cone of the singularity.  Rank 4 is the ordinary-double-point condition.
+    combination λ·q with d(λ·q)(v) = 0; the constant Hessian of λ·q on the
+    tangent space ker J(v) gives the quadratic cone of the singularity.
+    Rank 4 is the ordinary-double-point condition.
 
-    Rank 3 on the 7 columns other than k (where v_k = 1) is the rank of the
-    full 4×8 Jacobian: by the Euler relation J(v)·v = 2·q(v) = 0 on the
-    variety, column k is a combination of the others.
+    For a quadric ∇q_i(v) = H_i·v, so the rows H_i·v are the Jacobian J(v),
+    λ spans its left kernel, and Σλ_i·H_i is the Hessian of λ·q.  For
+    symmetric H and any J the bordered matrix B = [[H, Jᵀ], [J, 0]] has rank
+    2·rank J + rank(H on ker J) (Debreu 1952), which gives the rank on
+    ker J(v) without a basis of it.  That rank is the rank on the normal
+    slice: v lies in ker J(v) (Euler, J(v)·v = 2·q(v) = 0) and in the radical
+    of Σλ_i·H_i, whose product with v is (λ·J(v))ᵀ = 0.
     """
     if not point_on_variety(system, v):
         raise PointNotOnVariety(f"{v} is not on the quadric system")
-    field = system.ring.field
-    coords = list(v.coords)
-    k = next(i for i, c in enumerate(coords) if c)
-    inv = field.one / coords[k]
-    coords = [c * inv for c in coords]
-    cols = [j for j in range(8) if j != k]
-
-    jac_full = system.jacobian.eval(coords)
-    jac = Matrix(field, [[row[j] for j in cols] for row in jac_full])
-    tangent = jac.kernel_basis()
-    if len(tangent) != 4:
-        raise DegeneratePoint(f"Jacobian rank {7 - len(tangent)} != 3 at {v}")
-    (lam,) = jac.transpose().kernel_basis()  # rank 3 with 4 rows: a line
-
-    hessians = system.hessians
-    h = [
-        [
-            sum((lam[q] * hessians[q][cols[i]][cols[j]] for q in range(4)), field.zero)
-            for j in range(7)
-        ]
-        for i in range(7)
-    ]
-    hmat = Matrix(field, h)
-    b = Matrix(field, [[vec[i] for vec in tangent] for i in range(7)])  # 7×4 basis
-    restricted = b.transpose() * hmat * b
-    return restricted.rank()
+    ring, quadrics = system
+    zero = ring.field.zero
+    hessians = [quadric_hessian(q) for q in quadrics]
+    jac = [[sum((a * c for a, c in zip(row, v.coords) if a), zero) for row in h] for h in hessians]
+    lam = Matrix(ring.field, jac).transpose().kernel_basis()
+    if len(lam) != 1:
+        raise DegeneratePoint(f"Jacobian rank {4 - len(lam)} != 3 at {v}")
+    cone = quadric_hessian(sum((q * l for q, l in zip(quadrics, lam[0])), ring.zero()))
+    bordered = [cone[i] + [row[i] for row in jac] for i in range(8)] + [row + [zero] * 4 for row in jac]
+    return Matrix(ring.field, bordered).rank() - 2 * 3  # rank J(v) = 3
 
 
 # ---------------------------------------------------------------------------
@@ -361,18 +343,13 @@ def odp_proxy_sweep(y: MinusPlanePoint) -> tuple:
       injective on it, so it maps the span onto itself, and so does its
       inverse: the direction of the action does not matter, and (b) holds
       for the whole group that shift and twist generate.  So q∘A = C·q with
-      C an invertible 4×4 matrix.
-    * Then q(A·v) = C·q(v) = 0, and by the chain rule J(A·v)·A = C·J(v), so
-      the Jacobian rank is the same at v and A·v.
-    * The multiplier λ with λ·J(v) = 0 goes to λ·C⁻¹, and Aᵀ·H_i·A = Σ_j
-      C_ij·H_j for the constant Hessians H_i, so Aᵀ·Hess(λ·C⁻¹·q)·A =
-      Hess(λ·q).  The tangent space ker J(A·v) is A·ker J(v), so the two
-      restricted Hessians are congruent by A, and the cone rank is also
-      the same.
-    * Hess(λ·q)·v = (λ·J(v))ᵀ = 0, so v lies in the radical of Hess(λ·q):
-      its rank on ker J(v) is its rank on any complement of v there, and
-      dropping the chart column k (where v_k ≠ 0) does not change that
-      rank.  The charts at v and at A·v therefore measure the same cone.
+      C an invertible 4×4 matrix, and q(A·v) = C·q(v) = 0.
+    * Then Aᵀ·H_i·A = Σ_j C_ij·H_j for the constant Hessians H_i, the
+      Jacobian rows H_i·v go to J(A·v) = C·J(v)·A⁻¹, and the multiplier λ
+      to λ·C⁻¹.  The bordered matrix B of odp_normal_hessian_rank therefore
+      obeys one congruence, B(A·v) = diag(A⁻ᵀ, C)·B(v)·diag(A⁻¹, Cᵀ), so
+      rank B and rank J are the same at v and A·v, and with them the cone
+      rank rank B − 2·rank J.
     Rank does not change under the field extension QQ ⊂ QQ(zeta8), where
     the orbit points live.
     """
@@ -675,10 +652,13 @@ def quartic_nullstellensatz_certificates():
 
 
 def quartic_genus() -> int:
-    inv = ci_invariants(2, (4,))
-    genus = (2 - inv.euler) // 2
-    if genus != 3 or (4 - 1) * (4 - 2) // 2 != 3:
-        raise AssertionError("plane quartic genus computation is inconsistent")
+    """The genus of a smooth plane curve of the degree d of
+    quartic_curve_poly, from its Euler characteristic, checked against the
+    degree–genus formula (d−1)(d−2)/2."""
+    d = quartic_curve_poly().homogeneous_degree()
+    genus = (2 - ci_invariants(2, (d,)).euler) // 2
+    if genus != (d - 1) * (d - 2) // 2:
+        raise AssertionError("plane curve genus computation is inconsistent")
     return genus
 
 

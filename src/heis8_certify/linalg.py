@@ -98,7 +98,7 @@ class Matrix:
             for r in range(m):
                 if r != piv and rows[r][col]:
                     f = rows[r][col]
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[piv])]
+                    rows[r] = [a - f * b if b else a for a, b in zip(rows[r], rows[piv])]
             pivots.append(col)
             piv += 1
             if piv == m:
@@ -221,24 +221,6 @@ def unipotent_log(mat) -> Matrix:
     return n - n2.scale(Fraction(1, 2))
 
 
-def exterior_power(m: Matrix, k: int) -> Matrix:
-    """Matrix of ∧ᵏm on the lexicographic basis of k-element index subsets."""
-    import itertools
-
-    rows, cols = m.shape
-    if k < 0 or k > min(rows, cols):
-        raise BadSize(f"exterior power {k} of a {rows}x{cols} matrix")
-    rsets = list(itertools.combinations(range(rows), k))
-    csets = list(itertools.combinations(range(cols), k))
-    out = []
-    for rs in rsets:
-        row = []
-        for cs in csets:
-            row.append(Matrix(m.field, [[m.rows[i][j] for j in cs] for i in rs]).det())
-        out.append(row)
-    return Matrix(m.field, out)
-
-
 # ---------------------------------------------------------------------------
 # the F2 wedge lemma
 
@@ -269,6 +251,26 @@ def _wedge_vf(v: int, f: int) -> int:
         if c:
             out |= 1 << idx
     return out
+
+
+def _f2_rank(vectors) -> int:
+    """Rank over F2 of vectors given as bitmasks, by an xor basis keyed by
+    each member's highest bit."""
+    basis = {}
+    for v in vectors:
+        while v and v.bit_length() in basis:
+            v ^= basis[v.bit_length()]
+        if v:
+            basis[v.bit_length()] = v
+    return len(basis)
+
+
+def wedge2_fixed_dim_mod_2(m) -> int:
+    """dim of the space of 2-forms over F2 that ∧²m fixes, m a 4×4 integer
+    matrix: 6 − rank(∧²m − I).  On the basis e_i∧e_j in _PAIRS order, column
+    k of ∧²m is m·e_i ∧ m·e_j for the k-th pair (i, j)."""
+    cols = [sum((m[r][c] & 1) << r for r in range(4)) for c in range(4)]
+    return 6 - _f2_rank(_wedge_vv(cols[i], cols[j]) ^ (1 << k) for k, (i, j) in enumerate(_PAIRS))
 
 
 class WedgeLemmaSweep(NamedTuple):

@@ -363,9 +363,6 @@ class PolyMatrix:
                 out.append(sub.det())
         return out
 
-    def eval(self, point):
-        return [[entry.eval(point) for entry in row] for row in self.rows]
-
 
 def pfaffian4(m: PolyMatrix) -> SparsePoly:
     """Pfaffian of a skew-symmetric 4×4 polynomial matrix.

@@ -24,6 +24,8 @@ ORBIT_POINTS = 64
 # the span and orbit claims hold over QQ(zeta8), where twist and the orbit
 # points live, though no arithmetic in that field decides them
 ZETA8_FIELD = "QQ(zeta8)"
+# the label of claims decided over QQ, exactmath.QQ.name
+QQ_FIELD = "QQ"
 
 
 def _result(cid, ok, field, payload, prime=None):
@@ -143,7 +145,7 @@ def check_base_point(cfg: RunConfig) -> CertificateResult:
     return _result(
         "base-point-on-V",
         symbolic_ok and numeric_ok,
-        QQ.name,
+        QQ_FIELD,
         {
             "symbolic_identities": f"{sum(not r for r in residues)}/4",
             "numeric_at_y": numeric_ok,
@@ -227,13 +229,12 @@ def check_odp_proxy(cfg: RunConfig) -> CertificateResult:
 
 def check_minus_plane(cfg: RunConfig) -> CertificateResult:
     from . import geometry
-    from .exactmath import QQ
 
     y = geometry.MinusPlanePoint.rational(*cfg.base_point)
     ok, payload = geometry.minus_plane_certificate(y)
     if payload["distinct_named_points"] < 4:  # named points collide: count the zeros mod 17 instead
         payload["gf17_zeros"] = len(geometry.minus_plane_solutions_mod_p(y, 17))
-    return _result("minus-plane-4points", ok, QQ.name, payload)
+    return _result("minus-plane-4points", ok, QQ_FIELD, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +243,6 @@ def check_minus_plane(cfg: RunConfig) -> CertificateResult:
 
 def check_moore_skew(cfg: RunConfig) -> CertificateResult:
     from . import geometry
-    from .exactmath import QQ
 
     data = geometry.moore_pipeline()
     expected = geometry.expected_restricted_moore()
@@ -257,7 +257,7 @@ def check_moore_skew(cfg: RunConfig) -> CertificateResult:
     return _result(
         "moore-skew",
         matches == 16 and skew and corner_ok,
-        QQ.name,
+        QQ_FIELD,
         {"entries_matching_reference": f"{matches}/16", "skew_after_swap": skew,
          "full_corner_entry": corner.text()},
     )
@@ -265,7 +265,6 @@ def check_moore_skew(cfg: RunConfig) -> CertificateResult:
 
 def check_pfaffian(cfg: RunConfig) -> CertificateResult:
     from . import geometry
-    from .exactmath import QQ
 
     data = geometry.moore_pipeline()
     sign_ok = data.sign == geometry.RECORDED_PFAFFIAN_SIGN
@@ -273,7 +272,7 @@ def check_pfaffian(cfg: RunConfig) -> CertificateResult:
     return _result(
         "pfaffian-formula",
         sign_ok and square_ok,
-        QQ.name,
+        QQ_FIELD,
         {
             "sign": data.sign,
             "pfaffian_squared_is_det": square_ok,
@@ -285,7 +284,6 @@ def check_pfaffian(cfg: RunConfig) -> CertificateResult:
 
 def check_psi_membership(cfg: RunConfig) -> CertificateResult:
     from . import geometry
-    from .exactmath import QQ
 
     problem = geometry.psi_membership_problem()
     nrows, ncols = problem.shape
@@ -317,12 +315,13 @@ def check_psi_membership(cfg: RunConfig) -> CertificateResult:
         payload[f"{tag}_triples_sha256"] = _sha256_lines(triples)
         if tag == "qq":  # the binding certificate is reported whole
             payload["qq_triples"] = "; ".join(triples)
-    return _result("psi-quartic-membership", ok, QQ.name, payload)
+    # without the rational solve only the GF(p) certificates back the verdict
+    field = "GF(p)" if cfg.fast else QQ_FIELD
+    return _result("psi-quartic-membership", ok, field, payload)
 
 
 def check_quartic(cfg: RunConfig) -> CertificateResult:
     from . import geometry
-    from .exactmath import QQ
 
     try:
         certs = geometry.quartic_nullstellensatz_certificates()
@@ -331,12 +330,11 @@ def check_quartic(cfg: RunConfig) -> CertificateResult:
     smooth = len(certs) == 3
     genus = geometry.quartic_genus()
     payload = {"smooth_over_QQ": smooth, "nullstellensatz_certificates": len(certs), "genus": genus}
-    return _result("quartic-smooth-genus3", smooth and genus == 3, QQ.name, payload)
+    return _result("quartic-smooth-genus3", smooth and genus == 3, QQ_FIELD, payload)
 
 
 def check_topology(cfg: RunConfig) -> CertificateResult:
     from . import geometry
-    from .exactmath import QQ
 
     data = geometry.topology_numbers()
     ok = (
@@ -346,7 +344,7 @@ def check_topology(cfg: RunConfig) -> CertificateResult:
         and data["node_identity"] == 0
         and data["hilbert_numerator_at_1"] == 16
     )
-    return _result("topology-numbers", ok, QQ.name, data)
+    return _result("topology-numbers", ok, QQ_FIELD, data)
 
 
 # ---------------------------------------------------------------------------
@@ -354,18 +352,14 @@ def check_topology(cfg: RunConfig) -> CertificateResult:
 
 
 def check_monodromy(cfg: RunConfig) -> CertificateResult:
-    from .exactmath import GF, QQ
-    from .linalg import Matrix, exterior_power, smith_normal_form
+    from .linalg import smith_normal_form, wedge2_fixed_dim_mod_2
 
-    m = Matrix(QQ, MONODROMY_MATRIX)
-    n = m - Matrix.identity(QQ, 4)
-    rank_n = n.rank()
-    square_zero = (n * n).is_zero()
-    factors = smith_normal_form([[int(v) for v in row] for row in n.rows])
+    n = [[v - (i == j) for j, v in enumerate(row)] for i, row in enumerate(MONODROMY_MATRIX)]
+    factors = smith_normal_form(n)
+    rank_n = len(factors)
+    square_zero = not any(sum(a * b for a, b in zip(row, col)) for row in n for col in zip(*n))
     invariant_rank = 4 - rank_n
-    wedge = exterior_power(Matrix(GF(2), MONODROMY_MATRIX), 2)
-    fixed_dim = 6 - (wedge - Matrix.identity(GF(2), 6)).rank()
-    ok = rank_n == 1 and square_zero and factors == (1,) and invariant_rank == 3
+    ok = factors == (1,) and square_zero  # rank(M − I) = 1, so the invariant rank is 3
     return _result(
         "monodromy-nilpotent",
         ok,
@@ -375,7 +369,7 @@ def check_monodromy(cfg: RunConfig) -> CertificateResult:
             "square_zero": square_zero,
             "snf_factors": ",".join(map(str, factors)),
             "invariant_sublattice_rank": invariant_rank,
-            "wedge2_fixed_dim_mod_2": fixed_dim,
+            "wedge2_fixed_dim_mod_2": wedge2_fixed_dim_mod_2(MONODROMY_MATRIX),
         },
     )
 
@@ -396,7 +390,7 @@ def check_unipotent_log(cfg: RunConfig) -> CertificateResult:
     return _result(
         "unipotent-log",
         ok,
-        QQ.name,
+        QQ_FIELD,
         {"log_is_M_minus_I": log_ok, "additive_on_commuting_pair": additive},
     )
 

@@ -134,7 +134,7 @@ REPORT_SHA256 = {
     "fast-modular": (
         ("--fast", "--checks", MODULAR_CHECKS, "--primes", "89,97"),
         0,
-        "67da52f0ce57c6bf95386413f67354acfc9586b683839efdf585c82d77c3f26d",
+        "c0c8fc32c2627cc7612898782bea1e3fc1d7d139c0a7aac399fad1935d3f5888",
     ),
     "basepoint-5-3-7": (
         ("--checks", BASEPOINT_CHECKS, "--y=5,-3,7", "--seed", "7"),

@@ -23,7 +23,7 @@ from heis8_certify.heisenberg import SHIFT, TWIST, HeisenbergElement, ProjPoint,
 from heis8_certify.linalg import Matrix, replay_certificate
 from heis8_certify.multipoly import PolyRing, grevlex_key
 
-from helpers import jacobian_rank_at, monomials_of_degree, plane_point, solve
+from helpers import jacobian_rank_at, monomials_of_degree, plane_point, restricted_cone_rank, solve
 
 
 Y123 = geo.MinusPlanePoint.rational(1, 2, 3)
@@ -185,6 +185,29 @@ def test_group_transport_matches_the_explicit_orbit_loop():
     assert len(orbit) == 64
     assert ranks.count(4) == 64
     assert geo.odp_proxy_sweep(Y123) == (64, 4)
+
+
+@pytest.mark.parametrize("coords", [(1, 2, 3), (3, 1, 4), (5, -3, 7), (2, 5, 1), (7, 11, -13)])
+def test_bordered_cone_rank_matches_the_restriction_method_over_qq(coords):
+    y = geo.MinusPlanePoint.rational(*coords)
+    system, v = geo.build_system(y), y.embed()
+    assert geo.odp_normal_hessian_rank(system, v) == restricted_cone_rank(system, v) == 4
+
+
+def test_bordered_cone_rank_matches_the_restriction_method_on_a_gf17_orbit():
+    p = 17
+    system = geo.build_system(mod_p(Y123, p))
+    points = _orbit_mod_p(Y123, p)
+    assert len(points) == 64
+    for pt in points:
+        assert geo.odp_normal_hessian_rank(system, pt) == restricted_cone_rank(system, pt)
+
+
+@pytest.mark.parametrize("coords", [(1, 1, 13), (1, 5, 7)])
+def test_bordered_cone_rank_sees_a_degenerate_cone_mod_73(coords):
+    y = geo.MinusPlanePoint(GF(73), *coords)
+    system, v = geo.build_system(y), y.embed()
+    assert geo.odp_normal_hessian_rank(system, v) == restricted_cone_rank(system, v) == 2
 
 
 def test_orbit_lists_distinct_images_in_first_seen_order():
@@ -397,7 +420,7 @@ def test_pfaffian_pipeline_commutes_with_specialization():
     rng = random.Random(6)
     for _ in range(3):
         point = [Fraction(rng.randint(-5, 5)) for _ in range(16)]
-        entries = data.skew.eval(point)
+        entries = [[e.eval(point) for e in row] for row in data.skew.rows]
         direct = (
             entries[0][1] * entries[2][3]
             - entries[0][2] * entries[1][3]

@@ -1,5 +1,5 @@
-"""Exact linear algebra, Smith normal form, exterior powers, the wedge-lemma
-sweep, and graded membership with certificate replay."""
+"""Exact linear algebra, Smith normal form, the F2 wedges of the monodromy
+check and the wedge-lemma sweep, and graded membership with certificate replay."""
 import itertools
 import json
 import math
@@ -26,13 +26,13 @@ from heis8_certify.linalg import (
     Matrix,
     MembershipProblem,
     WedgeLemmaSweep,
-    exterior_power,
     graded_membership,
     replay_certificate,
     smith_normal_form,
     solve_over_qq,
     sparse_solve_mod_p,
     unipotent_log,
+    wedge2_fixed_dim_mod_2,
     wedge_lemma_exhaustive,
 )
 from heis8_certify.multipoly import PolyRing
@@ -186,30 +186,21 @@ def test_unipotent_log_rejects_non_unipotent():
         unipotent_log([[2, 0], [0, 1]])
 
 
-def test_exterior_power_examples():
-    assert exterior_power(Matrix.identity(QQ, 4), 2) == Matrix.identity(QQ, 6)
-    rng = random.Random(41)
-    m = Matrix(QQ, [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)])
-    top = exterior_power(m, 4)
-    assert top.shape == (1, 1)
-    assert top[0, 0] == m.det()
-
-
-def test_exterior_power_functorial():
-    rng = random.Random(43)
-    field = GF(17)
-    for _ in range(100):
-        n = rng.randint(2, 5)
-        k = rng.randint(1, n)
-        a = Matrix(field, [[field.random(rng) for _ in range(n)] for _ in range(n)])
-        b = Matrix(field, [[field.random(rng) for _ in range(n)] for _ in range(n)])
-        assert exterior_power(a * b, k) == exterior_power(a, k) * exterior_power(b, k)
+def _wedge2_fixed_dim_by_minors(m) -> int:
+    """6 − rank(∧²m − I) over F2, with ∧²m the matrix of 2×2 minors of m on
+    the lexicographic pairs."""
+    field = GF(2)
+    pairs = list(itertools.combinations(range(4), 2))
+    wedge = [[Matrix(field, [[m[i][j] for j in cs] for i in rs]).det() for cs in pairs] for rs in pairs]
+    return 6 - (Matrix(field, wedge) - Matrix.identity(field, 6)).rank()
 
 
 def test_monodromy_wedge_fixed_space():
-    wedge = exterior_power(Matrix(GF(2), MONODROMY_MATRIX), 2)
-    fixed_dim = 6 - (wedge - Matrix.identity(GF(2), 6)).rank()
-    assert fixed_dim == 4
+    assert wedge2_fixed_dim_mod_2(MONODROMY_MATRIX) == _wedge2_fixed_dim_by_minors(MONODROMY_MATRIX) == 4
+    rng = random.Random(47)
+    for _ in range(200):
+        m = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
+        assert wedge2_fixed_dim_mod_2(m) == _wedge2_fixed_dim_by_minors(m)
 
 
 def _wedge_sweep_oracle() -> WedgeLemmaSweep:

@@ -314,6 +314,16 @@ def test_psi_membership_fails_on_a_corrupted_certificate(monkeypatch, tmp_path, 
     }
 
 
+@pytest.mark.parametrize("flags, field", [(("--fast",), "GF(p)"), ((), "QQ")], ids=["fast", "rational"])
+def test_psi_membership_is_labelled_by_the_field_of_its_certificates(tmp_path, capsys, flags, field):
+    # --fast skips the rational solve: only GF(p) certificates back the PASS
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--checks", "psi-quartic-membership", *flags, "--json", str(out)]) == 0
+    (result,) = json.loads(out.read_text())["results"]
+    assert result["field"] == field
+    assert f"[{field}]" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("flags", [("--fast",), ()], ids=["fast", "rational"])
 def test_psi_membership_fails_on_a_wrong_target(monkeypatch, tmp_path, capsys, flags):
     # one coefficient changed: the target plus its first monomial
@@ -414,6 +424,12 @@ def _singular_quartic(monkeypatch):
     # w1⁴ − 8·w0³·w2 is singular at (0:0:1)
     w0, w1, w2 = geometry.conic_ring().gens()
     monkeypatch.setattr(geometry, "quartic_curve_poly", lambda: w1**4 - w0**3 * w2 * 8)
+
+
+def _smooth_cubic(monkeypatch):
+    # the Fermat cubic is smooth, of genus 1: the genus reads the curve's degree
+    w0, w1, w2 = geometry.conic_ring().gens()
+    monkeypatch.setattr(geometry, "quartic_curve_poly", lambda: w0**3 + w1**3 + w2**3)
 
 
 def _degrees_2223(monkeypatch):
@@ -522,6 +538,11 @@ MUTATIONS = [
             "nullstellensatz_certificates": "0",
             "genus": "3",
         },
+    ),
+    (
+        "quartic-smooth-genus3",
+        _smooth_cubic,
+        {"smooth_over_QQ": "True", "nullstellensatz_certificates": "3", "genus": "1"},
     ),
     (
         "topology-numbers",

@@ -15,7 +15,7 @@ from heis8_certify.errors import BadSize, DegeneratePoint, UnluckyPrime
 from heis8_certify.exactmath import GF
 from heis8_certify.linalg import Matrix, sparse_solve_mod_p
 
-from helpers import monomials_of_degree
+from helpers import monomials_of_degree, symbolic_jacobian
 
 Y123 = geo.MinusPlanePoint.rational(1, 2, 3)
 WIDTH = singular.PACKED_WIDTH
@@ -136,7 +136,7 @@ def _macaulay_weight0_corank(y, p):
     """429 − rank of the weight-0 block of degree 7 of S over the quadrics and
     the maximal minors (from PolyMatrix.minors), by sparse_solve_mod_p."""
     system = geo.build_system(geo.MinusPlanePoint(GF(p), *y.coords))
-    gens = [g for g in (*system.quadrics, *system.jacobian.minors(4)) if g]
+    gens = [g for g in (*system.quadrics, *symbolic_jacobian(system).minors(4)) if g]
 
     def weight(e):
         return sum(i * k for i, k in enumerate(e)) % 8
@@ -207,7 +207,7 @@ def test_maximal_minors_match_polymatrix_minors():
     p = 41
     system = geo.build_system(geo.MinusPlanePoint(GF(p), *Y123.coords))
     quadrics, minors = singular.singular_ideal_mod_p(Y123, p)
-    reference = system.jacobian.minors(4)
+    reference = symbolic_jacobian(system).minors(4)
     assert len(minors) == len(reference) == 70
     for mine, ref in zip(minors, reference):
         assert mine == {singular._key(e): c.value for e, c in ref.terms.items()}
