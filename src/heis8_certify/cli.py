@@ -5,7 +5,8 @@
     heis8-certify list
 
 Exit codes: 0 when every selected certificate passes, 1 on a certificate
-failure, 2 on a configuration error.
+failure, 2 on a configuration error (a --json path that cannot be opened for
+writing is one, found before any check runs).
 """
 from __future__ import annotations
 
@@ -64,15 +65,16 @@ def main(argv=None) -> int:
             fast=args.fast,
         )
         validate_config(config, known_ids())
-    except CertifyError as exc:
+        json_file = open(args.json_path, "w") if args.json_path else None
+    except (CertifyError, OSError) as exc:
         print(f"configuration error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
     report = run_checks(config)
     sys.stdout.write(report.to_text())
-    if args.json_path:
-        with open(args.json_path, "w") as fh:
-            fh.write(report.to_json())
+    if json_file:
+        with json_file:
+            json_file.write(report.to_json())
     return 0 if report.status == PASS else 1
 
 

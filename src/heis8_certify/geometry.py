@@ -377,11 +377,8 @@ def restrict_to_minus_plane(q: SparsePoly) -> SparsePoly:
     return q.substitute(minus_plane_coords(ring.zero(), *ring.gens()), ring)
 
 
-@lru_cache(maxsize=None)
 def minus_plane_conics(y: MinusPlanePoint) -> tuple:
-    """The four quadrics at y restricted to the minus plane, over y's field.
-    Memoized per point object: minus-plane-4points reads them for its
-    certificate and, on a degenerate line, for its count mod 17."""
+    """The four quadrics at y restricted to the minus plane, over y's field."""
     return tuple(restrict_to_minus_plane(q) for q in build_system(y).quadrics)
 
 
@@ -414,9 +411,11 @@ def minus_plane_certificate(y: MinusPlanePoint) -> tuple:
     reduced, decided over QQ.  With I the ideal of the restricted conics in
     S = QQ[y1, y2, y3], two parts are counted:
     (b) (I + ℓ)_3 = S_3, for ℓ the first PLANE_LINEAR_FORMS form through no
-        named point, else the last (y1 + 2·y2 + 5·y3 alone meets one at some
-        base points, (−9, −8, 5) among them; a form through a point of V(I)
-        cannot pass).
+        named point (y1 + 2·y2 + 5·y3 alone meets one at some base points,
+        (−9, −8, 5) among them; a form through a point of V(I) cannot
+        pass).  One always exists: each named point is a fixed signed
+        permutation of y, and each of the 4³ ways to put one named point on
+        every form asks y to solve a 3×3 system of nonzero determinant.
         So V(I) misses ℓ = 0, and multiplication by ℓ maps (S/I)_d onto
         (S/I)_{d+1} for d ≥ 2: HF(S/I, d) ≤ 4 from degree 2 on, and the
         scheme, whose Hilbert function in high degree is its length, is
@@ -434,7 +433,7 @@ def minus_plane_certificate(y: MinusPlanePoint) -> tuple:
     named = named_intersection_points(y)
     ring = conics[0].ring
     forms = [sum((g * c for g, c in zip(ring.gens(), l)), ring.zero()) for l in PLANE_LINEAR_FORMS]
-    ell = next((f for f in forms if all(f.eval(pt.coords) for pt in named)), forms[-1])
+    ell = next(f for f in forms if all(f.eval(pt.coords) for pt in named))
     rank3 = _plane_degree_rank((*conics, ell), 3)
     payload = {
         "exact_membership_of_named_points": all(not c.eval(pt.coords) for pt in named for c in conics),

@@ -17,7 +17,7 @@ from .errors import (
     NotInDegree,
     NotUnipotent,
 )
-from .exactmath import GF, QQ, ModInt
+from .exactmath import GF, QQ
 from .multipoly import PolyRing, SparsePoly, grevlex_key
 
 
@@ -471,20 +471,19 @@ class MembershipProblem:
     components of the row–column sparsity graph that contain a target
     monomial are ever built, searched outward from the target: a row m
     reaches the product (gi, m − e) for every term e of generator gi dividing
-    m, and a product reaches the rows of its terms.  Coefficients are cleared
-    to integers per generator and shared by every solve.
+    m, and a product reaches the rows of its terms.  Coefficients, over QQ,
+    are cleared to integers per generator and shared by every solve.
 
-    solve_mod(p) and solve_rational() each solve every target block whole
-    and decide membership in the degree exactly, over GF(p) and over QQ.
-    The solves return certificates without replaying them; replays(cert)
-    decides whether one reproduces the target, and graded_membership replays
-    for its callers.
+    solve_rational() decides membership in the degree exactly over QQ, and
+    solve_mod(p) solves the same integer system reduced mod p (int residues).
+    Neither replays its certificate: replays(cert) decides whether one
+    reproduces the target, and graded_membership replays for its callers.
     """
 
     def __init__(self, generators, target: SparsePoly):
         ring = target.ring
-        if any(g.ring != ring for g in generators):
-            raise InhomogeneousInput("generators and target from different rings")
+        if ring.field is not QQ or any(g.ring != ring for g in generators):
+            raise InhomogeneousInput("generators and target must share one ring over QQ")
         if not target.is_homogeneous() or any(not g.is_homogeneous() for g in generators):
             raise InhomogeneousInput("generators and target must be homogeneous")
         self.ring = ring
@@ -506,13 +505,11 @@ class MembershipProblem:
         self._gen_scale = []
         self._gen_int_terms = []
         for g in generators:
-            dens = [self._den(c) for c in g.terms.values()]
-            s = math.lcm(*dens) if dens else 1
+            s = math.lcm(*(c.denominator for c in g.terms.values()))
             self._gen_scale.append(s)
-            self._gen_int_terms.append([(e, self._as_int(c, s)) for e, c in g.terms.items()])
-        tdens = [self._den(c) for c in target.terms.values()]
-        self._target_scale = math.lcm(*tdens) if tdens else 1
-        self._target_int = {e: self._as_int(c, self._target_scale) for e, c in target.terms.items()}
+            self._gen_int_terms.append([(e, (c * s).numerator) for e, c in g.terms.items()])
+        self._target_scale = ts = math.lcm(*(c.denominator for c in target.terms.values()))
+        self._target_int = {e: (c * ts).numerator for e, c in target.terms.items()}
 
         d, n = self.degree, ring.nvars
         self.shape = (
@@ -530,21 +527,6 @@ class MembershipProblem:
                 self._block_generators.append(gi)
                 seen.update((key, frozenset((-g).terms.items())))
         self._blocks = None
-
-    @staticmethod
-    def _den(c):
-        if isinstance(c, Fraction):
-            return c.denominator
-        if isinstance(c, ModInt):
-            return 1
-        raise InhomogeneousInput("membership is supported over QQ and GF(p) coefficients")
-
-    @staticmethod
-    def _as_int(c, scale):
-        if isinstance(c, Fraction):
-            v = c * scale
-            return v.numerator
-        return int(c.value) * scale
 
     def _target_blocks(self):
         """The connected components of the row–column sparsity graph of the
@@ -625,21 +607,16 @@ class MembershipProblem:
                 system[i][len(cols)] = self._target_int[r]
         return _Block(rows=rows, cols=cols, system=system)
 
-    def _field_prime(self):
-        f = self.ring.field
-        return f.p if hasattr(f, "p") else None
-
     def solve_mod(self, p: int) -> MembershipCertificate:
-        """Exact decision of membership in the degree-d slice over GF(p).
+        """Exact decision of membership in the degree-d slice, reduced mod p.
 
         Only the connected components of the row–column sparsity graph that
         contain a target row are built and solved, each as its own small
         sparse block (sparse_solve_mod_p); every other column is set to
         zero.  Inside a block the rows keep descending grevlex and the
         columns the canonical (generator index, grevlex multiplier) order of
-        the whole system.  This gives the
-        same certificate as eliminating the whole system with left-to-right
-        pivoting:
+        the whole system.  This gives the same certificate as eliminating the
+        whole system with left-to-right pivoting:
 
         * a column is a pivot exactly when it is independent of the columns
           before it; components have disjoint rows, so that is decided inside
@@ -656,14 +633,11 @@ class MembershipProblem:
         * a coefficient ≡ 0 mod p only removes edges, so the components of
           the integer pattern stay a valid decomposition at every prime.
         """
-        own = self._field_prime()
-        if own is not None and own != p:
-            raise DenominatorVanishes(f"generators live over GF({own}), not GF({p})")
         if self._target_scale % p == 0 or any(s % p == 0 for s in self._gen_scale):
             raise DenominatorVanishes(f"a denominator vanishes mod {p}")
         if not self.target:
             return self._finish([], GF(p).name, p)
-        sts = int(pow(self._target_scale, -1, p))
+        sts = pow(self._target_scale, -1, p)
         entries = []
         for block in self._target_blocks():
             xb, _ = sparse_solve_mod_p(block.system, len(block.cols), p)
@@ -671,7 +645,7 @@ class MembershipProblem:
                 raise NotInDegree(f"no representation of the target in degree {self.degree} over GF({p})")
             for j, v in xb.items():
                 gi, mult = block.cols[j]
-                coeff = ModInt(v * self._gen_scale[gi] * sts, p)
+                coeff = v * self._gen_scale[gi] * sts % p
                 if coeff:
                     entries.append((gi, mult, coeff))
         return self._finish(entries, GF(p).name, p)
@@ -687,8 +661,6 @@ class MembershipProblem:
         An inconsistent block raises NotInDegree: the target is not in the
         degree-d slice of the ideal over QQ.
         """
-        if self._field_prime() is not None:
-            raise InhomogeneousInput("rational solve needs generators over QQ")
         if not self.target:
             return self._finish([], QQ.name, None)
         entries = []
@@ -724,15 +696,12 @@ class MembershipProblem:
 
 
 def graded_membership(generators, target: SparsePoly) -> MembershipCertificate:
-    """Decide degree-d membership of a homogeneous target in the ideal slice
-    spanned by the generators, returning a replay-verified certificate.
-
-    Over GF(p) and over QQ alike this is an exact decision in the degree:
+    """Decide degree-d membership over QQ of a homogeneous target in the ideal
+    slice spanned by the generators, returning a replay-verified certificate.
     NotInDegree means the target is not in the degree-d slice of the ideal.
     """
     problem = MembershipProblem(generators, target)
-    p = problem._field_prime()
-    cert = problem.solve_mod(p) if p is not None else problem.solve_rational()
+    cert = problem.solve_rational()
     if not problem.replays(cert):
         raise AssertionError("certificate replay failed to reproduce the target")
     return cert

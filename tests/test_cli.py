@@ -79,6 +79,16 @@ def test_config_that_certifies_nothing_exits_2(capsys, flags, error):
     assert f"configuration error: {error}" in err
 
 
+def test_unwritable_json_path_exits_2_before_any_check(tmp_path, monkeypatch, capsys):
+    from heis8_certify import cli
+
+    monkeypatch.setattr(cli, "run_checks", lambda config: pytest.fail("a check ran"))
+    assert cli.main(["verify", "--checks", "commutator-xi", "--json", str(tmp_path / "missing" / "r.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "configuration error: FileNotFoundError" in err
+
+
 def test_forced_failure_exits_1(monkeypatch, capsys):
     # the Smith normal form of 2·(8·I) has factors 16, so torsion-counting fails
     from heis8_certify import cli, linalg

@@ -320,6 +320,29 @@ def test_named_points_on_restricted_system_exactly():
     assert plane_pts == expect
 
 
+def test_some_plane_linear_form_misses_every_named_point():
+    # each named point is S_k·y for a fixed signed permutation S_k, read off
+    # the unit vectors; form ℓ meets it exactly when (ℓ·S_k)·y = 0.  So unless
+    # one choice of k per form gives a singular 3×3 system, no nonzero y puts
+    # a named point on every form, and minus_plane_certificate finds its ℓ
+    units = [
+        [pt.coords for pt in geo.named_intersection_points(geo.MinusPlanePoint.rational(*e))]
+        for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    ]
+    maps = [[[units[j][k][i] for j in range(3)] for i in range(3)] for k in range(4)]
+    for s in maps:
+        assert all(sorted(map(abs, line)) == [0, 0, 1] for line in (*s, *zip(*s)))
+    for y in ((1, 2, 3), (5, -3, 7), (-9, -8, 5), (1, 0, 2)):
+        named = [pt.coords for pt in geo.named_intersection_points(geo.MinusPlanePoint.rational(*y))]
+        assert named == [tuple(sum(a * b for a, b in zip(row, y)) for row in s) for s in maps]
+    # conditions[f][k]: the row ℓ_f·S_k, zero at y exactly when ℓ_f meets S_k·y
+    conditions = [
+        [[sum(l[i] * s[i][j] for i in range(3)) for j in range(3)] for s in maps] for l in geo.PLANE_LINEAR_FORMS
+    ]
+    dets = [Matrix(QQ, rows).det() for rows in itertools.product(*conditions)]
+    assert len(dets) == 64 and all(dets)
+
+
 def named_points_mod_p(y, p):
     """The reductions of the four named points mod p, which must stay four
     distinct points of P²(GF(p)) for the zeros mod p to be comparable."""

@@ -289,7 +289,7 @@ def test_membership_x0_squared_example():
 
 
 def test_membership_not_in_degree():
-    ring = PolyRing(GF(41), ("x0", "x1"))
+    ring = PolyRing(QQ, ("x0", "x1"))
     x0, x1 = ring.gens()
     with pytest.raises(NotInDegree):
         graded_membership([x0 * x0], x1 * x1)
@@ -302,10 +302,19 @@ def test_membership_rejects_inhomogeneous():
         graded_membership([x0 + x0 * x1], x0 * x1)
 
 
+def test_membership_rejects_a_gf_p_ring():
+    ring = PolyRing(GF(41), ("x0", "x1"))
+    x0, x1 = ring.gens()
+    with pytest.raises(InhomogeneousInput, match="over QQ"):
+        MembershipProblem([x0], x0 * x1)
+    qq_x0, qq_x1 = PolyRing(QQ, ring.names).gens()
+    with pytest.raises(InhomogeneousInput, match="over QQ"):
+        MembershipProblem([x0], qq_x0 * qq_x1)
+
+
 def test_membership_replay_randomized():
     rng = random.Random(53)
-    field = GF(41)
-    ring = PolyRing(field, ("a", "b", "c"))
+    ring = PolyRing(QQ, ("a", "b", "c"))
 
     def random_homogeneous(deg, terms):
         mons = monomials_of_degree(3, deg)
@@ -412,27 +421,26 @@ def test_membership_zero_generator_keeps_indices():
 
 
 PARITY_PRIME = 41
-PARITY_RING = PolyRing(GF(PARITY_PRIME), ("a", "b", "c", "d"))
-RATIONAL_RING = PolyRing(QQ, PARITY_RING.names)
+RATIONAL_RING = PolyRing(QQ, ("a", "b", "c", "d"))
 
 
-def _poly(draw, monomials, ring):
+def _poly(draw, monomials):
     coeffs = st.integers(1, PARITY_PRIME - 1)
-    out = ring.zero()
+    out = RATIONAL_RING.zero()
     for e in draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=3, unique=True)):
-        out = out + ring.monomial(e, draw(coeffs))
+        out = out + RATIONAL_RING.monomial(e, draw(coeffs))
     return out
 
 
-def _combination(draw, gens, ring):
-    out = ring.zero()
+def _combination(draw, gens):
+    out = RATIONAL_RING.zero()
     for g in gens:
         out = out + g * draw(st.integers(0, PARITY_PRIME - 1))
     return out
 
 
 @st.composite
-def blocked_systems(draw, ring=PARITY_RING):
+def blocked_systems(draw):
     """Quadrics whose supports lie in three or more disjoint groups of degree-2
     monomials, with a degree-2 target, so each group is a union of components
     of the system.  The first group holds a generator and a multiple of it (a
@@ -442,19 +450,19 @@ def blocked_systems(draw, ring=PARITY_RING):
     mons = draw(st.permutations(monomials_of_degree(4, 2)))
     cuts = sorted(draw(st.sets(st.integers(1, len(mons) - 1), min_size=2, max_size=4)))
     groups = [mons[a:b] for a, b in zip([0, *cuts], [*cuts, len(mons)])]
-    g = _poly(draw, groups[0], ring)
+    g = _poly(draw, groups[0])
     gens = [g, g * draw(st.integers(1, PARITY_PRIME - 1))]
-    target = ring.zero()
+    target = RATIONAL_RING.zero()
     unreached = draw(st.booleans())
     for k, group in enumerate(groups[1:]):
         if unreached and k == 0:
-            target = target + _poly(draw, group, ring)
+            target = target + _poly(draw, group)
             continue
-        group_gens = [_poly(draw, group, ring) for _ in range(draw(st.integers(1, 3)))]
+        group_gens = [_poly(draw, group) for _ in range(draw(st.integers(1, 3)))]
         gens += group_gens
-        target = target + _combination(draw, group_gens, ring)
+        target = target + _combination(draw, group_gens)
     if draw(st.booleans()):
-        target = target + _poly(draw, groups[-1], ring)
+        target = target + _poly(draw, groups[-1])
     return gens, target
 
 
@@ -463,20 +471,20 @@ def multiplier_systems(draw):
     """Generators of degree 1 or 2 and a target up to two degrees higher, so
     the columns are multiplier·generator products."""
     gdeg, mdeg = draw(st.integers(1, 2)), draw(st.integers(0, 2))
-    gens = [_poly(draw, monomials_of_degree(4, gdeg), PARITY_RING) for _ in range(draw(st.integers(1, 3)))]
+    gens = [_poly(draw, monomials_of_degree(4, gdeg)) for _ in range(draw(st.integers(1, 3)))]
     mults = monomials_of_degree(4, mdeg)
-    target = PARITY_RING.zero()
+    target = RATIONAL_RING.zero()
     for g in gens:
-        target = target + g * _poly(draw, mults, PARITY_RING)
+        target = target + g * _poly(draw, mults)
     if draw(st.booleans()):
-        target = target + _poly(draw, monomials_of_degree(4, gdeg + mdeg), PARITY_RING)
+        target = target + _poly(draw, monomials_of_degree(4, gdeg + mdeg))
     return gens, target
 
 
-def _dense_system(gens, target, ring):
+def _dense_system(gens, target):
     """The whole system, rows and columns enumerated here: its columns
     (generator index, multiplier) in canonical order and its augmented rows
-    [A | b] in descending grevlex, every coefficient in the ring's field."""
+    [A | b] in descending grevlex, every coefficient in QQ."""
     d = target.homogeneous_degree()
     columns = [
         (gi, mult)
@@ -484,8 +492,8 @@ def _dense_system(gens, target, ring):
         if g.homogeneous_degree() <= d
         for mult in monomials_of_degree(4, d - g.homogeneous_degree())
     ]
-    products = [(gens[gi] * ring.monomial(mult)).terms for gi, mult in columns]
-    zero = ring.field.zero
+    products = [(gens[gi] * RATIONAL_RING.monomial(mult)).terms for gi, mult in columns]
+    zero = QQ.zero
     aug = [
         [terms.get(e, zero) for terms in products] + [target.terms.get(e, zero)]
         for e in monomials_of_degree(4, d)
@@ -494,11 +502,12 @@ def _dense_system(gens, target, ring):
 
 
 def _dense_solve(gens, target):
-    """The whole system as one dense augmented matrix solved by the kernel.
-    Returns the shape of the system and the nonzero entries of its solution
-    by column, or None."""
-    columns, aug = _dense_system(gens, target, PARITY_RING)
-    x, _, _ = solve_mod_p(np.array([[c.value for c in row] for row in aug], dtype=np.int64), PARITY_PRIME)
+    """The whole integer system reduced mod PARITY_PRIME as one dense
+    augmented matrix, solved by the kernel.  Returns the shape of the system
+    and the nonzero entries of its solution by column, or None."""
+    columns, aug = _dense_system(gens, target)
+    rows = [[c.numerator % PARITY_PRIME for c in row] for row in aug]  # integer coefficients
+    x, _, _ = solve_mod_p(np.array(rows, dtype=np.int64), PARITY_PRIME)
     solution = None if x is None else {columns[k]: int(x[k]) for k in np.nonzero(x)[0]}
     return (len(aug), len(columns)), solution
 
@@ -517,7 +526,7 @@ def test_membership_blocks_match_dense_solve(system):
             problem.solve_mod(PARITY_PRIME)
         return
     cert = problem.solve_mod(PARITY_PRIME)
-    assert {(gi, mult): c.value for gi, mult, c in cert.entries} == dense
+    assert {(gi, mult): c for gi, mult, c in cert.entries} == dense
 
 
 def _bareiss_solve(rows, ncols):
@@ -566,13 +575,13 @@ def _dense_qq_solve(gens, target):
     """The whole system over QQ solved by the reduced row echelon form: the
     nonzero entries of the solution with every free variable zero, by
     column, or None if it is inconsistent."""
-    columns, aug = _dense_system(gens, target, RATIONAL_RING)
+    columns, aug = _dense_system(gens, target)
     x = solve(Matrix(QQ, [row[:-1] for row in aug]), [row[-1] for row in aug])
     return None if x is None else {col: v for col, v in zip(columns, x) if v}
 
 
 @settings(max_examples=200, deadline=None)
-@given(blocked_systems(RATIONAL_RING))
+@given(blocked_systems())
 def test_rational_certificate_is_the_dense_qq_solution(system):
     gens, target = system  # integer coefficients, so no denominators to clear
     if not target:

@@ -25,7 +25,6 @@ def fresh_orbit_memo():
         registry._generic_point,
         geometry.symbolic_quadrics,
         geometry.quadric_span_images,
-        geometry.minus_plane_conics,
         geometry.moore_pipeline,
         heisenberg.center_and_quotient,
     )
