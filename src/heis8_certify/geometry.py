@@ -393,10 +393,11 @@ def _plane_monomials(degree: int) -> list:
 def _plane_degree_rank(polys, degree: int) -> int:
     """dim (polys)_degree for plane polynomials over QQ: the number of
     invariant factors of the integer matrix of their monomial multiples in
-    that degree, each polynomial scaled to integer coefficients."""
+    that degree, each polynomial scaled to integer coefficients.  A zero
+    polynomial has no degree and adds no multiples, so it is skipped."""
     cols = {e: j for j, e in enumerate(_plane_monomials(degree))}
     rows = []
-    for f in polys:
+    for f in filter(None, polys):
         scale = math.lcm(*(c.denominator for c in f.terms.values()))
         for m in _plane_monomials(degree - f.homogeneous_degree()):
             row = [0] * len(cols)

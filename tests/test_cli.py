@@ -229,8 +229,9 @@ def test_numpy_is_imported_only_by_runs_that_sample(args):
     assert out.stdout.splitlines()[-1] == "False None 0"
 
 
-# modules a fresh process should not pay for: OpenSSL's libcrypto behind
-# hashlib, and dataclasses with the inspect/ast machinery it imports
+# modules a fresh process should not pay for: hashlib and _hashlib, which map
+# OpenSSL's libcrypto (digests use CPython's built-in SHA-256 instead), and
+# dataclasses with the inspect/ast machinery it imports
 HEAVY_MODULES = ("hashlib", "_hashlib", "dataclasses", "inspect")
 # sha256 of the Pfaffian's canonical text, as recorded in perfbench/expected_hashes.json
 PFAFFIAN_SHA256 = "96f7ec25133090472a78948f8783161f78ed09455418f52ef6daa0523bf56b6d"
@@ -287,9 +288,19 @@ def test_fresh_runs_load_only_the_math_modules_their_checks_use(args, modules, l
     assert fresh_run(*args, modules=modules) == (0, loaded)
 
 
-def test_a_run_that_reports_a_digest_loads_hashlib(tmp_path):
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "--checks", "pfaffian-formula"),
+        ("verify",),
+        ("verify", "--fast", "--checks", "psi-quartic-membership,quartic-smooth-genus3,minus-plane-4points", "--primes", "17,41"),
+    ],
+    ids=["pfaffian", "verify-default", "verify-fast-membership"],
+)
+def test_runs_that_report_a_digest_load_no_heavy_module(tmp_path, args):
     out = tmp_path / "report.json"
-    code, loaded = fresh_run("verify", "--checks", "pfaffian-formula", "--json", str(out))
-    assert (code, loaded) == (0, ["hashlib", "_hashlib"])
-    (result,) = json.loads(out.read_text())["results"]
-    assert result["payload"]["pfaffian_sha256"] == PFAFFIAN_SHA256
+    assert fresh_run(*args, "--json", str(out)) == (0, [])
+    payloads = {r["id"]: r["payload"] for r in json.loads(out.read_text())["results"]}
+    assert any(k.endswith("_sha256") for p in payloads.values() for k in p)
+    if "pfaffian-formula" in payloads:
+        assert payloads["pfaffian-formula"]["pfaffian_sha256"] == PFAFFIAN_SHA256

@@ -4,6 +4,7 @@ every check has a mutation in MUTATIONS (a defect in its evidence) that gives
 FAIL with exit code 1 and no crash.  A defect that rejects every candidate
 base point leaves no point certified: both orbit checks FAIL and record the
 rejections."""
+import hashlib
 import json
 import re
 
@@ -158,6 +159,29 @@ def _no_sweep(polys, p):
                 "gf17_zeros": "2",
             },
         ),
+        # two coordinates zero: restricted conics vanish identically, which the
+        # rank skips, and the named points collapse to one at (0, 1, 0), to two
+        # at (1, 0, 0)
+        (
+            (0, 1, 0),
+            FAIL,
+            {
+                "distinct_named_points": "1",
+                "hilbert_linear_form": "y1 + 2*y2 + 5*y3",
+                "hilbert_deg3_rank": "10/10",
+                "gf17_zeros": "1",
+            },
+        ),
+        (
+            (1, 0, 0),
+            FAIL,
+            {
+                "distinct_named_points": "2",
+                "hilbert_linear_form": "y1 + 2*y2 + 5*y3",
+                "hilbert_deg3_rank": "10/10",
+                "gf17_zeros": "2",
+            },
+        ),
     ],
 )
 def test_minus_plane_certificate_at_pinned_base_points(monkeypatch, base_point, status, payload):
@@ -168,6 +192,16 @@ def test_minus_plane_certificate_at_pinned_base_points(monkeypatch, base_point, 
     assert result.status == status
     assert swept == ([17] if status == FAIL else [])  # only colliding named points are counted
     assert result.payload == {"exact_membership_of_named_points": "True", **payload}
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [[], ["x0"], ["ζ8·x²"], [512], [f"x{i}^{i % 5}" for i in range(300)]],
+    ids=["empty", "ascii", "non-ascii", "int", "many"],
+)
+def test_sha256_lines_hashes_each_part_as_a_utf8_line(parts):
+    expected = hashlib.sha256(b"".join(str(s).encode() + b"\n" for s in parts)).hexdigest()
+    assert registry._sha256_lines(iter(parts)) == expected
 
 
 def test_degenerate_base_points_redraw_to_the_fixed_witnesses():
