@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-Every error raised by the library derives from CertifyError so callers can
-catch the whole family; DivisionByZero additionally derives from the builtin
-ZeroDivisionError so the three coefficient fields share one division contract.
+Every error the library raises itself derives from CertifyError, so callers
+can catch the whole family; a division by zero in QQ is the builtin
+ZeroDivisionError that ``fractions.Fraction`` raises.
 """
 
 
@@ -11,18 +11,6 @@ class CertifyError(Exception):
 
 
 # exact arithmetic
-class DivisionByZero(CertifyError, ZeroDivisionError):
-    pass
-
-
-class ModulusMismatch(CertifyError):
-    pass
-
-
-class BadPrime(CertifyError):
-    pass
-
-
 class DenominatorVanishes(CertifyError):
     pass
 

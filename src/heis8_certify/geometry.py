@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DegeneratePoint, PointNotOnVariety, ZeroPoint
-from .exactmath import GF, QQ
+from .exactmath import QQ, residue
 from .heisenberg import SHIFT, TWIST, HeisenbergElement, ProjPoint, center_and_quotient
 from .linalg import Matrix, MembershipProblem, graded_membership, smith_normal_form
 from .multipoly import (
@@ -447,14 +447,14 @@ def minus_plane_certificate(y: MinusPlanePoint) -> tuple:
 
 
 def plane_zeros_mod_p(polys, p: int) -> list:
-    """All common zeros in P²(GF(p)) of plane polynomials over GF(p): each of
+    """All common zeros in P²(GF(p)) of plane polynomials over QQ: each of
     the p²+p+1 points, first nonzero coordinate 1, evaluated in every
-    polynomial on the integer values of its coefficients.
+    polynomial on the int residues of its coefficients.
 
     Returns the zeros as coordinate triples, (1:a:t) by increasing (a, t),
     then (0:1:t) by t, then (0:0:1).
     """
-    terms = [[(e, c.value) for e, c in f.sorted_terms()] for f in polys]
+    terms = [[(e, residue(c, p)) for e, c in f.sorted_terms()] for f in polys]
     points = [(1, a, t) for a in range(p) for t in range(p)]
     points += [(0, 1, t) for t in range(p)] + [(0, 0, 1)]
     return [
@@ -464,14 +464,12 @@ def plane_zeros_mod_p(polys, p: int) -> list:
     ]
 
 
-def minus_plane_solutions_mod_p(y: MinusPlanePoint, p: int) -> set:
-    """The common zeros of the restricted conics in P²(GF(p)), by
-    plane_zeros_mod_p: the tests' GF(p) reference for minus_plane_certificate,
-    and the count mod 17 a degenerate-line FAIL reports.  No verdict reads it."""
-    field = GF(p)
-    ring_p = plane_ring(field)
-    conics_p = [c.map_coefficients(field.coerce, ring_p) for c in minus_plane_conics(y)]
-    return {ProjPoint(field, pt) for pt in plane_zeros_mod_p(conics_p, p)}
+def minus_plane_solutions_mod_p(y: MinusPlanePoint, p: int) -> list:
+    """The common zeros of the restricted conics in P²(GF(p)), as the
+    normalized int triples of plane_zeros_mod_p: the tests' GF(p) reference
+    for minus_plane_certificate, and the count mod 17 a degenerate-line FAIL
+    reports.  No verdict reads it."""
+    return plane_zeros_mod_p(minus_plane_conics(y), p)
 
 
 # ---------------------------------------------------------------------------
@@ -619,10 +617,7 @@ def quartic_smooth_mod_p(p: int) -> bool:
     """No common zero of the three partials on P²(GF(p)), exhaustively.  No
     check calls it: it is the tests' GF(p) reference for the Nullstellensatz
     certificates, and a hook of the traced benchmark."""
-    field = GF(p)
-    ring_p = PolyRing(field, CONIC_NAMES)
-    parts = [g.map_coefficients(field.coerce, ring_p) for g in quartic_partials()]
-    return not plane_zeros_mod_p(parts, p)
+    return not plane_zeros_mod_p(quartic_partials(), p)
 
 
 def quartic_nullstellensatz_certificates():
@@ -666,9 +661,10 @@ def quartic_genus() -> int:
 # topology numbers
 
 
-def topology_numbers() -> dict:
+def topology_numbers(nodes: int) -> dict:
     """Degree, c₂·H and Euler characteristic of the (2,2,2,2) intersection,
-    the node-resolution identity, and the Hilbert-series cross-check.
+    the node-resolution identity e + 2·nodes for the number of nodes of the
+    certified orbit, and the Hilbert-series cross-check.
 
     The Hilbert series of the coordinate ring is (1−t²)⁴/(1−t)⁸; cancelling
     (1−t)⁴ leaves the reduced numerator (1−t²)⁴/(1−t)⁴ = (1+t)⁴ over
@@ -683,7 +679,7 @@ def topology_numbers() -> dict:
         "degree": inv.degree,
         "c2_hyperplane_degree": inv.c2_hyperplane_degree,
         "euler_smooth": inv.euler,
-        "node_identity": inv.euler + 2 * 64,
+        "node_identity": inv.euler + 2 * nodes,
         "hilbert_numerator_at_1": sum(numerator),
         "hilbert_coeffs": ",".join(map(str, numerator)),
     }

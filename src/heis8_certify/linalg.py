@@ -17,8 +17,8 @@ from .errors import (
     NotInDegree,
     NotUnipotent,
 )
-from .exactmath import GF, QQ
-from .multipoly import PolyRing, SparsePoly, grevlex_key
+from .exactmath import QQ, residue
+from .multipoly import SparsePoly, grevlex_key
 
 
 class Matrix:
@@ -636,7 +636,7 @@ class MembershipProblem:
         if self._target_scale % p == 0 or any(s % p == 0 for s in self._gen_scale):
             raise DenominatorVanishes(f"a denominator vanishes mod {p}")
         if not self.target:
-            return self._finish([], GF(p).name, p)
+            return self._finish([], f"GF({p})", p)
         sts = pow(self._target_scale, -1, p)
         entries = []
         for block in self._target_blocks():
@@ -648,7 +648,7 @@ class MembershipProblem:
                 coeff = v * self._gen_scale[gi] * sts % p
                 if coeff:
                     entries.append((gi, mult, coeff))
-        return self._finish(entries, GF(p).name, p)
+        return self._finish(entries, f"GF({p})", p)
 
     def solve_rational(self) -> MembershipCertificate:
         """Exact decision of membership in the degree-d slice over QQ.
@@ -683,16 +683,19 @@ class MembershipProblem:
         )
 
     def replays(self, cert: MembershipCertificate) -> bool:
-        """Whether replaying the certificate reproduces the target exactly."""
+        """Whether replaying the certificate reproduces the target exactly:
+        over QQ by replay_certificate, mod p on the int residues of the
+        generators' and the target's coefficients."""
         if cert.prime is None:
-            gens, target = self.generators, self.target
-        else:
-            p = cert.prime
-            field = GF(p)
-            ring = PolyRing(field, self.ring.names)
-            gens = [g.map_coefficients(field.coerce, ring) for g in self.generators]
-            target = self.target.map_coefficients(field.coerce, ring)
-        return replay_certificate(cert, gens) == target
+            return replay_certificate(cert, self.generators) == self.target
+        p = cert.prime
+        gens = [[(e, residue(c, p)) for e, c in g.terms.items()] for g in self.generators]
+        acc = defaultdict(int)
+        for gi, exps, coeff in cert.entries:
+            for e, c in gens[gi]:
+                acc[tuple(map(operator.add, e, exps))] += c * coeff
+        target = {e: r for e, c in self.target.terms.items() if (r := residue(c, p))}
+        return {e: v % p for e, v in acc.items() if v % p} == target
 
 
 def graded_membership(generators, target: SparsePoly) -> MembershipCertificate:

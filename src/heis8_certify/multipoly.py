@@ -216,14 +216,6 @@ class SparsePoly:
             acc = acc + t
         return acc
 
-    def map_coefficients(self, fn, ring: PolyRing) -> "SparsePoly":
-        out = {}
-        for e, c in self.terms.items():
-            v = fn(c)
-            if v:
-                out[e] = v
-        return SparsePoly(ring, out)
-
     def text(self) -> str:
         """Canonical rendering: descending grevlex, explicit ``^`` and ``*``."""
         if not self.terms:

@@ -38,16 +38,22 @@ def _result(cid, ok, field, payload, prime=None):
     )
 
 
-def _sha256_lines(parts) -> str:
-    """The SHA-256 hex digest of the parts, each written as a line: str(part)
-    in UTF-8, then b"\\n".  The hash is CPython's own FIPS 180-4 module, not
-    hashlib, whose import maps OpenSSL's libcrypto into the process."""
+@lru_cache(maxsize=1)
+def _sha256():
+    """CPython's own FIPS 180-4 SHA-256 constructor, not hashlib's, whose
+    import maps OpenSSL's libcrypto into the process.  Resolved once: on
+    Python 3.10 and 3.11 every lookup would first fail to import _sha2."""
     try:
         from _sha2 import sha256  # Python 3.12+
     except ImportError:
         from _sha256 import sha256  # Python 3.10 and 3.11
+    return sha256
 
-    h = sha256()
+
+def _sha256_lines(parts) -> str:
+    """The SHA-256 hex digest of the parts, each written as a line: str(part)
+    in UTF-8, then b"\\n"."""
+    h = _sha256()()
     for s in parts:
         h.update(str(s).encode())
         h.update(b"\n")
@@ -341,7 +347,8 @@ def check_quartic(cfg: RunConfig) -> CertificateResult:
 def check_topology(cfg: RunConfig) -> CertificateResult:
     from . import geometry
 
-    data = geometry.topology_numbers()
+    _y, orbit, _rejected = _generic_point(cfg.base_point)
+    data = geometry.topology_numbers(orbit["cone_rank4"] if orbit else 0)
     ok = (
         data["degree"] == 16
         and data["c2_hyperplane_degree"] == 64

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BadSize, UnluckyPrime
+from .errors import BadSize, DenominatorVanishes, UnluckyPrime
+from .exactmath import residue
 from .geometry import MinusPlanePoint, build_system
 from .multipoly import SparsePoly, grevlex_key
 
@@ -109,16 +109,10 @@ def _twist_weight(key: int) -> int:
     return sum(i * ((key >> (4 * i)) & 15) for i in range(1, 8))
 
 
-def _residue(c: Fraction, p: int) -> int:
-    if c.denominator % p == 0:
-        raise UnluckyPrime(f"a denominator vanishes mod {p}")
-    return c.numerator * pow(c.denominator, -1, p) % p
-
-
 def _packed_mod_p(poly: SparsePoly, p: int) -> dict:
     out = {}
     for e, c in poly.terms.items():
-        v = _residue(c, p)
+        v = residue(c, p)
         if v:
             out[_key(e)] = v
     return out
@@ -292,7 +286,8 @@ def _eliminate_x4(poly: dict, c: int, p: int) -> dict:
 def singular_scheme_mod_p(y: MinusPlanePoint, p: int, seed, points: int) -> dict:
     """At one prime, that the singular scheme of V at y is finite and has
     length at most `points` (a multiple of 8); raises UnluckyPrime when the
-    prime does not show both.
+    prime does not show both, and DenominatorVanishes when a coefficient has
+    no residue mod p.
 
     I = (quadrics, maximal minors of the Jacobian) cuts out the singular
     scheme, and R = S/(quadrics) has the standard monomials as a basis
@@ -326,7 +321,7 @@ def singular_scheme_mod_p(y: MinusPlanePoint, p: int, seed, points: int) -> dict
     """
     rng = random.Random(f"{seed}/{p}")
     quadrics, minors = singular_ideal_mod_p(y, p)
-    base = [_residue(c, p) for c in y.embed().coords]
+    base = [residue(c, p) for c in y.embed().coords]
     if any(_eval_mod_p(m, base, p) for m in minors):
         raise UnluckyPrime(f"a minor does not vanish at the base point mod {p}")
     rank, ncols, rows = QuadricQuotient(quadrics, p).block_rank(
@@ -362,6 +357,6 @@ def singular_scheme_certificate(y: MinusPlanePoint, seed, points: int):
         try:
             payload.update(singular_scheme_mod_p(y, p, seed, points))
             return payload, p
-        except UnluckyPrime as exc:
+        except (UnluckyPrime, DenominatorVanishes) as exc:
             payload[f"hilbert_unlucky_{p}"] = str(exc)
     return payload, None

@@ -6,20 +6,18 @@ from fractions import Fraction
 
 import pytest
 
-from heis8_certify.errors import (
+from heis8_certify.errors import DenominatorVanishes
+from heis8_certify.exactmath import QQ, is_prime, residue
+
+from helpers import (
+    GF,
     BadPrime,
     DivisionByZero,
-    ModulusMismatch,
-)
-from heis8_certify.exactmath import (
-    GF,
-    QQ,
     ModInt,
+    ModulusMismatch,
     find_order8_root,
-    is_prime,
+    multiplicative_order,
 )
-
-from helpers import multiplicative_order
 
 ZETA_PRIMES = (17, 41, 73)
 
@@ -127,6 +125,16 @@ def test_root_of_unity_availability():
         QQ.root_of_unity(2)
     with pytest.raises(MissingRootOfUnity):
         GF(7).root_of_unity(1)
+
+
+def test_residue_matches_the_reference_field():
+    assert residue(20, 17) == 3
+    assert residue(Fraction(-3, 2), 17) == 7  # 2·7 ≡ −3 mod 17
+    for c in (0, -4, Fraction(5, 7), Fraction(-22, 9), 10**30 + 1):
+        for p in ZETA_PRIMES:
+            assert residue(c, p) == GF(p).coerce(c).value
+    with pytest.raises(DenominatorVanishes):
+        residue(Fraction(1, 34), 17)
 
 
 def test_is_prime_small():

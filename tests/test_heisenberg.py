@@ -5,7 +5,7 @@ import random
 import pytest
 
 from heis8_certify.errors import MissingRootOfUnity, ZeroPoint
-from heis8_certify.exactmath import GF, QQ
+from heis8_certify.exactmath import QQ
 from heis8_certify.heisenberg import (
     CENTRAL,
     SHIFT,
@@ -16,6 +16,8 @@ from heis8_certify.heisenberg import (
     enumerate_group,
     orbit,
 )
+
+from helpers import GF
 
 def test_shift_order_eight():
     assert (SHIFT * SHIFT**7).is_identity()

@@ -14,16 +14,18 @@ from hypothesis import strategies as st
 
 from heis8_certify import cli, geometry, linalg
 from heis8_certify.errors import (
+    DenominatorVanishes,
     DimensionMismatch,
     InhomogeneousInput,
     NotInDegree,
     NotUnipotent,
 )
-from heis8_certify.exactmath import GF, QQ
+from heis8_certify.exactmath import QQ
 from heis8_certify.kernels import solve_mod_p
 from heis8_certify.linalg import (
     MERSENNE_EXPONENTS,
     Matrix,
+    MembershipCertificate,
     MembershipProblem,
     WedgeLemmaSweep,
     graded_membership,
@@ -38,7 +40,7 @@ from heis8_certify.linalg import (
 from heis8_certify.multipoly import PolyRing
 from heis8_certify.registry import MONODROMY_MATRIX
 
-from helpers import apply, monomials_of_degree, solve
+from helpers import GF, apply, map_coefficients, monomials_of_degree, solve
 
 
 def test_rank_examples():
@@ -382,6 +384,32 @@ def test_rational_solve_never_calls_solve_mod(monkeypatch):
     monkeypatch.setattr(MembershipProblem, "solve_mod", solve_mod)
     cert = problem.solve_rational()
     assert problem.replays(cert17) and problem.replays(cert)
+
+
+@pytest.mark.parametrize("p", [17, 41, 73])
+def test_residue_replay_agrees_with_the_reference_replay(p):
+    # replays multiplies a GF(p) certificate out on int residues; the
+    # reference replays it in PolyRing(GF(p)) through replay_certificate
+    problem = geometry.psi_membership_problem()
+    ring_p = PolyRing(GF(p), problem.ring.names)
+    gens_p = [map_coefficients(g, GF(p).coerce, ring_p) for g in problem.generators]
+    target_p = map_coefficients(problem.target, GF(p).coerce, ring_p)
+    cert = problem.solve_mod(p)
+    (gi, mult, coeff), *rest = cert.entries
+    corrupted = cert._replace(entries=((gi, mult, (coeff + 1) % p), *rest))
+    for c, expected in ((cert, True), (corrupted, False)):
+        assert problem.replays(c) is expected
+        assert (replay_certificate(c, gens_p) == target_p) is expected
+
+
+@pytest.mark.parametrize("p", [17, 41, 73])
+def test_residue_replay_raises_when_a_denominator_vanishes(p):
+    ring = PolyRing(QQ, ("a", "b"))
+    a, b = ring.gens()
+    problem = MembershipProblem([a * Fraction(1, p), b], a * b)
+    cert = MembershipCertificate(field_name=f"GF({p})", prime=p, degree=2, entries=((0, (0, 1), 1),))
+    with pytest.raises(DenominatorVanishes):
+        problem.replays(cert)
 
 
 # the primes ≡ 1 mod 8 below 250, a ladder a modular shortcut might try

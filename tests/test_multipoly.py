@@ -16,7 +16,7 @@ from heis8_certify.errors import (
     NonInvertibleMap,
     NotSkewSymmetric,
 )
-from heis8_certify.exactmath import GF, QQ
+from heis8_certify.exactmath import QQ
 from heis8_certify.multipoly import (
     PolyMatrix,
     PolyRing,
@@ -26,6 +26,8 @@ from heis8_certify.multipoly import (
     pfaffian4,
     truncated_product,
 )
+
+from helpers import GF
 
 RX = PolyRing(QQ, tuple(f"x{i}" for i in range(8)))
 

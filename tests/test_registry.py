@@ -4,6 +4,7 @@ every check has a mutation in MUTATIONS (a defect in its evidence) that gives
 FAIL with exit code 1 and no crash.  A defect that rejects every candidate
 base point leaves no point certified: both orbit checks FAIL and record the
 rejections."""
+import builtins
 import hashlib
 import json
 import re
@@ -11,11 +12,12 @@ import re
 import pytest
 
 from heis8_certify import cli, geometry, heisenberg, linalg, registry, singular
-from heis8_certify.exactmath import GF
 from heis8_certify.heisenberg import SHIFT, HeisenbergElement, orbit
 from heis8_certify.linalg import MembershipProblem
 from heis8_certify.multipoly import PolyMatrix, grevlex_key
 from heis8_certify.report import FAIL, PASS, RunConfig
+
+from helpers import GF
 
 ORBIT_CHECKS = ("orbit-64-singular", "odp-proxy")
 
@@ -202,6 +204,23 @@ def test_minus_plane_certificate_at_pinned_base_points(monkeypatch, base_point, 
 def test_sha256_lines_hashes_each_part_as_a_utf8_line(parts):
     expected = hashlib.sha256(b"".join(str(s).encode() + b"\n" for s in parts)).hexdigest()
     assert registry._sha256_lines(iter(parts)) == expected
+
+
+def test_sha256_constructor_is_imported_once(monkeypatch):
+    # before 3.12 each lookup of _sha2 fails: the constructor is resolved once
+    registry._sha256.cache_clear()
+    requested = []
+    real_import = builtins.__import__
+
+    def counting_import(name, *args, **kwargs):
+        requested.append(name)
+        return real_import(name, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", counting_import)
+    digests = [registry._sha256_lines(["x0"]) for _ in range(2)]
+    monkeypatch.undo()
+    assert digests == [hashlib.sha256(b"x0\n").hexdigest()] * 2
+    assert requested.count("_sha2") <= 1
 
 
 def test_degenerate_base_points_redraw_to_the_fixed_witnesses():
@@ -589,6 +608,8 @@ MUTATIONS = [
             "hilbert_coeffs": "1,4,6,4,1",
         },
     ),
+    # the identity reads the nodes of the certified orbit, not a literal 64
+    ("topology-numbers", _quotient_of_order_32, {"node_identity": "-64"}),
     (
         "monodromy-nilpotent",
         _monodromy(((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1))),  # rank(M − I) = 2

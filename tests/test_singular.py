@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 from heis8_certify import geometry as geo
 from heis8_certify import singular
 from heis8_certify.errors import BadSize, DegeneratePoint, UnluckyPrime
-from heis8_certify.exactmath import GF
 from heis8_certify.linalg import Matrix, sparse_solve_mod_p
 
-from helpers import monomials_of_degree, symbolic_jacobian
+from helpers import GF, monomials_of_degree, symbolic_jacobian
 
 Y123 = geo.MinusPlanePoint.rational(1, 2, 3)
 WIDTH = singular.PACKED_WIDTH
