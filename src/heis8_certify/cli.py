@@ -13,9 +13,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .claims import CLAIMS, known_ids
 from .errors import CertifyError
-from .registry import REGISTRY, known_ids, run_checks
-from .report import PASS, RunConfig, validate_config
 
 
 def _parse_int_list(text: str):
@@ -36,7 +35,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--checks", default="all", help="comma-separated claim ids, or 'all'")
     verify.add_argument("--primes", default="17,41,73", help="comma-separated primes, each ≡ 1 mod 8")
     verify.add_argument("--seed", type=int, default=42, help="64-bit seed for randomized corroboration")
-    verify.add_argument("--y", default="1,2,3", help="rational base point of the minus plane, as a,b,c")
+    verify.add_argument(
+        "--y",
+        default="1,2,3",
+        help="rational base point of the minus plane, as a,b,c; write --y=-1,2,3 when a is negative",
+    )
     verify.add_argument("--json", dest="json_path", default=None, help="also write the JSON report here")
     verify.add_argument("--fast", action="store_true", help="skip the rational membership solve")
 
@@ -48,10 +51,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "list":
-        width = max(len(spec.id) for spec in REGISTRY)
-        for spec in REGISTRY:
-            print(f"{spec.id:<{width}s}  {spec.claim}")
+        width = max(len(cid) for cid, _claim in CLAIMS)
+        for cid, claim in CLAIMS:
+            print(f"{cid:<{width}s}  {claim}")
         return 0
+
+    from .report import PASS, RunConfig, validate_config
 
     try:
         checks = ("all",) if args.checks.strip() == "all" else tuple(
@@ -69,6 +74,9 @@ def main(argv=None) -> int:
     except (CertifyError, OSError) as exc:
         print(f"configuration error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+
+    # the check code is compiled only once a valid configuration runs it
+    from .registry import run_checks
 
     report = run_checks(config)
     sys.stdout.write(report.to_text())

@@ -1,11 +1,13 @@
-"""The claim registry: one check per certified claim, executed by the CLI.
+"""The check registry: one check per claim of the claim table (claims.py),
+executed by the CLI.
 
 Every check is a pure function RunConfig → CertificateResult, deterministic
 given (primes, seed, base point).  The runner executes the selected checks
-one after another, in registry order.
+one after another, in registry order, which is the table's.
 
-The table itself needs no arithmetic: each check imports the math modules it
-uses when it runs, so `list` and the configuration path load none of them.
+Each check imports the math modules it uses when it runs, so loading the
+registry loads none of them; `list` and a configuration error read the claim
+table alone and do not load the registry at all.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import time
 from functools import lru_cache, partial
 from typing import NamedTuple
 
+from .claims import CLAIMS, known_ids  # noqa: F401  (known_ids: the registry's ids)
 from .errors import CertifyError, NotInDegree, UnknownCheckId
 from .report import FAIL, PASS, VERSION, CertificateResult, Report, RunConfig
 
@@ -459,30 +462,34 @@ class CheckSpec(NamedTuple):
     runner: object
 
 
-REGISTRY = (
-    CheckSpec("group-order-512", "the group generated by shift and twist has order 512", check_group_order),
-    CheckSpec("center-mu8", "the center is the scalar subgroup of 8th roots of unity, order 8", check_center),
-    CheckSpec("quotient-Z8-squared", "the quotient by the center has invariant factors (8, 8)", check_quotient),
-    CheckSpec("commutator-xi", "twist*shift = zeta8 * shift*twist; the commutator is the central zeta8", check_commutator),
-    CheckSpec("ideal-invariance", "shift and twist map each quadric into the span of the four quadrics", check_ideal_invariance),
-    CheckSpec("base-point-on-V", "the embedded base point satisfies all four quadrics, identically in the plane coordinates", check_base_point),
-    CheckSpec("orbit-64-singular", "the singular locus at a general base point is exactly its 64-point orbit, each point of length 1", check_orbit_singular),
-    CheckSpec("odp-proxy", "every orbit point is corank 1 with a rank-4 quadratic cone on the normal slice", check_odp_proxy),
-    CheckSpec("minus-plane-4points", "the intersection with the minus plane is exactly the 4 distinguished points", check_minus_plane),
-    CheckSpec("moore-skew", "the restricted Moore matrix matches the reference and is skew after swapping rows 1 and 3", check_moore_skew),
-    CheckSpec("pfaffian-formula", "Pf = w0*(y1^2-y3^2+y5^2-y7^2)/2 + w1*(y0-y4)*(y2-y6) + w2*(y3*y7-y1*y5), recorded sign +1", check_pfaffian),
-    CheckSpec("psi-quartic-membership", "the pullback of w1^4-8*w0^3*w2-8*w0*w2^3 lies in the ideal of 2x2 minors of M(y,y)", check_psi_membership),
-    CheckSpec("quartic-smooth-genus3", "w1^4-8*w0^3*w2-8*w0*w2^3 defines a smooth plane quartic of genus 3", check_quartic),
-    CheckSpec("topology-numbers", "degree 16, c2-degree 64, Euler characteristic -128, and -128 + 2*64 = 0", check_topology),
-    CheckSpec("monodromy-nilpotent", "rank(M-I) = 1, (M-I)^2 = 0, monodromy-invariant sublattice of rank 3", check_monodromy),
-    CheckSpec("unipotent-log", "log M = (M-I) - (M-I)^2/2, additive on commuting unipotent pairs", check_unipotent_log),
-    CheckSpec("wedge-lemma", "for independent e1, e2 and any f outside span(e1^e2): e1^f or e2^f is nonzero over F2", check_wedge_lemma),
-    CheckSpec("torsion-counting", "the 8-torsion of the rank-4 lattice has order 4096 and contains the 64-element section group", check_torsion),
+# the checks in claim-table order, one per claim
+REGISTRY = tuple(
+    CheckSpec(cid, claim, runner)
+    for (cid, claim), runner in zip(
+        CLAIMS,
+        (
+            check_group_order,
+            check_center,
+            check_quotient,
+            check_commutator,
+            check_ideal_invariance,
+            check_base_point,
+            check_orbit_singular,
+            check_odp_proxy,
+            check_minus_plane,
+            check_moore_skew,
+            check_pfaffian,
+            check_psi_membership,
+            check_quartic,
+            check_topology,
+            check_monodromy,
+            check_unipotent_log,
+            check_wedge_lemma,
+            check_torsion,
+        ),
+        strict=True,
+    )
 )
-
-
-def known_ids():
-    return tuple(spec.id for spec in REGISTRY)
 
 
 def get_check(cid: str) -> CheckSpec:

@@ -11,9 +11,8 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .errors import EmptySelection, InvalidPrime, InvalidSeed, UnknownCheckId, ZeroPoint
-
-VERSION = "0.1.0"
+from heis8_certify import __version__ as VERSION
+from .errors import BadDimension, EmptySelection, InvalidPrime, InvalidSeed, UnknownCheckId, ZeroPoint
 
 PASS = "pass"
 FAIL = "fail"
@@ -78,7 +77,9 @@ def validate_config(config: RunConfig, known_ids) -> None:
         for cid in config.checks:
             if cid not in known_ids:
                 raise UnknownCheckId(cid)
-    if len(config.base_point) != 3 or not any(config.base_point):
+    if len(config.base_point) != 3:
+        raise BadDimension(f"base point {config.base_point} must have exactly 3 coordinates")
+    if not any(config.base_point):
         raise ZeroPoint(f"base point {config.base_point} must be a nonzero integer triple")
 
 

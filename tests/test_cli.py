@@ -62,6 +62,36 @@ def test_zero_base_point_exits_2():
 
 
 @pytest.mark.parametrize(
+    "y, error",
+    [
+        ("1,2", "BadDimension: base point (1, 2) must have exactly 3 coordinates"),
+        ("1,2,3,4", "BadDimension: base point (1, 2, 3, 4) must have exactly 3 coordinates"),
+        ("0,0,0", "ZeroPoint: base point (0, 0, 0) must be a nonzero integer triple"),
+    ],
+    ids=["two-coordinates", "four-coordinates", "zero"],
+)
+def test_bad_base_point_is_named_and_exits_2(capsys, y, error):
+    from heis8_certify import cli
+
+    assert cli.main(["verify", "--checks", "base-point-on-V", f"--y={y}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"configuration error: {error}\n"
+
+
+def test_negative_first_coordinate_needs_the_equals_form(capsys):
+    from heis8_certify import cli
+
+    # argparse reads a separate "-1,2,3" as an option, not as the value of --y
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--checks", "base-point-on-V", "--y", "-1,2,3"])
+    assert exc.value.code == 2
+    assert "argument --y: expected one argument" in capsys.readouterr().err
+    assert cli.main(["verify", "--checks", "base-point-on-V", "--y=-1,2,3"]) == 0
+    assert "PASS base-point-on-V" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
     "flags, error",
     [
         (("--checks", ","), "EmptySelection"),
@@ -80,9 +110,10 @@ def test_config_that_certifies_nothing_exits_2(capsys, flags, error):
 
 
 def test_unwritable_json_path_exits_2_before_any_check(tmp_path, monkeypatch, capsys):
-    from heis8_certify import cli
+    from heis8_certify import cli, registry
 
-    monkeypatch.setattr(cli, "run_checks", lambda config: pytest.fail("a check ran"))
+    # cli.main imports run_checks from the registry when a check is to run
+    monkeypatch.setattr(registry, "run_checks", lambda config: pytest.fail("a check ran"))
     assert cli.main(["verify", "--checks", "commutator-xi", "--json", str(tmp_path / "missing" / "r.json")]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -203,68 +234,63 @@ def test_jobs_flag_rejected():
     assert out.returncode == 2
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ("list",),
-        ("verify", "--fast", "--checks", MODULAR_CHECKS),
-        ("verify",),
-        ("verify", "--checks", "orbit-64-singular"),
-    ],
-    ids=["list", "verify-fast-modular", "verify-default", "verify-orbit"],
-)
-def test_numpy_is_imported_only_by_runs_that_sample(args):
-    # no run samples points any more: none imports numpy (the array kernels
-    # are a test reference only) or asks OpenBLAS for a thread count
-    probe = (
-        "import os, sys\n"
-        "from heis8_certify import cli\n"
-        f"status = cli.main({list(args)!r})\n"
-        "print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'), status)\n"
-    )
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=600, env=env
-    )
-    assert out.stdout.splitlines()[-1] == "False None 0"
-
-
-# modules a fresh process should not pay for: hashlib and _hashlib, which map
-# OpenSSL's libcrypto (digests use CPython's built-in SHA-256 instead), and
-# dataclasses with the inspect/ast machinery it imports
-HEAVY_MODULES = ("hashlib", "_hashlib", "dataclasses", "inspect")
+# modules a fresh process should not pay for: numpy, which only the tests'
+# reference kernels import; hashlib and _hashlib, which map OpenSSL's libcrypto
+# (digests use CPython's built-in SHA-256 instead); and dataclasses with the
+# inspect/ast machinery it imports
+HEAVY_MODULES = ("numpy", "hashlib", "_hashlib", "dataclasses", "inspect")
 # sha256 of the Pfaffian's canonical text, as recorded in perfbench/expected_hashes.json
 PFAFFIAN_SHA256 = "96f7ec25133090472a78948f8783161f78ed09455418f52ef6daa0523bf56b6d"
 
 
 def fresh_run(*args, modules=HEAVY_MODULES):
     """Run `python -m heis8_certify args` through runpy in a fresh interpreter
-    (pytest has the heavy modules loaded already); return its exit code and
-    which of `modules` it loaded."""
+    (pytest has the heavy modules loaded already) started without
+    OPENBLAS_NUM_THREADS; return its exit code and which of `modules` it
+    loaded, followed by OPENBLAS_NUM_THREADS if the run set that variable, as
+    a run asking OpenBLAS for a thread count would."""
     probe = (
-        "import runpy, sys\n"
+        "import os, runpy, sys\n"
         f"sys.argv = ['heis8_certify', *{list(args)!r}]\n"
         "try:\n"
         "    runpy.run_module('heis8_certify', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
-        f"    print(exc.code, *(m for m in {modules!r} if m in sys.modules))\n"
+        f"    loaded = [m for m in {modules!r} if m in sys.modules]\n"
+        "    print(exc.code, *loaded, *[v for v in ['OPENBLAS_NUM_THREADS'] if v in os.environ])\n"
     )
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=600)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=600, env=env
+    )
     code, *loaded = out.stdout.splitlines()[-1].split()
     return int(code), loaded
 
 
-@pytest.mark.parametrize(
-    "args, code",
-    [
-        (("list",), 0),
-        (("verify", "--checks", BASEPOINT_CHECKS, "--y=1,0,2"), 1),
-        (("verify", "--checks", "quartic-smooth-genus3"), 0),
-    ],
-    ids=["list", "verify-basepoints", "verify-quartic"],
-)
-def test_fresh_runs_without_a_digest_load_neither_hashlib_nor_dataclasses(args, code):
-    assert fresh_run(*args) == (code, [])
+# (verify flags or `list`, exit code, whether the report carries a digest)
+FRESH_RUNS = {
+    "list": (("list",), 0, False),
+    "verify-basepoints": (("verify", "--checks", BASEPOINT_CHECKS, "--y=1,0,2"), 1, False),
+    "verify-quartic": (("verify", "--checks", "quartic-smooth-genus3"), 0, False),
+    "verify-orbit": (("verify", "--checks", "orbit-64-singular"), 0, False),
+    "verify-fast-modular": (("verify", "--fast", "--checks", MODULAR_CHECKS), 0, True),
+    "pfaffian": (("verify", "--checks", "pfaffian-formula"), 0, True),
+    "verify-default": (("verify",), 0, True),
+    "verify-fast-membership": (("verify", "--fast", "--checks", MODULAR_CHECKS, "--primes", "17,41"), 0, True),
+}
+
+
+@pytest.mark.parametrize("name", list(FRESH_RUNS))
+def test_fresh_run_loads_no_heavy_module(tmp_path, name):
+    args, code, digest = FRESH_RUNS[name]
+    if not digest:
+        assert fresh_run(*args) == (code, [])
+        return
+    out = tmp_path / "report.json"
+    assert fresh_run(*args, "--json", str(out)) == (code, [])
+    payloads = {r["id"]: r["payload"] for r in json.loads(out.read_text())["results"]}
+    assert any(k.endswith("_sha256") for p in payloads.values() for k in p)
+    if "pfaffian-formula" in payloads:
+        assert payloads["pfaffian-formula"]["pfaffian_sha256"] == PFAFFIAN_SHA256
 
 
 # the package's math modules, and the fractions/decimal pair exactmath imports
@@ -288,19 +314,19 @@ def test_fresh_runs_load_only_the_math_modules_their_checks_use(args, modules, l
     assert fresh_run(*args, modules=modules) == (0, loaded)
 
 
+# the check code, and the report with json: `list` prints the claim table
+# without them, and a configuration error is found before the check code loads
+CHECK_MODULES = ("heis8_certify.registry", "heis8_certify.report", "json")
+
+
 @pytest.mark.parametrize(
-    "args",
+    "args, modules, code, loaded",
     [
-        ("verify", "--checks", "pfaffian-formula"),
-        ("verify",),
-        ("verify", "--fast", "--checks", "psi-quartic-membership,quartic-smooth-genus3,minus-plane-4points", "--primes", "17,41"),
+        (("list",), CHECK_MODULES, 0, []),
+        (("verify", "--primes", "7"), ("heis8_certify.registry",), 2, []),
+        (("verify", "--checks", "commutator-xi"), CHECK_MODULES, 0, list(CHECK_MODULES)),
     ],
-    ids=["pfaffian", "verify-default", "verify-fast-membership"],
+    ids=["list", "verify-config-error", "verify-commutator"],
 )
-def test_runs_that_report_a_digest_load_no_heavy_module(tmp_path, args):
-    out = tmp_path / "report.json"
-    assert fresh_run(*args, "--json", str(out)) == (0, [])
-    payloads = {r["id"]: r["payload"] for r in json.loads(out.read_text())["results"]}
-    assert any(k.endswith("_sha256") for p in payloads.values() for k in p)
-    if "pfaffian-formula" in payloads:
-        assert payloads["pfaffian-formula"]["pfaffian_sha256"] == PFAFFIAN_SHA256
+def test_fresh_runs_load_the_check_code_only_to_run_a_check(args, modules, code, loaded):
+    assert fresh_run(*args, modules=modules) == (code, loaded)

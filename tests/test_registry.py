@@ -11,7 +11,7 @@ import re
 
 import pytest
 
-from heis8_certify import cli, geometry, heisenberg, linalg, registry, singular
+from heis8_certify import claims, cli, geometry, heisenberg, linalg, registry, singular
 from heis8_certify.heisenberg import SHIFT, HeisenbergElement, orbit
 from heis8_certify.linalg import MembershipProblem
 from heis8_certify.multipoly import PolyMatrix, grevlex_key
@@ -656,3 +656,13 @@ def test_check_fails_under_its_mutation(monkeypatch, tmp_path, capsys, check_id,
 
 def test_every_check_has_a_mutation_row():
     assert list(dict.fromkeys(row[0] for row in MUTATIONS)) == list(registry.known_ids())
+
+
+def test_registry_pairs_each_claim_with_its_own_check():
+    assert [(spec.id, spec.claim) for spec in registry.REGISTRY] == list(claims.CLAIMS)
+    assert registry.known_ids() == claims.known_ids()
+    runners = [spec.runner.__name__ for spec in registry.REGISTRY]
+    checks = [name for name, value in vars(registry).items() if name.startswith("check_") and callable(value)]
+    assert sorted(runners) == sorted(checks)  # every check is registered once
+    for spec in registry.REGISTRY:
+        assert getattr(registry, spec.runner.__name__) is spec.runner
