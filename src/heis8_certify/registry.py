@@ -16,7 +16,7 @@ import time
 from functools import lru_cache, partial
 from typing import NamedTuple
 
-from .claims import CLAIMS, known_ids  # noqa: F401  (known_ids: the registry's ids)
+from .claims import CLAIMS, known_ids  # noqa: F401  (known_ids is re-exported)
 from .errors import CertifyError, NotInDegree, UnknownCheckId
 from .report import FAIL, PASS, VERSION, CertificateResult, Report, RunConfig
 

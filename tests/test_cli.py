@@ -256,7 +256,8 @@ def fresh_run(*args, modules=HEAVY_MODULES):
         "    runpy.run_module('heis8_certify', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         f"    loaded = [m for m in {modules!r} if m in sys.modules]\n"
-        "    print(exc.code, *loaded, *[v for v in ['OPENBLAS_NUM_THREADS'] if v in os.environ])\n"
+        "    openblas = ['OPENBLAS_NUM_THREADS'] if 'OPENBLAS_NUM_THREADS' in os.environ else []\n"
+        "    print(exc.code, *loaded, *openblas)\n"
     )
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     out = subprocess.run(
