@@ -272,8 +272,6 @@ FRESH_RUNS = {
     "list": (("list",), 0, False),
     "verify-basepoints": (("verify", "--checks", BASEPOINT_CHECKS, "--y=1,0,2"), 1, False),
     "verify-quartic": (("verify", "--checks", "quartic-smooth-genus3"), 0, False),
-    "verify-orbit": (("verify", "--checks", "orbit-64-singular"), 0, False),
-    "verify-fast-modular": (("verify", "--fast", "--checks", MODULAR_CHECKS), 0, True),
     "pfaffian": (("verify", "--checks", "pfaffian-formula"), 0, True),
     "verify-default": (("verify",), 0, True),
     "verify-fast-membership": (("verify", "--fast", "--checks", MODULAR_CHECKS, "--primes", "17,41"), 0, True),
@@ -292,6 +290,23 @@ def test_fresh_run_loads_no_heavy_module(tmp_path, name):
     assert any(k.endswith("_sha256") for p in payloads.values() for k in p)
     if "pfaffian-formula" in payloads:
         assert payloads["pfaffian-formula"]["pfaffian_sha256"] == PFAFFIAN_SHA256
+
+
+# no run samples points any more, so none imports numpy (the array kernels are
+# a test reference only) or asks OpenBLAS for a thread count; fresh_run checks
+# both, with the rest of HEAVY_MODULES
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("list",),
+        ("verify", "--fast", "--checks", MODULAR_CHECKS),
+        ("verify",),
+        ("verify", "--checks", "orbit-64-singular"),
+    ],
+    ids=["list", "verify-fast-modular", "verify-default", "verify-orbit"],
+)
+def test_numpy_is_imported_only_by_runs_that_sample(args):
+    assert fresh_run(*args) == (0, [])
 
 
 # the package's math modules, and the fractions/decimal pair exactmath imports
