@@ -2,7 +2,8 @@
 
 `list` prints this table and the configuration check reads its ids, so the
 module imports nothing: neither path compiles the check code. registry.py
-pairs each row, in order, with the check that certifies the claim.
+pairs each row with the check that certifies the claim, found by name: check_
+then the id with each "-" as "_".  No other module writes a claim id.
 """
 
 CLAIMS = (

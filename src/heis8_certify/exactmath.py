@@ -67,11 +67,6 @@ class RationalField:
             return -_FRAC_ONE
         raise MissingRootOfUnity(f"QQ has no primitive 8th root of unity (needed zeta8^{k})")
 
-    def random(self, rng, bound: int = 10):
-        num = rng.randint(-bound, bound)
-        den = rng.randint(1, bound)
-        return Fraction(num, den)
-
     def __eq__(self, other):
         return isinstance(other, RationalField)
 

@@ -312,11 +312,10 @@ class MembershipCertificate(NamedTuple):
 
     entries are (generator index, multiplier exponent tuple, coefficient) in
     canonical order: generator index first, then descending grevlex multiplier.
+    prime is None for a certificate over QQ, else the p of GF(p).
     """
 
-    field_name: str
     prime: int | None
-    degree: int
     entries: tuple
 
     def support(self) -> int:
@@ -636,7 +635,7 @@ class MembershipProblem:
         if self._target_scale % p == 0 or any(s % p == 0 for s in self._gen_scale):
             raise DenominatorVanishes(f"a denominator vanishes mod {p}")
         if not self.target:
-            return self._finish([], f"GF({p})", p)
+            return self._finish([], p)
         sts = pow(self._target_scale, -1, p)
         entries = []
         for block in self._target_blocks():
@@ -648,7 +647,7 @@ class MembershipProblem:
                 coeff = v * self._gen_scale[gi] * sts % p
                 if coeff:
                     entries.append((gi, mult, coeff))
-        return self._finish(entries, f"GF({p})", p)
+        return self._finish(entries, p)
 
     def solve_rational(self) -> MembershipCertificate:
         """Exact decision of membership in the degree-d slice over QQ.
@@ -662,7 +661,7 @@ class MembershipProblem:
         degree-d slice of the ideal over QQ.
         """
         if not self.target:
-            return self._finish([], QQ.name, None)
+            return self._finish([], None)
         entries = []
         for block in self._target_blocks():
             x = solve_over_qq(block.system, len(block.cols))
@@ -671,16 +670,12 @@ class MembershipProblem:
             for j, val in x.items():
                 gi, mult = block.cols[j]
                 entries.append((gi, mult, val * self._gen_scale[gi] / self._target_scale))
-        return self._finish(entries, QQ.name, None)
+        return self._finish(entries, None)
 
-    def _finish(self, entries, field_name, prime):
+    @staticmethod
+    def _finish(entries, prime):
         entries.sort(key=lambda t: (t[0], grevlex_key(t[1])))
-        return MembershipCertificate(
-            field_name=field_name,
-            prime=prime,
-            degree=self.degree,
-            entries=tuple(entries),
-        )
+        return MembershipCertificate(prime, tuple(entries))
 
     def replays(self, cert: MembershipCertificate) -> bool:
         """Whether replaying the certificate reproduces the target exactly:

@@ -2,8 +2,10 @@
 executed by the CLI.
 
 Every check is a pure function RunConfig → CertificateResult, deterministic
-given (primes, seed, base point).  The runner executes the selected checks
-one after another, in registry order, which is the table's.
+given (primes, seed, base point).  A claim's check is found by its name:
+check_ then the claim id with each "-" as "_", so the table is the one place
+an id is written.  The runner executes the selected checks one after another,
+in registry order, which is the table's, and stamps each result with its id.
 
 Each check imports the math modules it uses when it runs, so loading the
 registry loads none of them; `list` and a configuration error read the claim
@@ -31,9 +33,8 @@ ZETA8_FIELD = "QQ(zeta8)"
 QQ_FIELD = "QQ"
 
 
-def _result(cid, ok, field, payload, prime=None):
+def _result(ok, field, payload, prime=None):
     return CertificateResult(
-        id=cid,
         status=PASS if ok else FAIL,
         field=field,
         prime=prime,
@@ -67,7 +68,7 @@ def _sha256_lines(parts) -> str:
 # group structure
 
 
-def check_group_order(cfg: RunConfig) -> CertificateResult:
+def check_group_order_512(cfg: RunConfig) -> CertificateResult:
     """Closing {1} under right multiplication by shift and twist gives the group they generate."""
     from .heisenberg import SHIFT, TWIST, HeisenbergElement, enumerate_group
 
@@ -79,34 +80,31 @@ def check_group_order(cfg: RunConfig) -> CertificateResult:
     closed = generated == set(elements)
     lagrange = all((g**512).is_identity() for g in elements)
     return _result(
-        "group-order-512",
         len(generated) == 512 and closed and lagrange,
         "ZZ/8",
         {"order": len(generated), "closed": closed, "lagrange_512": lagrange},
     )
 
 
-def check_center(cfg: RunConfig) -> CertificateResult:
+def check_center_mu8(cfg: RunConfig) -> CertificateResult:
     from .heisenberg import center_and_quotient
 
     cq = center_and_quotient()
     is_central_axis = all(g.a == 0 and g.b == 0 for g in cq.center)
     ok = len(cq.center) == 8 and is_central_axis
     return _result(
-        "center-mu8",
         ok,
         "ZZ/8",
         {"center_order": len(cq.center), "center_is_scalar_axis": is_central_axis},
     )
 
 
-def check_quotient(cfg: RunConfig) -> CertificateResult:
+def check_quotient_Z8_squared(cfg: RunConfig) -> CertificateResult:
     from .heisenberg import center_and_quotient
 
     cq = center_and_quotient()
     ok = cq.invariant_factors == (8, 8) and cq.quotient_order == 64
     return _result(
-        "quotient-Z8-squared",
         ok,
         "ZZ",
         {
@@ -116,14 +114,13 @@ def check_quotient(cfg: RunConfig) -> CertificateResult:
     )
 
 
-def check_commutator(cfg: RunConfig) -> CertificateResult:
+def check_commutator_xi(cfg: RunConfig) -> CertificateResult:
     from .heisenberg import CENTRAL, SHIFT, TWIST
 
     commutator = TWIST * SHIFT * TWIST.inverse() * SHIFT.inverse()
     reorder = TWIST * SHIFT == CENTRAL * (SHIFT * TWIST)
     ok = commutator == CENTRAL and reorder
     return _result(
-        "commutator-xi",
         ok,
         "ZZ/8",
         {"commutator": repr(commutator), "twist_shift_reorders_with_zeta8": reorder},
@@ -143,10 +140,10 @@ def check_ideal_invariance(cfg: RunConfig) -> CertificateResult:
         for label, sol in images
     }
     ok = all(sol is not None for _label, sol in images)
-    return _result("ideal-invariance", ok, ZETA8_FIELD, payload)
+    return _result(ok, ZETA8_FIELD, payload)
 
 
-def check_base_point(cfg: RunConfig) -> CertificateResult:
+def check_base_point_on_V(cfg: RunConfig) -> CertificateResult:
     from . import geometry
     from .exactmath import QQ
 
@@ -157,7 +154,6 @@ def check_base_point(cfg: RunConfig) -> CertificateResult:
     quadrics = geometry.shifted_quadrics(geometry.base_quadric(geometry.x_ring(QQ).gens(), *y.coords))
     numeric_ok = all(not q.eval(y.embed().coords) for q in quadrics)
     return _result(
-        "base-point-on-V",
         symbolic_ok and numeric_ok,
         QQ_FIELD,
         {
@@ -192,7 +188,7 @@ def _generic_point(base_point):
     return None, None, tuple(rejected)
 
 
-def check_orbit_singular(cfg: RunConfig) -> CertificateResult:
+def check_orbit_64_singular(cfg: RunConfig) -> CertificateResult:
     """The orbit evidence at one base point y, and there a Hilbert-function
     count bounding the length of the singular scheme by ORBIT_POINTS: with
     the 64 distinct rank-3 orbit points, Sing(V) is the orbit, each point of
@@ -219,7 +215,7 @@ def check_orbit_singular(cfg: RunConfig) -> CertificateResult:
     payload = {"rejected_candidates": len(rejected)}
     if y is None:
         payload["rejected"] = "; ".join(rejected)
-        return _result("orbit-64-singular", False, ZETA8_FIELD, payload)
+        return _result(False, ZETA8_FIELD, payload)
     payload["y0_point"] = ",".join(str(c) for c in y.coords)
     for k in ("orbit_size", "rank3_points", "base_cone_rank"):
         payload[f"y0_{k}"] = data[k]
@@ -228,27 +224,27 @@ def check_orbit_singular(cfg: RunConfig) -> CertificateResult:
     hilbert, prime = singular.singular_scheme_certificate(y, cfg.seed, ORBIT_POINTS)
     payload.update(hilbert)
     ok = data["cone_rank4"] == ORBIT_POINTS and hilbert.get("hilbert_deg7_bound") == str(ORBIT_POINTS)
-    return _result("orbit-64-singular", ok, ZETA8_FIELD, payload, prime=prime)
+    return _result(ok, ZETA8_FIELD, payload, prime=prime)
 
 
 def check_odp_proxy(cfg: RunConfig) -> CertificateResult:
     y, data, rejected = _generic_point(cfg.base_point)
     if y is None:
-        return _result("odp-proxy", False, ZETA8_FIELD, {"rejected": "; ".join(rejected)})
+        return _result(False, ZETA8_FIELD, {"rejected": "; ".join(rejected)})
     ok = data["cone_rank4"] == ORBIT_POINTS
     # points carried out of the certified orbit size, the quotient order
     payload = {"y0_cone_rank4": f"{data['cone_rank4']}/{data['orbit_size']}"}
-    return _result("odp-proxy", ok, ZETA8_FIELD, payload)
+    return _result(ok, ZETA8_FIELD, payload)
 
 
-def check_minus_plane(cfg: RunConfig) -> CertificateResult:
+def check_minus_plane_4points(cfg: RunConfig) -> CertificateResult:
     from . import geometry
 
     y = geometry.MinusPlanePoint.rational(*cfg.base_point)
     ok, payload = geometry.minus_plane_certificate(y)
     if payload["distinct_named_points"] < 4:  # named points collide: count the zeros mod 17 instead
         payload["gf17_zeros"] = len(geometry.minus_plane_solutions_mod_p(y, 17))
-    return _result("minus-plane-4points", ok, QQ_FIELD, payload)
+    return _result(ok, QQ_FIELD, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +265,6 @@ def check_moore_skew(cfg: RunConfig) -> CertificateResult:
     x4, y4 = geometry.xy_ring().gens()[4], geometry.xy_ring().gens()[12]
     corner_ok = corner == x0 * y0 + x4 * y4
     return _result(
-        "moore-skew",
         matches == 16 and skew and corner_ok,
         QQ_FIELD,
         {"entries_matching_reference": f"{matches}/16", "skew_after_swap": skew,
@@ -277,14 +272,13 @@ def check_moore_skew(cfg: RunConfig) -> CertificateResult:
     )
 
 
-def check_pfaffian(cfg: RunConfig) -> CertificateResult:
+def check_pfaffian_formula(cfg: RunConfig) -> CertificateResult:
     from . import geometry
 
     data = geometry.moore_pipeline()
     sign_ok = data.sign == geometry.RECORDED_PFAFFIAN_SIGN
     square_ok = data.pfaffian * data.pfaffian == data.skew.det()
     return _result(
-        "pfaffian-formula",
         sign_ok and square_ok,
         QQ_FIELD,
         {
@@ -296,7 +290,7 @@ def check_pfaffian(cfg: RunConfig) -> CertificateResult:
     )
 
 
-def check_psi_membership(cfg: RunConfig) -> CertificateResult:
+def check_psi_quartic_membership(cfg: RunConfig) -> CertificateResult:
     from . import geometry
 
     problem = geometry.psi_membership_problem()
@@ -331,10 +325,10 @@ def check_psi_membership(cfg: RunConfig) -> CertificateResult:
             payload["qq_triples"] = "; ".join(triples)
     # without the rational solve only the GF(p) certificates back the verdict
     field = "GF(p)" if cfg.fast else QQ_FIELD
-    return _result("psi-quartic-membership", ok, field, payload)
+    return _result(ok, field, payload)
 
 
-def check_quartic(cfg: RunConfig) -> CertificateResult:
+def check_quartic_smooth_genus3(cfg: RunConfig) -> CertificateResult:
     from . import geometry
 
     try:
@@ -344,10 +338,10 @@ def check_quartic(cfg: RunConfig) -> CertificateResult:
     smooth = len(certs) == 3
     genus = geometry.quartic_genus()
     payload = {"smooth_over_QQ": smooth, "nullstellensatz_certificates": len(certs), "genus": genus}
-    return _result("quartic-smooth-genus3", smooth and genus == 3, QQ_FIELD, payload)
+    return _result(smooth and genus == 3, QQ_FIELD, payload)
 
 
-def check_topology(cfg: RunConfig) -> CertificateResult:
+def check_topology_numbers(cfg: RunConfig) -> CertificateResult:
     from . import geometry
 
     _y, orbit, _rejected = _generic_point(cfg.base_point)
@@ -359,14 +353,14 @@ def check_topology(cfg: RunConfig) -> CertificateResult:
         and data["node_identity"] == 0
         and data["hilbert_numerator_at_1"] == 16
     )
-    return _result("topology-numbers", ok, QQ_FIELD, data)
+    return _result(ok, QQ_FIELD, data)
 
 
 # ---------------------------------------------------------------------------
 # monodromy and lattices
 
 
-def check_monodromy(cfg: RunConfig) -> CertificateResult:
+def check_monodromy_nilpotent(cfg: RunConfig) -> CertificateResult:
     from .linalg import smith_normal_form, wedge2_fixed_dim_mod_2
 
     n = [[v - (i == j) for j, v in enumerate(row)] for i, row in enumerate(MONODROMY_MATRIX)]
@@ -376,7 +370,6 @@ def check_monodromy(cfg: RunConfig) -> CertificateResult:
     invariant_rank = 4 - rank_n
     ok = factors == (1,) and square_zero  # rank(M − I) = 1, so the invariant rank is 3
     return _result(
-        "monodromy-nilpotent",
         ok,
         "ZZ",
         {
@@ -403,7 +396,6 @@ def check_unipotent_log(cfg: RunConfig) -> CertificateResult:
     additive = unipotent_log((a * b).rows) == unipotent_log(e12) + unipotent_log(e13)
     ok = log_ok and commuting and additive
     return _result(
-        "unipotent-log",
         ok,
         QQ_FIELD,
         {"log_is_M_minus_I": log_ok, "additive_on_commuting_pair": additive},
@@ -415,14 +407,13 @@ def check_wedge_lemma(cfg: RunConfig) -> CertificateResult:
 
     sweep = wedge_lemma_exhaustive()
     return _result(
-        "wedge-lemma",
         sweep.passed and sweep.counterexample is None,
         "F2",
         {"cases": sweep.cases, "counterexample": sweep.counterexample},
     )
 
 
-def check_torsion(cfg: RunConfig) -> CertificateResult:
+def check_torsion_counting(cfg: RunConfig) -> CertificateResult:
     """The 8-torsion (Z/8)⁴ of the rank-4 lattice, and the section group
     H/center inside it: a finite abelian group embeds in another exactly when
     it has no more invariant factors and, matched from the largest down, each
@@ -444,7 +435,6 @@ def check_torsion(cfg: RunConfig) -> CertificateResult:
         and embeds
     )
     return _result(
-        "torsion-counting",
         ok,
         "ZZ",
         {
@@ -462,33 +452,9 @@ class CheckSpec(NamedTuple):
     runner: object
 
 
-# the checks in claim-table order, one per claim
+# one check per claim, in claim-table order, found by name
 REGISTRY = tuple(
-    CheckSpec(cid, claim, runner)
-    for (cid, claim), runner in zip(
-        CLAIMS,
-        (
-            check_group_order,
-            check_center,
-            check_quotient,
-            check_commutator,
-            check_ideal_invariance,
-            check_base_point,
-            check_orbit_singular,
-            check_odp_proxy,
-            check_minus_plane,
-            check_moore_skew,
-            check_pfaffian,
-            check_psi_membership,
-            check_quartic,
-            check_topology,
-            check_monodromy,
-            check_unipotent_log,
-            check_wedge_lemma,
-            check_torsion,
-        ),
-        strict=True,
-    )
+    CheckSpec(cid, claim, globals()["check_" + cid.replace("-", "_")]) for cid, claim in CLAIMS
 )
 
 
@@ -515,12 +481,8 @@ def run_checks(config: RunConfig) -> Report:
         try:
             result = spec.runner(config)
         except Exception as exc:  # a failing certificate, not a crash of the runner
-            result = CertificateResult(
-                id=spec.id,
-                status=FAIL,
-                field="none",
-                payload={"error": f"{type(exc).__name__}: {exc}"},
-            )
+            result = CertificateResult(FAIL, "none", {"error": f"{type(exc).__name__}: {exc}"})
+        result.id = spec.id
         result.elapsed_ms = int((time.perf_counter() - t0) * 1000)
         return result
 

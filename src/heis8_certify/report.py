@@ -20,10 +20,10 @@ FAIL = "fail"
 
 class CertificateResult:
     """One check's verdict and its evidence, every payload value a string;
-    the runner fills in the elapsed time."""
+    the runner fills in the claim id and the elapsed time."""
 
-    def __init__(self, id, status, field, payload, prime=None):
-        self.id = id
+    def __init__(self, status, field, payload, prime=None):
+        self.id = None
         self.status = status
         self.field = field
         self.prime = prime

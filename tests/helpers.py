@@ -180,6 +180,14 @@ def GF(p: int) -> PrimeField:
     return PrimeField(p)
 
 
+def random_element(field, rng):
+    """A random element of QQ or GF(p): over QQ a numerator in [-10, 10] over
+    a denominator in [1, 10]."""
+    if isinstance(field, PrimeField):
+        return field.random(rng)
+    return Fraction(rng.randint(-10, 10), rng.randint(1, 10))
+
+
 def map_coefficients(poly, fn, ring):
     """The polynomial with every coefficient c replaced by fn(c), in ring."""
     return SparsePoly(ring, {e: v for e, c in poly.terms.items() if (v := fn(c))})

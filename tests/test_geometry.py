@@ -518,7 +518,7 @@ def test_psi_membership_blocks_skip_zero_and_repeated_minors():
 def test_psi_membership_rational_binding():
     problem = geo.psi_membership_problem()
     cert = problem.solve_rational()
-    assert cert.field_name == "QQ"
+    assert cert.prime is None
     assert replay_certificate(cert, list(geo.moore_minor_generators())) == geo.psi_quartic_target()
     heights = [max(abs(c.numerator), c.denominator) for _, _, c in cert.entries]
     assert max(heights) <= 1000  # observed height is tiny; keep a loose regression bound
@@ -542,7 +542,7 @@ def test_quartic_sweeps(p):
 def test_quartic_smooth_over_Q_and_genus():
     # the quartic is smooth over Q exactly when all three QQ certificates exist
     certs = geo.quartic_nullstellensatz_certificates()
-    assert [cert.field_name for cert in certs] == ["QQ"] * 3
+    assert [cert.prime for cert in certs] == [None] * 3
     assert geo.quartic_genus() == 3
 
 

@@ -12,6 +12,7 @@ import re
 import pytest
 
 from heis8_certify import claims, cli, geometry, heisenberg, linalg, registry, singular
+from heis8_certify.errors import UnknownCheckId
 from heis8_certify.heisenberg import SHIFT, HeisenbergElement, orbit
 from heis8_certify.linalg import MembershipProblem
 from heis8_certify.multipoly import PolyMatrix, grevlex_key
@@ -39,7 +40,7 @@ def fresh_orbit_memo():
 
 
 def test_group_order_passes_with_the_generators():
-    result = registry.check_group_order(RunConfig())
+    result = registry.check_group_order_512(RunConfig())
     assert result.status == PASS
     assert result.payload == {"order": "512", "closed": "True", "lagrange_512": "True"}
 
@@ -51,7 +52,7 @@ def _generators_of_a_subgroup(monkeypatch):
 
 def test_group_order_fails_when_the_generators_span_a_subgroup(monkeypatch):
     _generators_of_a_subgroup(monkeypatch)
-    result = registry.check_group_order(RunConfig())
+    result = registry.check_group_order_512(RunConfig())
     assert result.status == FAIL
     assert result.payload["order"] == "128"
     assert result.payload["closed"] == "False"
@@ -124,7 +125,7 @@ def test_minus_plane_restricts_the_system_once_per_point(monkeypatch):
     real = geometry.build_system
     monkeypatch.setattr(geometry, "build_system", lambda y: builds.append(y.coords) or real(y))
     monkeypatch.setattr(geometry, "plane_zeros_mod_p", _no_sweep)
-    result = registry.check_minus_plane(RunConfig(primes=(89, 97)))
+    result = registry.check_minus_plane_4points(RunConfig(primes=(89, 97)))
     assert result.status == PASS
     assert builds == [(1, 2, 3)]  # the counts and the exact membership share it
     assert result.prime is None
@@ -190,7 +191,7 @@ def test_minus_plane_certificate_at_pinned_base_points(monkeypatch, base_point, 
     swept = []
     real = geometry.plane_zeros_mod_p
     monkeypatch.setattr(geometry, "plane_zeros_mod_p", lambda polys, p: swept.append(p) or real(polys, p))
-    result = registry.check_minus_plane(RunConfig(base_point=base_point))
+    result = registry.check_minus_plane_4points(RunConfig(base_point=base_point))
     assert result.status == status
     assert swept == ([17] if status == FAIL else [])  # only colliding named points are counted
     assert result.payload == {"exact_membership_of_named_points": "True", **payload}
@@ -666,3 +667,15 @@ def test_registry_pairs_each_claim_with_its_own_check():
     assert sorted(runners) == sorted(checks)  # every check is registered once
     for spec in registry.REGISTRY:
         assert getattr(registry, spec.runner.__name__) is spec.runner
+        assert spec.runner.__name__ == "check_" + spec.id.replace("-", "_")
+
+
+def test_the_runner_stamps_each_result_with_its_claim_id():
+    assert registry.check_commutator_xi(RunConfig()).id is None
+    report = registry.run_checks(RunConfig(checks=("commutator-xi", "group-order-512")))
+    assert [r.id for r in report.results] == ["group-order-512", "commutator-xi"]
+
+
+def test_selected_specs_refuses_an_unknown_id():
+    with pytest.raises(UnknownCheckId):
+        registry.selected_specs(RunConfig(checks=("no-such-check",)))
