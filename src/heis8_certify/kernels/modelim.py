@@ -1,8 +1,8 @@
 """Row reduction of dense integer matrices mod p, with numpy.
 
 No module of the package calls it.  Graded ideal membership solves its
-blocks with the pure-integer linalg.sparse_solve_mod_p, so that numpy stays
-out of every run that does not sample.  solve_mod_p remains as the dense
+blocks with the pure-integer membership.sparse_solve_mod_p, so that numpy
+stays out of every run that does not sample.  solve_mod_p remains as the dense
 reference that solver is tested against, and perfbench/trace_child.py still
 wraps it by name.
 

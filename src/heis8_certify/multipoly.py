@@ -1,5 +1,6 @@
-"""Sparse multivariate polynomials over an exact field, polynomial matrices,
-and the Chern numbers of smooth complete intersections.
+"""Sparse multivariate polynomials over an exact field, and invertible
+monomial substitutions of their variables.  Polynomial matrices and the
+Chern numbers of complete intersections are in moore.py.
 
 Terms are kept in a dict from exponent tuple to nonzero coefficient; the
 canonical term order everywhere (iteration, printing, hashing) is graded
@@ -9,17 +10,7 @@ certificate reports.
 """
 from __future__ import annotations
 
-import itertools
-import math
-from typing import NamedTuple
-
-from .errors import (
-    ArityMismatch,
-    BadDimension,
-    BadSize,
-    NonInvertibleMap,
-    NotSkewSymmetric,
-)
+from .errors import ArityMismatch, NonInvertibleMap
 
 
 def grevlex_key(exps):
@@ -277,133 +268,3 @@ def apply_variable_map(perm, scalars, poly: SparsePoly) -> SparsePoly:
         elif key in out:
             del out[key]
     return SparsePoly(poly.ring, out)
-
-
-class PolyMatrix:
-    """Rectangular matrix of polynomials over one shared ring."""
-
-    __slots__ = ("ring", "rows")
-
-    def __init__(self, ring: PolyRing, rows):
-        self.ring = ring
-        self.rows = tuple(tuple(entry for entry in row) for row in rows)
-        width = {len(r) for r in self.rows}
-        if len(width) > 1:
-            raise BadSize("ragged rows")
-        for row in self.rows:
-            for entry in row:
-                if entry.ring != ring:
-                    raise ArityMismatch("matrix entry from a different ring")
-
-    @property
-    def shape(self):
-        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
-
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
-
-    def map_entries(self, fn) -> "PolyMatrix":
-        mapped = [[fn(e) for e in row] for row in self.rows]
-        ring = mapped[0][0].ring if mapped and mapped[0] else self.ring
-        return PolyMatrix(ring, mapped)
-
-    def swap_rows(self, i: int, j: int) -> "PolyMatrix":
-        rows = list(self.rows)
-        rows[i], rows[j] = rows[j], rows[i]
-        return PolyMatrix(self.ring, rows)
-
-    def is_skew_symmetric(self) -> bool:
-        m, n = self.shape
-        if m != n:
-            return False
-        for i in range(m):
-            if self.rows[i][i]:
-                return False
-            for j in range(i + 1, n):
-                if self.rows[i][j] != -self.rows[j][i]:
-                    return False
-        return True
-
-    def det(self) -> SparsePoly:
-        """Cofactor expansion; intended for the small symbolic matrices used here."""
-        m, n = self.shape
-        if m != n:
-            raise BadSize("determinant of a non-square matrix")
-        if m == 0:
-            return self.ring.one()
-        if m == 1:
-            return self.rows[0][0]
-        acc = self.ring.zero()
-        for j in range(n):
-            entry = self.rows[0][j]
-            if not entry:
-                continue
-            sub = PolyMatrix(self.ring, [[row[k] for k in range(n) if k != j] for row in self.rows[1:]])
-            term = entry * sub.det()
-            acc = acc + term if j % 2 == 0 else acc - term
-        return acc
-
-    def minors(self, k: int):
-        """All k×k minors, row-major over (row-set, col-set), sets in lexicographic order."""
-        m, n = self.shape
-        if k < 0 or k > min(m, n):
-            raise BadSize(f"{k}x{k} minors of a {m}x{n} matrix")
-        out = []
-        for rset in itertools.combinations(range(m), k):
-            for cset in itertools.combinations(range(n), k):
-                sub = PolyMatrix(self.ring, [[self.rows[i][j] for j in cset] for i in rset])
-                out.append(sub.det())
-        return out
-
-
-def pfaffian4(m: PolyMatrix) -> SparsePoly:
-    """Pfaffian of a skew-symmetric 4×4 polynomial matrix.
-
-    Sign convention fixed once and for all: m01·m23 − m02·m13 + m03·m12,
-    so that Pf(m)² = det(m).
-    """
-    if m.shape != (4, 4):
-        raise NotSkewSymmetric("pfaffian4 needs a 4x4 matrix")
-    if not m.is_skew_symmetric():
-        raise NotSkewSymmetric("matrix is not skew-symmetric")
-    r = m.rows
-    return r[0][1] * r[2][3] - r[0][2] * r[1][3] + r[0][3] * r[1][2]
-
-
-def truncated_product(factors, order: int) -> list:
-    """The coefficients of h⁰ … h^order in the product of the factors, each
-    given by its integer coefficient list [c₀, c₁, …]."""
-    out = [1] + [0] * order
-    for f in factors:
-        out = [sum(out[k - j] * c for j, c in enumerate(f[: k + 1])) for k in range(order + 1)]
-    return out
-
-
-class CompleteIntersectionInvariants(NamedTuple):
-    dimension: int
-    degree: int
-    chern: tuple          # coefficients c_0..c_dim of the total Chern class, in H-powers
-    c2_hyperplane_degree: int | None   # deg(c₂ · H^(dim-2)) when dim ≥ 2
-    euler: int            # deg(c_dim) = topological Euler characteristic
-
-
-def ci_invariants(n: int, degrees) -> CompleteIntersectionInvariants:
-    """Degree and Chern numbers of a smooth complete intersection of the given
-    multidegree in projective n-space.
-
-    The total Chern class of the tangent bundle restricted to the intersection
-    is (1+h)^{n+1} · Π (1+dᵢh)⁻¹ truncated at the dimension.  Both factors
-    have integer coefficients, C(n+1, k) and (1+dh)⁻¹ = Σ (−d)ᵏhᵏ, so the
-    series is a product of integer lists; multiplying the top coefficients
-    by the degree Π dᵢ gives the Chern numbers.
-    """
-    degrees = tuple(int(d) for d in degrees)
-    if len(degrees) > n or any(d < 1 for d in degrees):
-        raise BadDimension(f"multidegree {degrees} in P^{n}")
-    dim = n - len(degrees)
-    deg = math.prod(degrees)
-    factors = [[math.comb(n + 1, k) for k in range(dim + 1)]]
-    factors += [[(-d) ** k for k in range(dim + 1)] for d in degrees]
-    chern = tuple(truncated_product(factors, dim))
-    c2h = chern[2] * deg if dim >= 2 else None
-    return CompleteIntersectionInvariants(dim, deg, chern, c2h, chern[dim] * deg)

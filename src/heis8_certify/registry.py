@@ -252,17 +252,17 @@ def check_minus_plane_4points(cfg: RunConfig) -> CertificateResult:
 
 
 def check_moore_skew(cfg: RunConfig) -> CertificateResult:
-    from . import geometry
+    from . import moore
 
-    data = geometry.moore_pipeline()
-    expected = geometry.expected_restricted_moore()
+    data = moore.moore_pipeline()
+    expected = moore.expected_restricted_moore()
     matches = sum(
         data.restricted[i, j] == expected[i, j] for i in range(4) for j in range(4)
     )
     skew = data.skew.is_skew_symmetric()
     corner = data.full[0, 0]
-    x0, y0 = geometry.xy_ring().gens()[0], geometry.xy_ring().gens()[8]
-    x4, y4 = geometry.xy_ring().gens()[4], geometry.xy_ring().gens()[12]
+    x0, y0 = moore.xy_ring().gens()[0], moore.xy_ring().gens()[8]
+    x4, y4 = moore.xy_ring().gens()[4], moore.xy_ring().gens()[12]
     corner_ok = corner == x0 * y0 + x4 * y4
     return _result(
         matches == 16 and skew and corner_ok,
@@ -273,10 +273,10 @@ def check_moore_skew(cfg: RunConfig) -> CertificateResult:
 
 
 def check_pfaffian_formula(cfg: RunConfig) -> CertificateResult:
-    from . import geometry
+    from . import moore
 
-    data = geometry.moore_pipeline()
-    sign_ok = data.sign == geometry.RECORDED_PFAFFIAN_SIGN
+    data = moore.moore_pipeline()
+    sign_ok = data.sign == moore.RECORDED_PFAFFIAN_SIGN
     square_ok = data.pfaffian * data.pfaffian == data.skew.det()
     return _result(
         sign_ok and square_ok,
@@ -291,9 +291,9 @@ def check_pfaffian_formula(cfg: RunConfig) -> CertificateResult:
 
 
 def check_psi_quartic_membership(cfg: RunConfig) -> CertificateResult:
-    from . import geometry
+    from . import moore
 
-    problem = geometry.psi_membership_problem()
+    problem = moore.psi_membership_problem()
     nrows, ncols = problem.shape
     payload = {
         "system_rows": nrows,
@@ -329,23 +329,23 @@ def check_psi_quartic_membership(cfg: RunConfig) -> CertificateResult:
 
 
 def check_quartic_smooth_genus3(cfg: RunConfig) -> CertificateResult:
-    from . import geometry
+    from . import moore
 
     try:
-        certs = geometry.quartic_nullstellensatz_certificates()
+        certs = moore.quartic_nullstellensatz_certificates()
     except NotInDegree:  # no degree-7 certificates: the quartic is singular
         certs = []
     smooth = len(certs) == 3
-    genus = geometry.quartic_genus()
+    genus = moore.quartic_genus()
     payload = {"smooth_over_QQ": smooth, "nullstellensatz_certificates": len(certs), "genus": genus}
     return _result(smooth and genus == 3, QQ_FIELD, payload)
 
 
 def check_topology_numbers(cfg: RunConfig) -> CertificateResult:
-    from . import geometry
+    from . import moore
 
     _y, orbit, _rejected = _generic_point(cfg.base_point)
-    data = geometry.topology_numbers(orbit["cone_rank4"] if orbit else 0)
+    data = moore.topology_numbers(orbit["cone_rank4"] if orbit else 0)
     ok = (
         data["degree"] == 16
         and data["c2_hyperplane_degree"] == 64

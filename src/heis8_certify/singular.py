@@ -39,6 +39,9 @@ class PackedRankMod:
     Fields only grow: by less than 2p² per elimination, and a row meets at
     most ncols pivots.  So the fields of added rows must stay below 2³⁹ and
     ncols·2p² below 2³⁹, which keeps every field inside its 40 bits.
+
+    `pivots` is indexed by column, None where no pivot row is kept, and
+    `rank` counts the pivot rows.
     """
 
     def __init__(self, ncols: int, p: int):
@@ -48,11 +51,8 @@ class PackedRankMod:
         self.barrett = (1 << PACKED_WIDTH) // p
         # the even fields: the low half of each 80-bit lane
         self.lanes = int.from_bytes((b"\xff" * 5 + bytes(5)) * ((ncols + 1) // 2), "little")
-        self.pivots = {}  # pivot column -> its normalized row, shifted down to the column
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+        self.pivots = [None] * ncols  # column -> its normalized row, shifted down to the column
+        self.rank = 0
 
     def reduce(self, row: int) -> int:
         """The packed row (at most ncols fields, each below 2⁴⁰) with every
@@ -78,10 +78,11 @@ class PackedRankMod:
         while row:
             r = (row & mask) % p
             if r:
-                pivot = pivots.get(col)
+                pivot = pivots[col]
                 if pivot is None:
                     # scaled by 1/r: fields below 2p·p before the second reduction
                     pivots[col] = self.reduce(self.reduce(row) * pow(r, -1, p))
+                    self.rank += 1
                     return True
                 row += (p - r) * pivot  # the lowest field becomes ≡ 0 mod p
             row >>= PACKED_WIDTH
@@ -118,14 +119,17 @@ def _packed_mod_p(poly: SparsePoly, p: int) -> dict:
     return out
 
 
-def _eval_mod_p(poly: dict, point, p: int) -> int:
+def _values_mod_p(polys, point, p: int) -> list:
+    """The value of each polynomial at the point mod p, each distinct
+    monomial of the polynomials evaluated once."""
     powers = [[pow(c, e, p) for e in range(8)] for c in point]
-    acc = 0
-    for k, v in poly.items():
+    monomials = {k: 0 for poly in polys for k in poly}
+    for k in monomials:
+        v = 1
         for i in range(8):
             v *= powers[i][(k >> (4 * i)) & 15]
-        acc += v
-    return acc % p
+        monomials[k] = v % p
+    return [sum(v * monomials[k] for k, v in poly.items()) % p for poly in polys]
 
 
 def _poly_mul(a: dict, b: dict, p: int) -> dict:
@@ -195,10 +199,15 @@ class QuadricQuotient:
         if out is None:
             out = self._blocks[degree, modulus] = {w: [] for w in range(modulus)}
             for k in range(min(4, degree) + 1):
+                # (key, twist weight) of each high part, added to each low part's
+                highs = [
+                    (sum(1 << (4 * i) for i in high), sum(high))
+                    for high in itertools.combinations_with_replacement(self.high, degree - k)
+                ]
                 for low in itertools.combinations(range(4), k):
-                    for high in itertools.combinations_with_replacement(self.high, degree - k):
-                        s = sum(1 << (4 * i) for i in (*low, *high))
-                        out[_twist_weight(s) % modulus].append(s)
+                    low_key, low_weight = sum(1 << (4 * i) for i in low), sum(low)
+                    for key, weight in highs:
+                        out[(low_weight + weight) % modulus].append(low_key + key)
         return out
 
     def packed_normal_forms(self, cols: dict, reduce):
@@ -322,7 +331,7 @@ def singular_scheme_mod_p(y: MinusPlanePoint, p: int, seed, points: int) -> dict
     rng = random.Random(f"{seed}/{p}")
     quadrics, minors = singular_ideal_mod_p(y, p)
     base = [residue(c, p) for c in y.embed().coords]
-    if any(_eval_mod_p(m, base, p) for m in minors):
+    if any(_values_mod_p(minors, base, p)):
         raise UnluckyPrime(f"a minor does not vanish at the base point mod {p}")
     rank, ncols, rows = QuadricQuotient(quadrics, p).block_rank(
         minors, HILBERT_DEGREE, 8, 0, order=rng, corank=points // 8, slack=HILBERT_ROW_SLACK

@@ -17,7 +17,8 @@ from heis8_certify.exactmath import is_prime, is_prime_1_mod_8
 from heis8_certify.geometry import point_on_variety
 from heis8_certify.heisenberg import ProjPoint
 from heis8_certify.linalg import Matrix
-from heis8_certify.multipoly import PolyMatrix, SparsePoly, grevlex_key
+from heis8_certify.moore import PolyMatrix
+from heis8_certify.multipoly import SparsePoly, grevlex_key
 
 
 # ---------------------------------------------------------------------------

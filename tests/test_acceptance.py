@@ -13,6 +13,7 @@ import time
 import pytest
 
 from heis8_certify import geometry as geo
+from heis8_certify import moore
 from heis8_certify.exactmath import QQ
 from heis8_certify.heisenberg import (
     CENTRAL,
@@ -21,15 +22,10 @@ from heis8_certify.heisenberg import (
     center_and_quotient,
     enumerate_group,
 )
-from heis8_certify.linalg import (
-    Matrix,
-    graded_membership,
-    replay_certificate,
-    smith_normal_form,
-    unipotent_log,
-    wedge_lemma_exhaustive,
-)
-from heis8_certify.multipoly import PolyMatrix, PolyRing, pfaffian4
+from heis8_certify.linalg import Matrix, smith_normal_form, unipotent_log, wedge_lemma_exhaustive
+from heis8_certify.membership import graded_membership, replay_certificate
+from heis8_certify.moore import PolyMatrix, pfaffian4
+from heis8_certify.multipoly import PolyRing
 from heis8_certify.registry import MONODROMY_MATRIX
 from heis8_certify.report import normalized_json
 
@@ -64,7 +60,7 @@ class budget:
 
 def test_acceptance_01_pfaffian_identity():
     with budget("1 pfaffian-identity", 1.0):
-        data = geo.moore_pipeline()
+        data = moore.moore_pipeline()
         reference = (
             data.w[0] * data.pullbacks[0]
             + data.w[1] * data.pullbacks[1]
@@ -72,7 +68,7 @@ def test_acceptance_01_pfaffian_identity():
         )
         assert data.pfaffian == reference or data.pfaffian == -reference
         assert data.sign in (1, -1)
-        assert data.sign == geo.RECORDED_PFAFFIAN_SIGN
+        assert data.sign == moore.RECORDED_PFAFFIAN_SIGN
         assert data.pfaffian == reference * data.sign
 
 
@@ -102,17 +98,17 @@ def triples_sha256(cert, names):
 
 
 def test_acceptance_02_ideal_membership():
-    problem = geo.psi_membership_problem()
+    problem = moore.psi_membership_problem()
     assert problem.shape == (6435, 11880)
     names = problem.ring.names
-    gens = list(geo.moore_minor_generators())
-    target = geo.psi_quartic_target()
+    gens = list(moore.moore_minor_generators())
+    target = moore.psi_quartic_target()
     assert sorted(PSI_GF_TRIPLES_SHA256) == sorted(LADDER_PRIMES)
     for p in LADDER_PRIMES:
         with budget(f"2 membership-GF({p})", 60.0):
             cert = problem.solve_mod(p)
             field = GF(p)
-            ring_p = PolyRing(field, geo.Y_NAMES)
+            ring_p = PolyRing(field, moore.Y_NAMES)
             gens_p = [map_coefficients(g, field.coerce, ring_p) for g in gens]
             target_p = map_coefficients(target, field.coerce, ring_p)
             assert replay_certificate(cert, gens_p) == target_p
@@ -150,7 +146,7 @@ def test_acceptance_04_minus_plane_intersection():
 
 def test_acceptance_05_topology_numbers():
     with budget("5 topology-numbers", 1.0):
-        data = geo.topology_numbers(64)
+        data = moore.topology_numbers(64)
         assert data["degree"] == 16
         assert data["c2_hyperplane_degree"] == 64
         assert data["euler_smooth"] == -128
@@ -188,13 +184,13 @@ def test_acceptance_07_monodromy_lattice_suite():
 
 def test_acceptance_08_quartic_curve():
     with budget("8 quartic-curve", 30.0):
-        parts = list(geo.quartic_partials())
-        w = geo.conic_ring().gens()
-        certs = geo.quartic_nullstellensatz_certificates()
+        parts = list(moore.quartic_partials())
+        w = moore.conic_ring().gens()
+        certs = moore.quartic_nullstellensatz_certificates()
         assert [replay_certificate(c, parts) for c in certs] == [wi**7 for wi in w]
         for p in (17, 41, 73):
             assert geo.quartic_smooth_mod_p(p)
-        assert geo.quartic_genus() == 3
+        assert moore.quartic_genus() == 3
 
 
 def test_acceptance_09_kernel_property_suites():

@@ -212,11 +212,11 @@ def test_report_is_byte_identical_to_the_recorded_one(tmp_path, name):
 
 
 def test_quartic_nullstellensatz_certificates_are_the_recorded_ones():
-    from heis8_certify import geometry
+    from heis8_certify import moore
 
     digest = hashlib.sha256()
-    for cert in geometry.quartic_nullstellensatz_certificates():
-        for triple in cert.triples_text(geometry.conic_ring().names):
+    for cert in moore.quartic_nullstellensatz_certificates():
+        for triple in cert.triples_text(moore.conic_ring().names):
             digest.update(triple.encode() + b"\n")
     assert digest.hexdigest() == QUARTIC_NULLSTELLENSATZ_SHA256
 
@@ -311,11 +311,16 @@ def test_numpy_is_imported_only_by_runs_that_sample(args):
 
 # the package's math modules, and the fractions/decimal pair exactmath imports
 MATH_MODULES = (
-    *(f"heis8_certify.{m}" for m in ("exactmath", "multipoly", "linalg", "heisenberg", "geometry", "singular")),
+    *(
+        f"heis8_certify.{m}"
+        for m in ("exactmath", "multipoly", "linalg", "heisenberg", "geometry", "singular", "membership", "moore")
+    ),
     "fractions",
     "decimal",
 )
 ORBIT_MODULES = ("heis8_certify.heisenberg", "heis8_certify.geometry", "heis8_certify.singular")
+# the membership and Moore/ψ/quartic code, which no base-point check runs
+SPLIT_MODULES = ("heis8_certify.membership", "heis8_certify.moore")
 
 
 @pytest.mark.parametrize(
@@ -323,8 +328,10 @@ ORBIT_MODULES = ("heis8_certify.heisenberg", "heis8_certify.geometry", "heis8_ce
     [
         (("list",), MATH_MODULES, []),
         (("verify", "--checks", "commutator-xi"), ORBIT_MODULES, ["heis8_certify.heisenberg"]),
+        (("verify", "--checks", BASEPOINT_CHECKS), SPLIT_MODULES, []),
+        (("verify", "--fast", "--checks", MODULAR_CHECKS), SPLIT_MODULES, list(SPLIT_MODULES)),
     ],
-    ids=["list", "verify-commutator"],
+    ids=["list", "verify-commutator", "verify-basepoints", "verify-fast-modular"],
 )
 def test_fresh_runs_load_only_the_math_modules_their_checks_use(args, modules, loaded):
     assert fresh_run(*args, modules=modules) == (0, loaded)

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heis8_certify import geometry as geo
+from heis8_certify import moore
 from heis8_certify.errors import (
     DegeneratePoint,
     NotInDegree,
@@ -20,7 +21,8 @@ from heis8_certify.errors import (
 )
 from heis8_certify.exactmath import QQ
 from heis8_certify.heisenberg import SHIFT, TWIST, HeisenbergElement, ProjPoint, orbit
-from heis8_certify.linalg import Matrix, replay_certificate
+from heis8_certify.linalg import Matrix
+from heis8_certify.membership import replay_certificate
 from heis8_certify.multipoly import PolyRing, grevlex_key
 
 from helpers import (
@@ -90,8 +92,8 @@ def test_conventions_agree_at_random_plane_points(base, abc, other):
 
     # the x-slot of the Moore restriction reads x1, x2, x3 only, y untouched
     yv = other[5:]
-    full = geo.moore_matrix_full()
-    restricted = geo.restrict_moore_to_minus_plane(full)
+    full = moore.moore_matrix_full()
+    restricted = moore.restrict_moore_to_minus_plane(full)
     x_any = [other[0], *abc, *other[1:5]]
     for i in range(4):
         for j in range(4):
@@ -411,23 +413,23 @@ def test_orbit_mod_p_agrees_with_cyclotomic_reduction():
 
 
 def test_moore_full_corner_entry():
-    full = geo.moore_matrix_full()
-    g = geo.xy_ring().gens()
+    full = moore.moore_matrix_full()
+    g = moore.xy_ring().gens()
     assert full[0, 0] == g[0] * g[8] + g[4] * g[12]
-    restricted = geo.restrict_moore_to_minus_plane(full)
+    restricted = moore.restrict_moore_to_minus_plane(full)
     assert not restricted[0, 0]
 
 
 def test_moore_restricted_entry_0_1():
-    restricted = geo.restrict_moore_to_minus_plane(geo.moore_matrix_full())
-    g = geo.xy_ring().gens()
+    restricted = moore.restrict_moore_to_minus_plane(moore.moore_matrix_full())
+    g = moore.xy_ring().gens()
     x, y = g[:8], g[8:]
     assert restricted[0, 1] == -(x[3] * y[3]) + x[1] * y[7]
 
 
 def test_moore_restriction_matches_reference_entrywise():
-    data = geo.moore_pipeline()
-    expected = geo.expected_restricted_moore()
+    data = moore.moore_pipeline()
+    expected = moore.expected_restricted_moore()
     for i in range(4):
         for j in range(4):
             assert data.restricted[i, j] == expected[i, j]
@@ -436,8 +438,8 @@ def test_moore_restriction_matches_reference_entrywise():
 
 
 def test_pfaffian_identity_and_recorded_sign():
-    data = geo.moore_pipeline()
-    assert data.sign == geo.RECORDED_PFAFFIAN_SIGN == 1
+    data = moore.moore_pipeline()
+    assert data.sign == moore.RECORDED_PFAFFIAN_SIGN == 1
     reference = (
         data.w[0] * data.pullbacks[0]
         + data.w[1] * data.pullbacks[1]
@@ -449,7 +451,7 @@ def test_pfaffian_identity_and_recorded_sign():
 
 def test_pfaffian_pipeline_commutes_with_specialization():
     # evaluating the symbolic Pfaffian equals running the pipeline on numbers
-    data = geo.moore_pipeline()
+    data = moore.moore_pipeline()
     rng = random.Random(6)
     for _ in range(3):
         point = [Fraction(rng.randint(-5, 5)) for _ in range(16)]
@@ -463,19 +465,19 @@ def test_pfaffian_pipeline_commutes_with_specialization():
 
 
 def test_moore_at_yy_is_diagonal_substitution_of_full():
-    full = geo.moore_matrix_full()
-    ring = geo.y_ring()
+    full = moore.moore_matrix_full()
+    ring = moore.y_ring()
     yv = ring.gens()
     images = list(yv) + list(yv)
     specialized = full.map_entries(lambda q: q.substitute(images, ring))
-    direct = geo.moore_at_yy()
+    direct = moore.moore_at_yy()
     for i in range(4):
         for j in range(4):
             assert specialized[i, j] == direct[i, j]
 
 
 def test_moore_minors_structure():
-    gens = geo.moore_minor_generators()
+    gens = moore.moore_minor_generators()
     assert len(gens) == 36
     zero_count = sum(1 for g in gens if not g)
     assert zero_count == 6  # columns 1 and 3 of M(y,y) coincide
@@ -485,30 +487,30 @@ def test_moore_minors_structure():
 
 
 def test_psi_target_degree_and_specialization_consistency():
-    target = geo.psi_quartic_target()
+    target = moore.psi_quartic_target()
     assert target.homogeneous_degree() == 8
     # evaluate-then-combine must equal substitute-then-evaluate
     rng = random.Random(2)
     for _ in range(3):
         point = [Fraction(rng.randint(-4, 4)) for _ in range(8)]
-        a, b, c = geo.conic_pullbacks(geo.y_ring(), 0)
+        a, b, c = moore.conic_pullbacks(moore.y_ring(), 0)
         av, bv, cv = a.eval(point), b.eval(point), c.eval(point)
         assert target.eval(point) == bv**4 - 8 * av**3 * cv - 8 * av * cv**3
 
 
 def test_psi_membership_full_instance_mod_17():
-    problem = geo.psi_membership_problem()
+    problem = moore.psi_membership_problem()
     assert problem.shape == (6435, 11880)
     cert = problem.solve_mod(17)
     assert cert.support() == 82
-    ring17 = PolyRing(GF(17), geo.Y_NAMES)
-    gens17 = [map_coefficients(g, GF(17).coerce, ring17) for g in geo.moore_minor_generators()]
-    target17 = map_coefficients(geo.psi_quartic_target(), GF(17).coerce, ring17)
+    ring17 = PolyRing(GF(17), moore.Y_NAMES)
+    gens17 = [map_coefficients(g, GF(17).coerce, ring17) for g in moore.moore_minor_generators()]
+    target17 = map_coefficients(moore.psi_quartic_target(), GF(17).coerce, ring17)
     assert replay_certificate(cert, gens17) == target17
 
 
 def test_psi_membership_blocks_skip_zero_and_repeated_minors():
-    problem = geo.psi_membership_problem()
+    problem = moore.psi_membership_problem()
     # of the 36 minors, 6 are zero and 12 are ±1 times an earlier minor
     assert len(problem._block_generators) == 18
     blocks = problem._target_blocks()
@@ -516,10 +518,10 @@ def test_psi_membership_blocks_skip_zero_and_repeated_minors():
 
 
 def test_psi_membership_rational_binding():
-    problem = geo.psi_membership_problem()
+    problem = moore.psi_membership_problem()
     cert = problem.solve_rational()
     assert cert.prime is None
-    assert replay_certificate(cert, list(geo.moore_minor_generators())) == geo.psi_quartic_target()
+    assert replay_certificate(cert, list(moore.moore_minor_generators())) == moore.psi_quartic_target()
     heights = [max(abs(c.numerator), c.denominator) for _, _, c in cert.entries]
     assert max(heights) <= 1000  # observed height is tiny; keep a loose regression bound
 
@@ -529,7 +531,7 @@ def test_psi_membership_rational_binding():
 
 def test_quartic_partials_at_unit_point():
     # differentiation oracle: gradient at (1:0:0) is (0, 0, -8)
-    parts = geo.quartic_partials()
+    parts = moore.quartic_partials()
     vals = [g.eval([Fraction(1), Fraction(0), Fraction(0)]) for g in parts]
     assert vals == [Fraction(0), Fraction(0), Fraction(-8)]
 
@@ -541,35 +543,35 @@ def test_quartic_sweeps(p):
 
 def test_quartic_smooth_over_Q_and_genus():
     # the quartic is smooth over Q exactly when all three QQ certificates exist
-    certs = geo.quartic_nullstellensatz_certificates()
+    certs = moore.quartic_nullstellensatz_certificates()
     assert [cert.prime for cert in certs] == [None] * 3
-    assert geo.quartic_genus() == 3
+    assert moore.quartic_genus() == 3
 
 
 def test_quartic_nullstellensatz():
-    certs = geo.quartic_nullstellensatz_certificates()
+    certs = moore.quartic_nullstellensatz_certificates()
     assert len(certs) == 3
-    parts = list(geo.quartic_partials())
-    ring = geo.conic_ring()
+    parts = list(moore.quartic_partials())
+    ring = moore.conic_ring()
     for i, cert in enumerate(certs):
         assert replay_certificate(cert, parts) == ring.var(i) ** 7
 
 
 def test_nullstellensatz_certificates_raise_on_singular_quartic(monkeypatch):
     # w1⁴ − 8·w0³·w2 is singular at (0:0:1): no w2⁷ certificate in degree 7
-    w0, w1, w2 = geo.conic_ring().gens()
-    monkeypatch.setattr(geo, "quartic_curve_poly", lambda: w1**4 - w0**3 * w2 * 8)
+    w0, w1, w2 = moore.conic_ring().gens()
+    monkeypatch.setattr(moore, "quartic_curve_poly", lambda: w1**4 - w0**3 * w2 * 8)
     with pytest.raises(NotInDegree):
-        geo.quartic_nullstellensatz_certificates()
+        moore.quartic_nullstellensatz_certificates()
 
 
 def test_topology_numbers():
     # the identity reads the node count it is given: 64 nodes give e = 0
-    data = geo.topology_numbers(64)
+    data = moore.topology_numbers(64)
     assert data["degree"] == 16
     assert data["c2_hyperplane_degree"] == 64
     assert data["euler_smooth"] == -128
     assert data["node_identity"] == 0
     assert data["hilbert_numerator_at_1"] == 16
     assert data["hilbert_coeffs"] == "1,4,6,4,1"
-    assert geo.topology_numbers(32)["node_identity"] == -64
+    assert moore.topology_numbers(32)["node_identity"] == -64

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from heis8_certify import cli, geometry, linalg
+from heis8_certify import cli, linalg, membership, moore
 from heis8_certify.errors import (
     DenominatorVanishes,
     DimensionMismatch,
@@ -23,19 +23,21 @@ from heis8_certify.errors import (
 from heis8_certify.exactmath import QQ
 from heis8_certify.kernels import solve_mod_p
 from heis8_certify.linalg import (
-    MERSENNE_EXPONENTS,
     Matrix,
-    MembershipCertificate,
-    MembershipProblem,
     WedgeLemmaSweep,
-    graded_membership,
-    replay_certificate,
     smith_normal_form,
-    solve_over_qq,
-    sparse_solve_mod_p,
     unipotent_log,
     wedge2_fixed_dim_mod_2,
     wedge_lemma_exhaustive,
+)
+from heis8_certify.membership import (
+    MERSENNE_EXPONENTS,
+    MembershipCertificate,
+    MembershipProblem,
+    graded_membership,
+    replay_certificate,
+    solve_over_qq,
+    sparse_solve_mod_p,
 )
 from heis8_certify.multipoly import PolyRing
 from heis8_certify.registry import MONODROMY_MATRIX
@@ -390,7 +392,7 @@ def test_rational_solve_never_calls_solve_mod(monkeypatch):
 def test_residue_replay_agrees_with_the_reference_replay(p):
     # replays multiplies a GF(p) certificate out on int residues; the
     # reference replays it in PolyRing(GF(p)) through replay_certificate
-    problem = geometry.psi_membership_problem()
+    problem = moore.psi_membership_problem()
     ring_p = PolyRing(GF(p), problem.ring.names)
     gens_p = [map_coefficients(g, GF(p).coerce, ring_p) for g in problem.generators]
     target_p = map_coefficients(problem.target, GF(p).coerce, ring_p)
@@ -683,9 +685,19 @@ def test_sparse_block_solver_edge_cases():
 # --- the rational solve ------------------------------------------------------
 
 
+def test_membership_lives_in_its_own_module_and_linalg_forwards_two_names():
+    # the forwarding keeps the traced benchmark's two linalg reads working
+    assert MembershipProblem.__module__ == "heis8_certify.membership"
+    assert "MembershipProblem" not in vars(linalg)
+    assert linalg.MembershipProblem is membership.MembershipProblem
+    assert linalg.replay_certificate is membership.replay_certificate
+    with pytest.raises(AttributeError):
+        linalg.sparse_solve_mod_p
+
+
 def _solve_over_qq_and_prime(a):
     """solve_over_qq on dense rows [A | b], and the one prime it solved at."""
-    with mock.patch.object(linalg, "sparse_solve_mod_p", wraps=linalg.sparse_solve_mod_p) as spy:
+    with mock.patch.object(membership, "sparse_solve_mod_p", wraps=membership.sparse_solve_mod_p) as spy:
         x = solve_over_qq([{j: v for j, v in enumerate(row) if v} for row in a], len(a[0]) - 1)
     ((_rows, _ncols, p),) = [call.args for call in spy.call_args_list]
     return x, p
@@ -751,8 +763,8 @@ def test_rational_solve_raises_past_the_largest_mersenne_prime():
 
 
 def test_psi_blocks_are_solved_at_the_first_mersenne_prime():
-    problem = MembershipProblem(list(geometry.moore_minor_generators()), geometry.psi_quartic_target())
-    with mock.patch.object(linalg, "sparse_solve_mod_p", wraps=linalg.sparse_solve_mod_p) as spy:
+    problem = MembershipProblem(list(moore.moore_minor_generators()), moore.psi_quartic_target())
+    with mock.patch.object(membership, "sparse_solve_mod_p", wraps=membership.sparse_solve_mod_p) as spy:
         cert = problem.solve_rational()
     assert problem.replays(cert)
     primes = [call.args[2] for call in spy.call_args_list]

@@ -17,15 +17,8 @@ from heis8_certify.errors import (
     NotSkewSymmetric,
 )
 from heis8_certify.exactmath import QQ
-from heis8_certify.multipoly import (
-    PolyMatrix,
-    PolyRing,
-    SparsePoly,
-    apply_variable_map,
-    ci_invariants,
-    pfaffian4,
-    truncated_product,
-)
+from heis8_certify.moore import PolyMatrix, ci_invariants, pfaffian4, truncated_product
+from heis8_certify.multipoly import PolyRing, SparsePoly, apply_variable_map
 
 from helpers import GF
 

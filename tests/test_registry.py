@@ -11,11 +11,12 @@ import re
 
 import pytest
 
-from heis8_certify import claims, cli, geometry, heisenberg, linalg, registry, singular
+from heis8_certify import claims, cli, geometry, heisenberg, linalg, membership, moore, registry, singular
 from heis8_certify.errors import UnknownCheckId
 from heis8_certify.heisenberg import SHIFT, HeisenbergElement, orbit
-from heis8_certify.linalg import MembershipProblem
-from heis8_certify.multipoly import PolyMatrix, grevlex_key
+from heis8_certify.membership import MembershipProblem
+from heis8_certify.moore import PolyMatrix
+from heis8_certify.multipoly import grevlex_key
 from heis8_certify.report import FAIL, PASS, RunConfig
 
 from helpers import GF
@@ -29,7 +30,7 @@ def fresh_orbit_memo():
         registry._generic_point,
         geometry.symbolic_quadrics,
         geometry.quadric_span_images,
-        geometry.moore_pipeline,
+        moore.moore_pipeline,
         heisenberg.center_and_quotient,
     )
     for memo in memos:
@@ -380,26 +381,26 @@ def test_psi_membership_is_labelled_by_the_field_of_its_certificates(tmp_path, c
 @pytest.mark.parametrize("flags", [("--fast",), ()], ids=["fast", "rational"])
 def test_psi_membership_fails_on_a_wrong_target(monkeypatch, tmp_path, capsys, flags):
     # one coefficient changed: the target plus its first monomial
-    real = geometry.psi_quartic_target()
+    real = moore.psi_quartic_target()
     first = min(real.terms, key=grevlex_key)
-    monkeypatch.setattr(geometry, "psi_quartic_target", lambda: real + real.ring.monomial(first, 1))
+    monkeypatch.setattr(moore, "psi_quartic_target", lambda: real + real.ring.monomial(first, 1))
     solves = []
-    solve = linalg.sparse_solve_mod_p
+    solve = membership.sparse_solve_mod_p
 
     def counted(rows, ncols, p):
         solves.append((p, len(rows), ncols))  # (prime, block shape)
         return solve(rows, ncols, p)
 
-    monkeypatch.setattr(linalg, "sparse_solve_mod_p", counted)
-    geometry.psi_membership_problem.cache_clear()
+    monkeypatch.setattr(membership, "sparse_solve_mod_p", counted)
+    moore.psi_membership_problem.cache_clear()
     try:
         payload = _verify_fails(tmp_path, capsys, "psi-quartic-membership", *flags)
     finally:
-        geometry.psi_membership_problem.cache_clear()
+        moore.psi_membership_problem.cache_clear()
     # each (prime, block) is eliminated once: the rational solve works modulo
     # the first Mersenne prime above its Hadamard bound, not at the GF(p) primes
     assert len(solves) == len(set(solves))
-    primes = (17, 41, 73) if flags else (17, 41, 73, 2 ** linalg.MERSENNE_EXPONENTS[0] - 1)
+    primes = (17, 41, 73) if flags else (17, 41, 73, 2 ** membership.MERSENNE_EXPONENTS[0] - 1)
     assert sorted({p for p, _rows, _cols in solves}) == sorted(primes)
     for p in (17, 41, 73):
         assert payload[f"gf{p}_not_in_degree"].startswith("no representation")
@@ -458,14 +459,14 @@ def _conics_sharing_a_line(monkeypatch):
 
 
 def _moore_reference_entry_negated(monkeypatch):
-    real = geometry.expected_restricted_moore()
+    real = moore.expected_restricted_moore()
     rows = [list(row) for row in real.rows]
     rows[0][1] = -rows[0][1]
-    monkeypatch.setattr(geometry, "expected_restricted_moore", lambda: PolyMatrix(real.ring, rows))
+    monkeypatch.setattr(moore, "expected_restricted_moore", lambda: PolyMatrix(real.ring, rows))
 
 
 def _pfaffian_sign_recorded_as_minus_one(monkeypatch):
-    monkeypatch.setattr(geometry, "RECORDED_PFAFFIAN_SIGN", -1)
+    monkeypatch.setattr(moore, "RECORDED_PFAFFIAN_SIGN", -1)
 
 
 def _corrupted_rational_certificate(monkeypatch):
@@ -475,19 +476,19 @@ def _corrupted_rational_certificate(monkeypatch):
 
 def _singular_quartic(monkeypatch):
     # w1⁴ − 8·w0³·w2 is singular at (0:0:1)
-    w0, w1, w2 = geometry.conic_ring().gens()
-    monkeypatch.setattr(geometry, "quartic_curve_poly", lambda: w1**4 - w0**3 * w2 * 8)
+    w0, w1, w2 = moore.conic_ring().gens()
+    monkeypatch.setattr(moore, "quartic_curve_poly", lambda: w1**4 - w0**3 * w2 * 8)
 
 
 def _smooth_cubic(monkeypatch):
     # the Fermat cubic is smooth, of genus 1: the genus reads the curve's degree
-    w0, w1, w2 = geometry.conic_ring().gens()
-    monkeypatch.setattr(geometry, "quartic_curve_poly", lambda: w0**3 + w1**3 + w2**3)
+    w0, w1, w2 = moore.conic_ring().gens()
+    monkeypatch.setattr(moore, "quartic_curve_poly", lambda: w0**3 + w1**3 + w2**3)
 
 
 def _degrees_2223(monkeypatch):
-    real = geometry.ci_invariants
-    monkeypatch.setattr(geometry, "ci_invariants", lambda n, degrees: real(n, (2, 2, 2, 3)))
+    real = moore.ci_invariants
+    monkeypatch.setattr(moore, "ci_invariants", lambda n, degrees: real(n, (2, 2, 2, 3)))
 
 
 def _monodromy(matrix):

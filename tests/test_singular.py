@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from heis8_certify import geometry as geo
 from heis8_certify import singular
 from heis8_certify.errors import BadSize, DegeneratePoint, UnluckyPrime
-from heis8_certify.linalg import Matrix, sparse_solve_mod_p
+from heis8_certify.linalg import Matrix
+from heis8_certify.membership import sparse_solve_mod_p
 
 from helpers import GF, monomials_of_degree, symbolic_jacobian
 
@@ -210,3 +211,19 @@ def test_maximal_minors_match_polymatrix_minors():
     assert len(minors) == len(reference) == 70
     for mine, ref in zip(minors, reference):
         assert mine == {singular._key(e): c.value for e, c in ref.terms.items()}
+
+
+def test_minor_values_match_the_reference_minors():
+    # one value per distinct monomial against the reference minors' own eval;
+    # at the base point every minor vanishes
+    p = 41
+    system = geo.build_system(geo.MinusPlanePoint(GF(p), *Y123.coords))
+    reference = symbolic_jacobian(system).minors(4)
+    _quadrics, minors = singular.singular_ideal_mod_p(Y123, p)
+    rng = random.Random(3)
+    for point in ([rng.randrange(p) for _ in range(8)] for _ in range(3)):
+        values = singular._values_mod_p(minors, point, p)
+        assert values == [m.eval(point).value for m in reference]
+        assert any(values)
+    base = [int(c) % p for c in Y123.embed().coords]
+    assert not any(singular._values_mod_p(minors, base, p))
