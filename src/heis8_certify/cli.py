@@ -4,6 +4,8 @@
                          [--y a,b,c] [--json PATH] [--fast]
     heis8-certify list
 
+The seed is validated and recorded in the report; no check reads it.
+
 Exit codes: 0 when every selected certificate passes, 1 on a certificate
 failure, 2 on a configuration error (a --json path that cannot be opened for
 writing is one, found before any check runs).
@@ -34,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run selected certificates and emit a report")
     verify.add_argument("--checks", default="all", help="comma-separated claim ids, or 'all'")
     verify.add_argument("--primes", default="17,41,73", help="comma-separated primes, each ≡ 1 mod 8")
-    verify.add_argument("--seed", type=int, default=42, help="64-bit seed for randomized corroboration")
+    verify.add_argument("--seed", type=int, default=42, help="64-bit seed, validated and recorded; no check reads it")
     verify.add_argument(
         "--y",
         default="1,2,3",

@@ -31,7 +31,6 @@ from typing import NamedTuple
 from .errors import ArityMismatch, BadDimension, BadSize, NotSkewSymmetric
 from .exactmath import QQ
 from .geometry import X_NAMES, minus_plane_coords
-from .membership import MembershipProblem, graded_membership
 from .multipoly import PolyRing, SparsePoly
 
 Y_NAMES = tuple(f"y{i}" for i in range(8))
@@ -274,6 +273,8 @@ def psi_quartic_target() -> SparsePoly:
 
 @lru_cache(maxsize=1)
 def psi_membership_problem() -> MembershipProblem:
+    from .membership import MembershipProblem  # psi-quartic-membership only
+
     return MembershipProblem(list(moore_minor_generators()), psi_quartic_target())
 
 
@@ -309,6 +310,8 @@ def quartic_nullstellensatz_certificates():
     P²(GF(p)) (geometry.quartic_smooth_mod_p) sees only the GF(p)-rational
     points of one reduction, not P²(Q̄).
     """
+    from .membership import graded_membership  # quartic-smooth-genus3 only
+
     parts = list(quartic_partials())
     ring = conic_ring()
     certs = []

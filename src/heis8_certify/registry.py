@@ -2,10 +2,11 @@
 executed by the CLI.
 
 Every check is a pure function RunConfig → CertificateResult, deterministic
-given (primes, seed, base point).  A claim's check is found by its name:
-check_ then the claim id with each "-" as "_", so the table is the one place
-an id is written.  The runner executes the selected checks one after another,
-in registry order, which is the table's, and stamps each result with its id.
+given the primes and the base point alone.  A claim's check is found by its
+name: check_ then the claim id with each "-" as "_", so the table is the one
+place an id is written.  The runner executes the selected checks one after
+another, in registry order, which is the table's, and stamps each result with
+its id.
 
 Each check imports the math modules it uses when it runs, so loading the
 registry loads none of them; `list` and a configuration error read the claim
@@ -221,7 +222,7 @@ def check_orbit_64_singular(cfg: RunConfig) -> CertificateResult:
         payload[f"y0_{k}"] = data[k]
     from . import singular  # only this check loads it
 
-    hilbert, prime = singular.singular_scheme_certificate(y, cfg.seed, ORBIT_POINTS)
+    hilbert, prime = singular.singular_scheme_certificate(y, ORBIT_POINTS)
     payload.update(hilbert)
     ok = data["cone_rank4"] == ORBIT_POINTS and hilbert.get("hilbert_deg7_bound") == str(ORBIT_POINTS)
     return _result(ok, ZETA8_FIELD, payload, prime=prime)

@@ -276,7 +276,7 @@ def singular_ideal_mod_p(y: MinusPlanePoint, p: int):
 
 
 def finiteness_form_coefficient(rng: random.Random, p: int) -> int:
-    """c in the linear form ℓ = x4 + c·x6, drawn from the run's seed."""
+    """c in the linear form ℓ = x4 + c·x6, drawn from the prime's stream."""
     return rng.randrange(1, p)
 
 
@@ -292,7 +292,7 @@ def _eliminate_x4(poly: dict, c: int, p: int) -> dict:
     return {k: v % p for k, v in out.items() if v % p}
 
 
-def singular_scheme_mod_p(y: MinusPlanePoint, p: int, seed, points: int) -> dict:
+def singular_scheme_mod_p(y: MinusPlanePoint, p: int, points: int) -> dict:
     """At one prime, that the singular scheme of V at y is finite and has
     length at most `points` (a multiple of 8); raises UnluckyPrime when the
     prime does not show both, and DenominatorVanishes when a coefficient has
@@ -304,8 +304,8 @@ def singular_scheme_mod_p(y: MinusPlanePoint, p: int, seed, points: int) -> dict
     the same when p leaves their coefficient y1·y3 alone.
 
     (b) Degree 7.  The products minor × standard cubic in the weight-0 block
-        of R_7 are reduced mod p, in an order drawn from the seed, until the
-        rank reaches columns − points/8; a prime still short of it
+        of R_7 are reduced mod p, in an order drawn from random.Random(p),
+        until the rank reaches columns − points/8; a prime still short of it
         HILBERT_ROW_SLACK rows later is unlucky.  A rank mod p bounds the
         rank over QQ from below, so dim (S/I)_7 has at most points/8 in
         weight 0 over QQ.  Shift permutes the variables and maps the span of
@@ -320,15 +320,15 @@ def singular_scheme_mod_p(y: MinusPlanePoint, p: int, seed, points: int) -> dict
         HF(S/I, 7) is at least the length of the scheme.
     So the singular scheme has length at most `points`.  No row count is
     capped in (a): dependent rows are common there.  Its rows are reduced
-    in an order drawn from the seed after c: at the default base point and
-    seed that reaches full rank after 112 and 84 rows, the listed order
-    after 159 and 96.
+    in an order drawn from the same stream after c; any order that reaches
+    the rank is a proof.  At the default base point (b) needs 111 rows and
+    (a) 84 and 84, where the listed order of (a) needs 159 and 96.
 
     The minors must also vanish at the base point mod p, as the reductions
     of minors that vanish there over QQ (the orbit evidence): this ties the
     count to the ideal whose zeros the orbit points are.
     """
-    rng = random.Random(f"{seed}/{p}")
+    rng = random.Random(p)
     quadrics, minors = singular_ideal_mod_p(y, p)
     base = [residue(c, p) for c in y.embed().coords]
     if any(_values_mod_p(minors, base, p)):
@@ -358,13 +358,13 @@ def singular_scheme_mod_p(y: MinusPlanePoint, p: int, seed, points: int) -> dict
     }
 
 
-def singular_scheme_certificate(y: MinusPlanePoint, seed, points: int):
+def singular_scheme_certificate(y: MinusPlanePoint, points: int):
     """singular_scheme_mod_p at the first HILBERT_PRIMES prime that is not
     unlucky.  Returns (payload, prime), prime None when every one was."""
     payload = {}
     for p in HILBERT_PRIMES:
         try:
-            payload.update(singular_scheme_mod_p(y, p, seed, points))
+            payload.update(singular_scheme_mod_p(y, p, points))
             return payload, p
         except (UnluckyPrime, DenominatorVanishes) as exc:
             payload[f"hilbert_unlucky_{p}"] = str(exc)

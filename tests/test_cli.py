@@ -161,7 +161,7 @@ def test_verify_subset_passes_and_is_deterministic(tmp_path):
 # sha256 of normalized_json of the default `verify --json` report: a refactor
 # leaves every byte of it alone, and a change that moves it names the changed
 # field in CHANGES.md and records the new digest here
-DEFAULT_REPORT_SHA256 = "3b23d445a8443f246c7018a273986b53f41735a2a6f25bd3fe392cf902a4fcfc"
+DEFAULT_REPORT_SHA256 = "45808d4f49e3d2f101f95eaecdebdd0f6fdb02ff31ee7315d507b182caf1a868"
 
 
 BASEPOINT_CHECKS = "ideal-invariance,base-point-on-V,orbit-64-singular,odp-proxy,minus-plane-4points"
@@ -180,12 +180,12 @@ REPORT_SHA256 = {
     "basepoint-5-3-7": (
         ("--checks", BASEPOINT_CHECKS, "--y=5,-3,7", "--seed", "7"),
         0,
-        "e95f6f796572deccad2c55f5185fe969be9577feb8d69d786b384d46f0884927",
+        "34575e1a94918ee76918644f92656dd5682207124e715f1f78c14c8a82831bf0",
     ),
     "basepoint-1-0-2": (
         ("--checks", BASEPOINT_CHECKS, "--y=1,0,2", "--seed", "9"),
         1,  # y2 = 0: two named points coincide, and minus-plane-4points FAILs
-        "2b4fa39050721cc871d0d8ec2d039cd37c3c7d7e0553d7d09589d9466aea16ea",
+        "c1f09dacfe57c45cda9525799fede35111034f8c78e4183cd84649d0e3e2bef8",
     ),
 }
 # sha256 of the triples of the three quartic Nullstellensatz certificates,
@@ -193,12 +193,16 @@ REPORT_SHA256 = {
 QUARTIC_NULLSTELLENSATZ_SHA256 = "3edc2048d597b444f5f8b41db47e1dfb7b3c79d048186d0e60290ebffd3bd870"
 
 
-def report_digest(tmp_path, flags, code):
+def normalized_report(tmp_path, flags, code) -> str:
     from heis8_certify.report import normalized_json
 
     out = tmp_path / "report.json"
     assert run_cli("verify", *flags, "--json", str(out)).returncode == code
-    return hashlib.sha256(normalized_json(out.read_text()).encode()).hexdigest()
+    return normalized_json(out.read_text())
+
+
+def report_digest(tmp_path, flags, code):
+    return hashlib.sha256(normalized_report(tmp_path, flags, code).encode()).hexdigest()
 
 
 def test_default_report_is_byte_identical_to_the_recorded_one(tmp_path):
@@ -209,6 +213,15 @@ def test_default_report_is_byte_identical_to_the_recorded_one(tmp_path):
 def test_report_is_byte_identical_to_the_recorded_one(tmp_path, name):
     flags, code, digest = REPORT_SHA256[name]
     assert report_digest(tmp_path, flags, code) == digest
+
+
+def test_no_check_reads_the_seed(tmp_path):
+    # the report records the seed, and nothing else in it moves with it
+    flags, code, _digest = REPORT_SHA256["basepoint-5-3-7"]
+    assert flags[-2:] == ("--seed", "7")
+    reports = [json.loads(normalized_report(tmp_path, (*flags[:-1], seed), code)) for seed in ("7", "8")]
+    assert [r["config"].pop("seed") for r in reports] == [7, 8]
+    assert reports[0] == reports[1]
 
 
 def test_quartic_nullstellensatz_certificates_are_the_recorded_ones():
@@ -330,8 +343,14 @@ SPLIT_MODULES = ("heis8_certify.membership", "heis8_certify.moore")
         (("verify", "--checks", "commutator-xi"), ORBIT_MODULES, ["heis8_certify.heisenberg"]),
         (("verify", "--checks", BASEPOINT_CHECKS), SPLIT_MODULES, []),
         (("verify", "--fast", "--checks", MODULAR_CHECKS), SPLIT_MODULES, list(SPLIT_MODULES)),
+        # the Moore checks and the Chern arithmetic solve no membership instance
+        (
+            ("verify", "--checks", "moore-skew,pfaffian-formula,topology-numbers"),
+            SPLIT_MODULES,
+            ["heis8_certify.moore"],
+        ),
     ],
-    ids=["list", "verify-commutator", "verify-basepoints", "verify-fast-modular"],
+    ids=["list", "verify-commutator", "verify-basepoints", "verify-fast-modular", "verify-moore"],
 )
 def test_fresh_runs_load_only_the_math_modules_their_checks_use(args, modules, loaded):
     assert fresh_run(*args, modules=modules) == (0, loaded)

@@ -111,7 +111,7 @@ def test_orbit_sweep_runs_once_per_point_and_payload_is_unchanged(monkeypatch):
         "y0_rank3_points": "64",
         "y0_base_cone_rank": "4",
         "hilbert_prime": "32713",
-        "hilbert_linear_form": "x4+9382*x6",
+        "hilbert_linear_form": "x4+450*x6",
         "hilbert_deg5_mod_form_rank": "84/84,84/84",
         "hilbert_deg7_block0_rank": "111/119",
         "hilbert_deg7_block0_rows": "111",

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from heis8_certify import geometry as geo
 from heis8_certify import singular
 from heis8_certify.errors import BadSize, DegeneratePoint, UnluckyPrime
+from heis8_certify.heisenberg import orbit
 from heis8_certify.linalg import Matrix
 from heis8_certify.membership import sparse_solve_mod_p
 
@@ -171,27 +172,48 @@ def test_hilbert_blocks_agree_across_weights():
 
 
 def test_singular_scheme_certificate_at_generic_points():
-    for coords, seed in (((1, 2, 3), 42), ((2, 5, 1), 7), ((3, 7, -4), 5)):
+    # the row orders and c come from the prime alone: the same c at each point
+    for coords in ((1, 2, 3), (2, 5, 1), (3, 7, -4), (5, -3, 7)):
         y = geo.MinusPlanePoint.rational(*coords)
-        payload, prime = singular.singular_scheme_certificate(y, seed, 64)
+        payload, prime = singular.singular_scheme_certificate(y, 64)
         assert prime == singular.HILBERT_PRIMES[0]
-        assert payload["hilbert_prime"] == str(prime)
-        assert payload["hilbert_deg7_block0_rank"] == "111/119"
-        assert payload["hilbert_deg5_mod_form_rank"] == "84/84,84/84"
-        assert payload["hilbert_deg7_bound"] == "64"
-        assert not any(k.startswith("hilbert_unlucky") for k in payload)
+        assert payload == {
+            "hilbert_prime": str(prime),
+            "hilbert_linear_form": "x4+450*x6",
+            "hilbert_deg5_mod_form_rank": "84/84,84/84",
+            "hilbert_deg7_block0_rank": "111/119",
+            "hilbert_deg7_block0_rows": "111",
+            "hilbert_deg7_bound": "64",
+        }
 
 
 def test_singular_scheme_climbs_past_an_unlucky_prime(monkeypatch):
-    # HF(S/I, 7) reads 80 mod 17 at (1,2,3): 17 is unlucky and 41 certifies
+    # HF(S/I, 7) reads 80 mod 17 at (1,2,3): 17 is unlucky and 73 certifies
     assert 8 * _block_count(Y123, 17) == 80
-    assert 8 * _block_count(Y123, 41) == 64
-    monkeypatch.setattr(singular, "HILBERT_PRIMES", (17, 41))
-    payload, prime = singular.singular_scheme_certificate(Y123, 42, 64)
-    assert prime == 41
-    # the row budget runs out before the rank reaches its value 109 mod 17
-    assert payload["hilbert_unlucky_17"] == "degree-7 weight-0 rank 108/119 after 127 rows mod 17, 111 needed"
+    assert 8 * _block_count(Y123, 73) == 64
+    monkeypatch.setattr(singular, "HILBERT_PRIMES", (17, 73))
+    payload, prime = singular.singular_scheme_certificate(Y123, 64)
+    assert prime == 73
+    # the rank mod 17 is 109 with every row, short of the 111 needed
+    assert payload["hilbert_unlucky_17"] == "degree-7 weight-0 rank 109/119 after 127 rows mod 17, 111 needed"
+    assert payload["hilbert_linear_form"] == "x4+61*x6"
     assert payload["hilbert_deg7_bound"] == "64"
+
+
+def test_singular_scheme_records_a_form_through_an_orbit_point(monkeypatch):
+    # c = 32, drawn from random.Random(41), puts ℓ = x4 + c·x6 through four
+    # orbit points mod 41: the finiteness blocks fall short of full rank, and
+    # with 17 unlucky no prime certifies
+    assert 8 * _block_count(Y123, 41) == 64
+    points = orbit(geo.MinusPlanePoint(GF(41), *Y123.coords).embed())
+    assert sum((v.coords[4] + 32 * v.coords[6]).value == 0 for v in points) == 4
+    monkeypatch.setattr(singular, "HILBERT_PRIMES", (17, 41))
+    payload, prime = singular.singular_scheme_certificate(Y123, 64)
+    assert prime is None
+    assert payload == {
+        "hilbert_unlucky_17": "degree-7 weight-0 rank 109/119 after 127 rows mod 17, 111 needed",
+        "hilbert_unlucky_41": "x4+32*x6 leaves degree-5 ranks 80/84, 82/84 mod 41",
+    }
 
 
 def test_singular_scheme_needs_the_square_terms():
